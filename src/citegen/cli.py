@@ -247,9 +247,8 @@ def _cmd_train_fid(args) -> int:
                      "epochs": hyper.epochs, "batch_size": hyper.batch_size,
                      "lr": hyper.lr, "grad_clip": hyper.grad_clip},
                     [Path(args.dataset), Path(args.documents)])
-    final = history["train_loss"][-1] if history["train_loss"] else float("nan")
     print(f"trained fid model ({'with' if with_intent else 'no'} intent), "
-          f"final train loss {final:.4f} -> {out_dir / 'fid.ckpt'}")
+          f"final train loss {history['train_loss'][-1]:.4f} -> {out_dir / 'fid.ckpt'}")
     return 0
 
 

@@ -5,6 +5,11 @@ Every citation block is encoded independently (positional indices restart at
 the concatenation of all block states. Encoder attention cost is therefore
 linear in the number of blocks rather than quadratic.
 
+Training computes no padding it can skip: a batch encodes only the blocks
+that hold a real token, as one flat batch whose states are scattered back
+into the padded layout for cross-attention, and its targets are cut after
+the batch's longest real target.
+
 Everything runs in float64 with hand-written analytic gradients so finite
 difference checks and bit-level invariants are meaningful.
 """
@@ -416,9 +421,19 @@ def _forward(params, config: ModelConfig, x, y, counter=None, drop_rng=None):
         raise ShapeError(f"block length {length} != config.block_len {config.block_len}")
     if not 1 <= n <= config.max_blocks:
         raise ShapeError(f"{n} blocks outside [1, {config.max_blocks}]")
-    enc_out, enc_cache = _encoder_fwd(params, config, x.reshape(b * n, length), counter, drop_rng)
+    # Encode only blocks holding a real token; cross-attention gives the
+    # others exactly zero weight, so zero states stand in for them. An
+    # instance with no real token keeps every block, as its keys are all
+    # masked and its attention degrades to uniform weights.
+    rows = x.reshape(b * n, length)
+    real_rows = (rows != PAD_ID).any(axis=1)
+    empty = ~real_rows.reshape(b, n).any(axis=1)
+    keep = np.flatnonzero(real_rows | np.repeat(empty, n))
+    enc_out, enc_cache = _encoder_fwd(params, config, rows[keep], counter, drop_rng)
     d = config.d_model
-    enc_states = enc_out.reshape(b, n * length, d)
+    enc_rows = np.zeros((b * n, length, d))
+    enc_rows[keep] = enc_out
+    enc_states = enc_rows.reshape(b, n * length, d)
     enc_key_pad = (x.reshape(b, n * length) == PAD_ID)
     enc_mask = np.where(enc_key_pad, NEG_INF, 0.0)[:, None, None, :]
     t = y.shape[1]
@@ -434,12 +449,13 @@ def _forward(params, config: ModelConfig, x, y, counter=None, drop_rng=None):
     loss = float(ce.sum() / max(n_real, 1))
     if not np.isfinite(loss):
         raise NumericalError(f"non-finite loss {loss}")
-    cache = (x, y, enc_cache, dec_cache, dec_out, enc_states, logits, logz, real, n_real)
+    cache = (x, y, enc_cache, dec_cache, dec_out, enc_states, logits, logz, real, n_real,
+             keep)
     return loss, logits, cache
 
 
 def _backward(params, config: ModelConfig, cache):
-    x, y, enc_cache, dec_cache, dec_out, enc_states, logits, logz, real, n_real = cache
+    x, y, enc_cache, dec_cache, dec_out, enc_states, logits, logz, real, n_real, keep = cache
     b, n, length = x.shape
     grads = {k: np.zeros_like(v) for k, v in params.items()}
     probs = np.exp(logits - logz[..., None])
@@ -451,7 +467,7 @@ def _backward(params, config: ModelConfig, cache):
     grads["emb"] += dlogits.reshape(-1, v).T @ dec_out.reshape(-1, d)
     ddec_out = dlogits @ params["emb"]
     denc_states = _decoder_bwd(params, config, ddec_out, dec_cache, grads)
-    _encoder_bwd(params, config, denc_states.reshape(b * n, length, d), enc_cache, grads)
+    _encoder_bwd(params, config, denc_states.reshape(b * n, length, d)[keep], enc_cache, grads)
     return grads
 
 
@@ -530,17 +546,29 @@ class TrainConfig:
     grad_clip: float = 1.0
     seed: int = 0
 
+    def __post_init__(self):
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ConfigError(f"epochs and batch_size must be >= 1, got "
+                              f"{self.epochs} and {self.batch_size}")
+        if not self.lr > 0:
+            raise ConfigError(f"lr must be > 0, got {self.lr}")
+        if not self.grad_clip >= 0:
+            raise ConfigError(f"grad_clip must be >= 0, got {self.grad_clip}")
+
 
 def _pad_batch(items: Sequence[tuple[np.ndarray, np.ndarray]]):
-    """Stack instances with unequal block counts using fully padded blocks."""
+    """Stack instances with unequal block counts using fully padded blocks,
+    and cut the targets after the last column holding a real token: later
+    columns are inert under the causal mask and the loss mask."""
     n_max = max(x.shape[0] for x, _ in items)
     length = items[0][0].shape[1]
-    t = items[0][1].shape[0]
     x = np.full((len(items), n_max, length), PAD_ID, dtype=np.int64)
-    y = np.zeros((len(items), t), dtype=np.int64)
-    for i, (xi, yi) in enumerate(items):
+    for i, (xi, _) in enumerate(items):
         x[i, : xi.shape[0]] = xi
-        y[i] = yi
+    y = np.array([yi for _, yi in items], dtype=np.int64)
+    real_cols = np.flatnonzero((y != PAD_ID).any(axis=0))
+    if real_cols.size:
+        y = y[:, : real_cols[-1] + 1]
     return x, y
 
 
@@ -646,6 +674,8 @@ def generate(params, config: ModelConfig, fid_input, mode: str = "greedy",
     Greedy picks the argmax each step (lowest id on ties); beam search ranks
     by log-probability normalized by length^0.7, ties broken by token ids.
     """
+    if beam_size < 1:
+        raise ConfigError(f"beam_size must be >= 1, got {beam_size}")
     ids = fid_input.ids if isinstance(fid_input, FidInput) else np.asarray(fid_input)
     max_len = config.target_len if max_len is None else min(max_len, config.pos_len)
     enc = encode_blocks(params, config, ids)[None]

@@ -224,6 +224,28 @@ def test_exit_3_config_validation(pipeline, tmp_path):
                  "--n-heads", "4"]) == 3
 
 
+@pytest.mark.parametrize("command, flags, field", [
+    ("train-fid", ["--epochs", "0"], "epochs"),
+    ("train-fid", ["--batch-size", "0"], "batch_size"),
+    ("train-fid", ["--lr", "0"], "lr"),
+    ("train-fid", ["--grad-clip", "-1"], "grad_clip"),
+    ("generate", ["--mode", "beam", "--beam-size", "0"], "beam_size"),
+    ("generate", ["--mode", "greedy", "--beam-size", "0"], "beam_size"),
+])
+def test_exit_3_invalid_training_and_decoding_values(pipeline, tmp_path, capsys,
+                                                     command, flags, field):
+    data = ["--dataset", str(pipeline["built"] / "dataset.jsonl"),
+            "--documents", str(pipeline["synth"] / "documents.jsonl")]
+    if command == "train-fid":
+        out = ["--out-dir", str(tmp_path / "model")]
+    else:
+        out = ["--checkpoint", str(pipeline["model"] / "fid.ckpt"),
+               "--out", str(tmp_path / "preds.jsonl")]
+    assert main([command, *data, *out, *flags]) == 3
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "model" / "fid.ckpt").exists()
+
+
 def test_exit_3_malformed_config_file(tmp_path):
     cfg = tmp_path / "broken.cfg"
     cfg.write_text("this line has no equals sign\n")

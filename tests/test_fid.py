@@ -1,6 +1,10 @@
 """Encoder-decoder model: shapes, invariants, gradients, training, decoding."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +32,7 @@ from citegen.fid import (
     save_checkpoint,
     train,
 )
-from citegen.fid import _backward, _forward  # gradient-path internals under test
+from citegen.fid import _backward, _forward, _pad_batch  # training-path internals under test
 from citegen.tokenizer import EOS_ID, PAD_ID, RESERVED, build_vocab
 
 TINY = ModelConfig(vocab_size=20, d_model=8, n_heads=2, n_enc_layers=1,
@@ -296,6 +300,93 @@ def test_unused_position_rows_get_zero_gradient():
 
 
 # ---------------------------------------------------------------------------
+# Padding-free training batches
+
+def _mixed_items(seed=3, shapes=((1, 2), (3, 1), (2, 3), (1, 1), (2, 2), (3, 3))):
+    """One instance per (block count, real target length). Every block holds
+    a real token and may end in padding; every target ends in padding."""
+    rng = np.random.default_rng(seed)
+    items = []
+    for n_blocks, t_real in shapes:
+        x = rng.integers(4, TINY.vocab_size, size=(n_blocks, TINY.block_len))
+        for row in x:
+            row[rng.integers(2, TINY.block_len + 1):] = PAD_ID
+        y = np.full(TINY.target_len, PAD_ID, dtype=np.int64)
+        y[: t_real - 1] = rng.integers(4, TINY.vocab_size, size=t_real - 1)
+        y[t_real - 1] = EOS_ID
+        items.append((x, y))
+    return items
+
+
+_PAD_ONLY = (np.full((2, TINY.block_len), PAD_ID, dtype=np.int64),
+             np.array([7, EOS_ID, PAD_ID, PAD_ID]))
+
+
+def test_packed_batch_matches_per_instance_results():
+    params = init_params(TINY, seed=11)
+    items = _mixed_items()
+    loss, _, cache = _forward(params, TINY, *_pad_batch(items))
+    grads = _backward(params, TINY, cache)
+    n_total = sum(int((y != PAD_ID).sum()) for _, y in items)
+    ref_loss = 0.0
+    ref_grads = {k: np.zeros_like(v) for k, v in params.items()}
+    for x, y in items:  # no padded block, targets at full target_len
+        loss_i, _, cache_i = _forward(params, TINY, x[None], y[None])
+        weight = int((y != PAD_ID).sum()) / n_total
+        ref_loss += weight * loss_i
+        for k, g in _backward(params, TINY, cache_i).items():
+            ref_grads[k] += weight * g
+    assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
+    for k, g in grads.items():
+        scale = np.abs(ref_grads[k]).max()
+        assert np.abs(g - ref_grads[k]).max() <= 1e-12 * scale, k
+
+
+def test_pad_batch_cuts_targets_to_longest_real_target():
+    items = _mixed_items()
+    x, y = _pad_batch(items)
+    assert x.shape == (len(items), 3, TINY.block_len)
+    assert y.shape == (len(items), 3)  # longest real target: 3 of target_len 4
+    assert (y[:, -1] != PAD_ID).any()
+    for (_, full), cut in zip(items, y):
+        assert np.array_equal(full[:3], cut)
+    # a batch with no real target token keeps its width
+    _, y_pad = _pad_batch([(x[0], np.full(TINY.target_len, PAD_ID))])
+    assert y_pad.shape == (1, TINY.target_len)
+
+
+def test_counter_counts_only_real_blocks_of_a_padded_batch():
+    params = init_params(TINY, seed=11)
+    items = _mixed_items()
+    counter = AttentionCounter()
+    forward_loss(params, TINY, *_pad_batch(items), counter=counter)
+    assert counter.scores == sum(attention_cost(TINY, x.shape[0])[0] for x, _ in items)
+
+
+def test_pad_only_instance_keeps_its_loss():
+    # an instance without a real token still encodes all its blocks; the
+    # expected values were recorded when every block row was encoded and
+    # targets kept target_len columns
+    params = init_params(TINY, seed=11)
+    loss, _, _ = _forward(params, TINY, *_pad_batch([_PAD_ONLY]))
+    assert loss == pytest.approx(2.9842544783542477, rel=1e-12, abs=0)
+    loss, _, _ = _forward(params, TINY, *_pad_batch(_mixed_items()[:3] + [_PAD_ONLY]))
+    assert loss == pytest.approx(2.984751757797441, rel=1e-12, abs=0)
+
+
+def test_train_on_mixed_blocks_keeps_unpacked_loss_history():
+    # recorded when every block row was encoded and targets kept
+    # target_len columns
+    data = _mixed_items(seed=4) + _mixed_items(seed=5)
+    _, history = train(init_params(TINY, seed=11), TINY, data, _mixed_items(seed=6),
+                       TrainConfig(epochs=2, batch_size=4, lr=3e-3, seed=0))
+    want = {"train_loss": [2.9835303867479106, 2.9016317574674964],
+            "val_loss": [2.9588090503478544, 2.9120302176435273]}
+    for name, values in want.items():
+        assert history[name] == pytest.approx(values, rel=1e-12, abs=0), name
+
+
+# ---------------------------------------------------------------------------
 # Attention cost accounting
 
 def test_attention_cost_reference_values():
@@ -368,11 +459,63 @@ def test_train_records_and_keeps_best_validation():
     assert got == pytest.approx(min(history["val_loss"]), abs=1e-12)
 
 
+_TRAIN_AND_HASH = """
+import hashlib
+import numpy as np
+from citegen.fid import ModelConfig, TrainConfig, init_params, train
+from citegen.tokenizer import PAD_ID
+cfg = ModelConfig(vocab_size=40, d_model=32, n_heads=4, block_len=16, target_len=12)
+rng = np.random.default_rng(0)
+data = []
+for i in range(24):
+    x = rng.integers(4, cfg.vocab_size, size=(1 + i % 3, cfg.block_len))
+    x[:, 10 + i % 6:] = PAD_ID
+    y = np.full(cfg.target_len, PAD_ID, dtype=np.int64)
+    y[: 4 + i % 8] = rng.integers(4, cfg.vocab_size, size=4 + i % 8)
+    data.append((x, y))
+params, _ = train(init_params(cfg, 0), cfg, data, data[:6],
+                  TrainConfig(epochs=2, batch_size=8, lr=1e-3, seed=0))
+h = hashlib.sha256()
+for name in sorted(params):
+    h.update(name.encode())
+    h.update(np.ascontiguousarray(params[name], dtype="<f8").tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_train_parameter_hash_repeats_at_one_blas_thread():
+    # float64 sums are reproducible only at a fixed BLAS thread count, so
+    # both runs pin it
+    import citegen
+
+    src = str(Path(citegen.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    hashes = [
+        subprocess.run([sys.executable, "-c", _TRAIN_AND_HASH], env=env, check=True,
+                       capture_output=True, text=True, timeout=120).stdout.strip()
+        for _ in range(2)
+    ]
+    assert len(hashes[0]) == 64
+    assert hashes[0] == hashes[1]
+
+
 def test_train_divergence_aborts():
     data = _toy_data()
     with pytest.raises(NumericalError):
         train(init_params(TINY, seed=11), TINY, data,
               hyper=TrainConfig(epochs=30, batch_size=6, lr=5e4, grad_clip=0.0))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epochs", 0), ("batch_size", 0), ("lr", 0.0), ("lr", -1e-3), ("lr", float("nan")),
+    ("grad_clip", -0.5),
+])
+def test_train_config_validation(field, value):
+    with pytest.raises(ConfigError, match=field):
+        TrainConfig(**{field: value})
+    TrainConfig(epochs=1, batch_size=1, lr=1e-9, grad_clip=0.0)
 
 
 def test_train_rejects_empty_dataset():
@@ -412,6 +555,14 @@ def test_greedy_tie_breaks_to_lowest_id():
     out = generate(params, TINY, ids, mode="greedy", max_len=2)
     # all logits equal; <PAD> is forbidden, so the lowest remaining id wins
     assert out[0] == 1
+
+
+@pytest.mark.parametrize("mode", ["greedy", "beam"])
+def test_generate_rejects_beam_size_below_one(mode):
+    params = init_params(TINY, seed=0)
+    ids = np.full((1, TINY.block_len), 5, dtype=np.int64)
+    with pytest.raises(ConfigError):
+        generate(params, TINY, ids, mode=mode, beam_size=0)
 
 
 def test_unknown_decode_mode():
