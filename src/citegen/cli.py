@@ -264,15 +264,18 @@ def _cmd_generate(args) -> int:
     config, params, meta, vocab, inputs = _load_model(args)
     documents = corpus_mod.load_documents(Path(args.documents))
     instances = _select_split(load_dataset(Path(args.dataset), documents), args.split)
+    lines = []
+    for inst in instances:
+        fid_in = fid_mod.build_fid_input(inst, vocab, config, meta["with_intent"])
+        ids = fid_mod.generate(params, config, fid_in, mode=args.mode,
+                               beam_size=args.beam_size, max_len=args.max_len)
+        lines.append(json.dumps({"instance_id": inst.instance_id,
+                                 "text": decode(ids, vocab)}) + "\n")
+    # written only after every instance decoded, so a failed run leaves an
+    # earlier predictions file as it was
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as f:
-        for inst in instances:
-            fid_in = fid_mod.build_fid_input(inst, vocab, config, meta["with_intent"])
-            ids = fid_mod.generate(params, config, fid_in, mode=args.mode,
-                                   beam_size=args.beam_size, max_len=args.max_len)
-            f.write(json.dumps({"instance_id": inst.instance_id,
-                                "text": decode(ids, vocab)}) + "\n")
+    out.write_text("".join(lines), encoding="utf-8")
     _write_manifest(out.parent, "generate",
                     {"mode": args.mode, "beam_size": args.beam_size,
                      "max_len": args.max_len, "split": args.split,

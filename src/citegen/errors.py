@@ -40,5 +40,9 @@ class NumericalError(CitegenError):
     """Loss became non-finite or training diverged."""
 
 
+class DataError(CitegenError):
+    """A file's contents are malformed; the message names the file."""
+
+
 class AlignmentError(CitegenError):
     """Prediction and reference files do not cover the same instance ids."""

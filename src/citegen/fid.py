@@ -10,6 +10,11 @@ that hold a real token, as one flat batch whose states are scattered back
 into the padded layout for cross-attention, and its targets are cut after
 the batch's longest real target.
 
+Decoding is incremental: the blocks are encoded once, each decoder layer's
+cross-attention keys and values are computed once per instance and shared by
+every beam, and each step feeds only the newest token of each beam, whose
+self-attention keys and values are appended to a per-beam cache.
+
 Everything runs in float64 with hand-written analytic gradients so finite
 difference checks and bit-level invariants are meaningful.
 """
@@ -24,7 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, ShapeError
+from .errors import ConfigError, DataError, NumericalError, ShapeError
 from .seeding import substream
 from .tokenizer import BOS_ID, EOS_ID, PAD_ID, RESERVED, Vocabulary, encode, tokenize
 
@@ -164,15 +169,23 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, s, h * dh)
 
 
-def _attn_fwd(q_in, kv_in, w, n_heads, mask, counter=None):
+def _kv_heads(kv_in, w, n_heads):
+    """Keys and values of kv_in (B, S, d), each split into heads: (B, H, S, dh)."""
+    return _split_heads(kv_in @ w["wk"], n_heads), _split_heads(kv_in @ w["wv"], n_heads)
+
+
+def _attn_fwd(q_in, kv_in, w, n_heads, mask, counter=None, kv=None):
     """Scaled dot-product multi-head attention. mask is additive, broadcastable
-    to (B, H, Sq, Sk); fully masked rows degrade to uniform weights."""
+    to (B, H, Sq, Sk); fully masked rows degrade to uniform weights.
+
+    ``kv``, when given, is the (keys, values) pair already split into heads,
+    which decoding keeps cached; kv_in is then not read. Its batch axis may be
+    1 to share one set of keys and values across every query row."""
     b, sq, d = q_in.shape
-    sk = kv_in.shape[1]
     dh = d // n_heads
     qh = _split_heads(q_in @ w["wq"], n_heads)
-    kh = _split_heads(kv_in @ w["wk"], n_heads)
-    vh = _split_heads(kv_in @ w["wv"], n_heads)
+    kh, vh = _kv_heads(kv_in, w, n_heads) if kv is None else kv
+    sk = kh.shape[2]
     scores = qh @ kh.transpose(0, 1, 3, 2) * (dh ** -0.5)
     if mask is not None:
         scores = scores + mask
@@ -307,27 +320,41 @@ def _encoder_bwd(params, config: ModelConfig, dout, cache, grads):
 
 
 def _decoder_fwd(params, config: ModelConfig, dec_ids, enc_states, enc_mask,
-                 drop_rng=None):
+                 drop_rng=None, state=None):
     """dec_ids: (B, T); enc_states: (B, S, d); enc_mask additive (B,1,1,S).
+
+    With a ``_DecodeState``, dec_ids is (beams, 1): each beam's newest token,
+    at the position after the cached ones. Its self-attention keys and values
+    are appended to the state, it attends over every cached position, and
+    cross-attention uses the state's keys and values (enc_states is not read).
 
     The attention counter never reaches the decoder: the cost accounting
     tracks encoder self-attention, where block fusion changes the total."""
     b, t = dec_ids.shape
-    x = params["emb"][dec_ids] + params["pos"][:t]
-    causal = np.where(np.triu(np.ones((t, t), dtype=bool), k=1), NEG_INF, 0.0)[None, None]
+    if state is None:
+        start = 0
+        causal = np.where(np.triu(np.ones((t, t), dtype=bool), k=1), NEG_INF, 0.0)[None, None]
+    else:
+        start = state.length
+        causal = None  # the one new position may attend to every cached one
+    x = params["emb"][dec_ids] + params["pos"][start : start + t]
     layers = []
     for i in range(config.n_dec_layers):
         p = f"dec{i}"
         a_in, ln1c = _ln_fwd(x, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
-        self_out, selfc = _attn_fwd(a_in, a_in, _attn_params(params, f"{p}.self"),
-                                    config.n_heads, causal)
+        w_self = _attn_params(params, f"{p}.self")
+        self_kv = None
+        if state is not None:
+            self_kv = state.append(i, _kv_heads(a_in, w_self, config.n_heads))
+        self_out, selfc = _attn_fwd(a_in, a_in, w_self, config.n_heads, causal, kv=self_kv)
         m1 = _dropout_mask(self_out.shape, config.dropout, drop_rng)
         if m1 is not None:
             self_out = self_out * m1
         x1 = x + self_out
         c_in, ln2c = _ln_fwd(x1, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
         cross_out, crossc = _attn_fwd(c_in, enc_states, _attn_params(params, f"{p}.cross"),
-                                      config.n_heads, enc_mask)
+                                      config.n_heads, enc_mask,
+                                      kv=None if state is None else state.cross[i])
         m2 = _dropout_mask(cross_out.shape, config.dropout, drop_rng)
         if m2 is not None:
             cross_out = cross_out * m2
@@ -341,6 +368,8 @@ def _decoder_fwd(params, config: ModelConfig, dec_ids, enc_states, enc_mask,
         x = x2 + ffn_out
         layers.append((ln1c, selfc, m1, ln2c, crossc, m2, ln3c, ffnc, m3))
     out, lnfc = _ln_fwd(x, params["dec.lnf.g"], params["dec.lnf.b"])
+    if state is not None:
+        state.length += t
     return out, (dec_ids, layers, lnfc)
 
 
@@ -657,10 +686,42 @@ def train(
 # ---------------------------------------------------------------------------
 # Decoding
 
-def _step_logprobs(params, config, prefixes, enc_states, enc_mask):
-    """Log-probs of the next token for each prefix row; <PAD> is forbidden."""
-    dec_out, _ = _decoder_fwd(params, config, prefixes, enc_states, enc_mask)
-    logits = dec_out[:, -1] @ params["emb"].T
+class _DecodeState:
+    """The decoder's cache while one instance's blocks (N, L) are decoded.
+
+    The blocks are encoded once. ``cross`` holds each decoder layer's
+    cross-attention keys and values, projected once from the encoder states;
+    their batch axis is 1, so every beam shares them, as it shares
+    ``enc_mask``. ``self_kv`` holds each layer's self-attention keys and
+    values of every position fed so far, one row per live beam."""
+
+    def __init__(self, params, config: ModelConfig, ids):
+        enc_states = encode_blocks(params, config, ids)[None]
+        self.enc_mask = np.where(ids.reshape(1, -1) == PAD_ID, NEG_INF, 0.0)[:, None, None, :]
+        self.cross = [_kv_heads(enc_states, _attn_params(params, f"dec{i}.cross"),
+                                config.n_heads)
+                      for i in range(config.n_dec_layers)]
+        self.self_kv = [None] * config.n_dec_layers
+        self.length = 0
+
+    def append(self, layer: int, kv):
+        """Add the newest position's (keys, values) to a layer; returns all."""
+        if self.self_kv[layer] is not None:
+            kv = tuple(np.concatenate(pair, axis=2) for pair in zip(self.self_kv[layer], kv))
+        self.self_kv[layer] = kv
+        return kv
+
+    def reorder(self, rows) -> None:
+        """Keep the cache rows of the beams that survive, by parent row."""
+        self.self_kv = [(k[rows], v[rows]) for k, v in self.self_kv]
+
+
+def _next_logprobs(params, config, state: _DecodeState, tokens):
+    """Feed each cache row its newest token; log-probs of the token after it,
+    one row per cache row. <PAD> is forbidden."""
+    dec_out, _ = _decoder_fwd(params, config, np.array(tokens)[:, None], None, state.enc_mask,
+                              state=state)
+    logits = dec_out[:, 0] @ params["emb"].T
     zmax = logits.max(axis=-1, keepdims=True)
     logp = logits - (zmax + np.log(np.exp(logits - zmax).sum(axis=-1, keepdims=True)))
     logp[:, PAD_ID] = -np.inf
@@ -673,17 +734,20 @@ def generate(params, config: ModelConfig, fid_input, mode: str = "greedy",
 
     Greedy picks the argmax each step (lowest id on ties); beam search ranks
     by log-probability normalized by length^0.7, ties broken by token ids.
+    Each step feeds only the newest token of each live beam: the blocks are
+    encoded once and the decoder's keys and values are cached.
     """
     if beam_size < 1:
         raise ConfigError(f"beam_size must be >= 1, got {beam_size}")
+    if max_len is not None and max_len < 1:
+        raise ConfigError(f"max_len must be >= 1, got {max_len}")
     ids = fid_input.ids if isinstance(fid_input, FidInput) else np.asarray(fid_input)
     max_len = config.target_len if max_len is None else min(max_len, config.pos_len)
-    enc = encode_blocks(params, config, ids)[None]
-    enc_mask = np.where(ids.reshape(1, -1) == PAD_ID, NEG_INF, 0.0)[:, None, None, :]
+    state = _DecodeState(params, config, ids)
     if mode == "greedy":
         seq = [BOS_ID]
         while len(seq) - 1 < max_len:
-            logp = _step_logprobs(params, config, np.array([seq]), enc, enc_mask)[0]
+            logp = _next_logprobs(params, config, state, [seq[-1]])[0]
             nxt = int(np.argmax(logp))
             seq.append(nxt)
             if nxt == EOS_ID:
@@ -697,15 +761,10 @@ def generate(params, config: ModelConfig, fid_input, mode: str = "greedy",
 
     beams: list[tuple[list[int], float, bool]] = [([BOS_ID], 0.0, False)]
     for _ in range(max_len):
-        live = [bm for bm in beams if not bm[2]]
-        if not live:
-            break
-        prefixes = np.array([bm[0] for bm in live])
-        logp = _step_logprobs(params, config, prefixes,
-                              np.repeat(enc, len(live), axis=0),
-                              np.repeat(enc_mask, len(live), axis=0))
-        candidates: list[tuple[float, list[int], float, bool]] = [
-            (norm_score(bm[1], len(bm[0]) - 1), bm[0], bm[1], True) for bm in beams if bm[2]
+        live = [bm for bm in beams if not bm[2]]  # cache row i belongs to live[i]
+        logp = _next_logprobs(params, config, state, [seq[-1] for seq, _, _ in live])
+        candidates: list[tuple[float, list[int], float, bool, int]] = [
+            (norm_score(bm[1], len(bm[0]) - 1), bm[0], bm[1], True, -1) for bm in beams if bm[2]
         ]
         for row, (seq, lp, _) in enumerate(live):
             order = np.argsort(-logp[row], kind="stable")[:beam_size]  # ties: lowest id first
@@ -713,11 +772,13 @@ def generate(params, config: ModelConfig, fid_input, mode: str = "greedy",
                 tok = int(tok)
                 nlp = lp + float(logp[row, tok])
                 nseq = seq + [tok]
-                candidates.append((norm_score(nlp, len(nseq) - 1), nseq, nlp, tok == EOS_ID))
+                candidates.append((norm_score(nlp, len(nseq) - 1), nseq, nlp, tok == EOS_ID, row))
         candidates.sort(key=lambda c: (-c[0], c[1]))
-        beams = [(seq, lp, fin) for _, seq, lp, fin in candidates[:beam_size]]
+        chosen = candidates[:beam_size]
+        beams = [(seq, lp, fin) for _, seq, lp, fin, _ in chosen]
         if all(fin for _, _, fin in beams):
             break
+        state.reorder([row for _, _, _, fin, row in chosen if not fin])
     best = max(beams, key=lambda bm: (norm_score(bm[1], len(bm[0]) - 1), [-t for t in bm[0]]))
     return best[0][1:]
 
@@ -801,17 +862,35 @@ def save_checkpoint(path: str | Path, config: ModelConfig, params: Mapping[str, 
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray], dict]:
-    with open(path, "rb") as f:
-        if f.read(8) != _MAGIC:
-            raise ValueError(f"{path} is not a model checkpoint")
-        (hlen,) = struct.unpack("<q", f.read(8))
-        header = json.loads(f.read(hlen).decode("utf-8"))
-        params: dict[str, np.ndarray] = {}
-        for spec in header["tensors"]:
-            shape = tuple(spec["shape"])
-            n_items = int(np.prod(shape)) if shape else 1
-            buf = f.read(8 * n_items)
-            params[spec["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-    config = ModelConfig(**header["config"])
-    meta = {"vocab_file": header["vocab_file"], "with_intent": header["with_intent"]}
+    """Read a checkpoint written by save_checkpoint. Raises DataError, naming
+    the path, unless the file holds exactly the header and the tensors that
+    its config requires."""
+    data = Path(path).read_bytes()
+    if data[: len(_MAGIC)] != _MAGIC:
+        raise DataError(f"{path} is not a model checkpoint")
+    hstart = len(_MAGIC) + 8
+    if len(data) < hstart:
+        raise DataError(f"{path}: truncated header")
+    (hlen,) = struct.unpack_from("<q", data, len(_MAGIC))
+    if not 0 <= hlen <= len(data) - hstart:
+        raise DataError(f"{path}: header length {hlen} exceeds the file's {len(data)} bytes")
+    try:
+        header = json.loads(data[hstart : hstart + hlen].decode("utf-8"))
+        config = ModelConfig(**header["config"])
+        specs = [(spec["name"], tuple(spec["shape"])) for spec in header["tensors"]]
+        meta = {"vocab_file": header["vocab_file"], "with_intent": header["with_intent"]}
+    except (ValueError, KeyError, TypeError, ArithmeticError, ConfigError) as exc:
+        raise DataError(f"{path}: malformed header: {exc}") from exc
+    if specs != sorted(_param_shapes(config).items()):
+        raise DataError(f"{path}: tensor names or shapes do not match its config")
+    offset = hstart + hlen
+    size = offset + 8 * sum(int(np.prod(shape)) for _, shape in specs)
+    if len(data) != size:
+        raise DataError(f"{path} has {len(data)} bytes, its header describes {size}")
+    params: dict[str, np.ndarray] = {}
+    for name, shape in specs:
+        n_items = int(np.prod(shape))
+        params[name] = np.frombuffer(data, dtype="<f8", count=n_items,
+                                     offset=offset).reshape(shape).copy()
+        offset += 8 * n_items
     return config, params, meta

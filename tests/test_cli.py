@@ -231,19 +231,24 @@ def test_exit_3_config_validation(pipeline, tmp_path):
     ("train-fid", ["--grad-clip", "-1"], "grad_clip"),
     ("generate", ["--mode", "beam", "--beam-size", "0"], "beam_size"),
     ("generate", ["--mode", "greedy", "--beam-size", "0"], "beam_size"),
+    ("generate", ["--mode", "greedy", "--max-len", "0"], "max_len"),
+    ("generate", ["--mode", "beam", "--max-len", "-3"], "max_len"),
 ])
 def test_exit_3_invalid_training_and_decoding_values(pipeline, tmp_path, capsys,
                                                      command, flags, field):
     data = ["--dataset", str(pipeline["built"] / "dataset.jsonl"),
             "--documents", str(pipeline["synth"] / "documents.jsonl")]
+    preds = tmp_path / "preds.jsonl"
+    earlier = _read(pipeline["preds"])
+    preds.write_bytes(earlier)
     if command == "train-fid":
         out = ["--out-dir", str(tmp_path / "model")]
     else:
-        out = ["--checkpoint", str(pipeline["model"] / "fid.ckpt"),
-               "--out", str(tmp_path / "preds.jsonl")]
+        out = ["--checkpoint", str(pipeline["model"] / "fid.ckpt"), "--out", str(preds)]
     assert main([command, *data, *out, *flags]) == 3
     assert field in capsys.readouterr().err
     assert not (tmp_path / "model" / "fid.ckpt").exists()
+    assert _read(preds) == earlier  # a failed run leaves earlier predictions as they were
 
 
 def test_exit_3_malformed_config_file(tmp_path):
@@ -260,6 +265,22 @@ def test_exit_4_numerical_divergence(pipeline, tmp_path):
                  "--n-dec-layers", "1", "--block-len", "24", "--target-len", "16",
                  "--epochs", "40", "--batch-size", "32",
                  "--lr", "50000", "--grad-clip", "0"]) == 4
+
+
+@pytest.mark.parametrize("damage", ["truncated", "truncated-header", "extended", "wrong-magic"])
+def test_exit_5_malformed_checkpoint(pipeline, tmp_path, capsys, damage):
+    good = _read(pipeline["model"] / "fid.ckpt")
+    bad = {"truncated": good[:-3], "truncated-header": good[:40],
+           "extended": good + bytes(16), "wrong-magic": b"CGFID999" + good[8:]}[damage]
+    ckpt = tmp_path / "fid.ckpt"
+    ckpt.write_bytes(bad)
+    assert main(["generate", "--checkpoint", str(ckpt),
+                 "--vocab", str(pipeline["model"] / "vocab.tsv"),
+                 "--dataset", str(pipeline["built"] / "dataset.jsonl"),
+                 "--documents", str(pipeline["synth"] / "documents.jsonl"),
+                 "--out", str(tmp_path / "preds.jsonl")]) == 5
+    assert str(ckpt) in capsys.readouterr().err
+    assert not (tmp_path / "preds.jsonl").exists()
 
 
 def test_exit_5_data_errors(pipeline, tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from citegen.corpus import CitationInstance, Document, IntentLabel
-from citegen.errors import ConfigError, NumericalError, ShapeError
+from citegen.errors import ConfigError, DataError, NumericalError, ShapeError
 from citegen.fid import (
     AttentionCounter,
     FidInput,
@@ -33,7 +34,8 @@ from citegen.fid import (
     train,
 )
 from citegen.fid import _backward, _forward, _pad_batch  # training-path internals under test
-from citegen.tokenizer import EOS_ID, PAD_ID, RESERVED, build_vocab
+from citegen.fid import _DecodeState, _next_logprobs  # decoding internals under test
+from citegen.tokenizer import BOS_ID, EOS_ID, PAD_ID, RESERVED, build_vocab
 
 TINY = ModelConfig(vocab_size=20, d_model=8, n_heads=2, n_enc_layers=1,
                    n_dec_layers=1, block_len=6, target_len=4)
@@ -565,11 +567,127 @@ def test_generate_rejects_beam_size_below_one(mode):
         generate(params, TINY, ids, mode=mode, beam_size=0)
 
 
+@pytest.mark.parametrize("mode", ["greedy", "beam"])
+@pytest.mark.parametrize("max_len", [0, -3])
+def test_generate_rejects_max_len_below_one(mode, max_len):
+    params = init_params(TINY, seed=0)
+    ids = np.full((1, TINY.block_len), 5, dtype=np.int64)
+    with pytest.raises(ConfigError, match="max_len"):
+        generate(params, TINY, ids, mode=mode, max_len=max_len)
+
+
 def test_unknown_decode_mode():
     params = init_params(TINY, seed=0)
     ids = np.full((1, TINY.block_len), 5, dtype=np.int64)
     with pytest.raises(ConfigError):
         generate(params, TINY, ids, mode="sampling")
+
+
+# ---------------------------------------------------------------------------
+# Incremental decoding against teacher forcing and a full-prefix decoder
+
+TINY_DEEP = ModelConfig(vocab_size=20, d_model=8, n_heads=2, n_enc_layers=1,
+                        n_dec_layers=2, block_len=6, target_len=8)
+
+
+def _decode_case(config, seed):
+    """A random model whose weights are large enough for varied outputs, and
+    1-3 blocks: the first partially padded, a later one sometimes all <PAD>."""
+    rng = np.random.default_rng(seed)
+    params = {k: v + rng.normal(0.0, 0.5, v.shape)
+              for k, v in init_params(config, seed).items()}
+    n = 1 + seed % 3
+    ids = rng.integers(len(RESERVED), config.vocab_size, size=(n, config.block_len))
+    ids[0, rng.integers(1, config.block_len):] = PAD_ID
+    if n > 1 and seed % 2:
+        ids[-1] = PAD_ID
+    return params, ids
+
+
+def _teacher_forced_logprobs(params, config, ids, prefix):
+    """Next-token log-probs after ``prefix`` (no <BOS>), from the full
+    teacher-forced forward pass; <PAD> is forbidden as in decoding."""
+    _, logits = forward_loss(params, config, ids, np.array(list(prefix) + [EOS_ID]))
+    row = logits[len(prefix)]
+    out = row - (row.max() + np.log(np.exp(row - row.max()).sum()))
+    out[PAD_ID] = -np.inf
+    return out
+
+
+def _full_prefix_decode(params, config, ids, mode, beam_size, max_len):
+    """generate's search rules, recomputing the whole prefix every step."""
+    def logp(seq):
+        return _teacher_forced_logprobs(params, config, ids, seq)
+
+    if mode == "greedy":
+        seq: list[int] = []
+        while len(seq) < max_len:
+            seq.append(int(np.argmax(logp(seq))))
+            if seq[-1] == EOS_ID:
+                break
+        return seq
+
+    def score(lp, n):
+        return lp / max(n, 1) ** 0.7
+
+    beams = [([], 0.0, False)]
+    for _ in range(max_len):
+        cands = [(score(lp, len(seq)), seq, lp, True) for seq, lp, fin in beams if fin]
+        for seq, lp, fin in beams:
+            if not fin:
+                row = logp(seq)
+                for tok in np.argsort(-row, kind="stable")[:beam_size]:
+                    tok = int(tok)
+                    nlp = lp + float(row[tok])
+                    cands.append((score(nlp, len(seq) + 1), seq + [tok], nlp, tok == EOS_ID))
+        cands.sort(key=lambda c: (-c[0], c[1]))
+        beams = [(seq, lp, fin) for _, seq, lp, fin in cands[:beam_size]]
+        if all(fin for _, _, fin in beams):
+            break
+    return max(beams, key=lambda bm: (score(bm[1], len(bm[0])), [-t for t in bm[0]]))[0]
+
+
+@pytest.mark.parametrize("config", [TINY, TINY_DEEP], ids=["1-layer", "2-layer"])
+def test_incremental_steps_match_teacher_forced_logprobs(config):
+    """After <BOS>, three cache rows follow three random targets; halfway the
+    rows are permuted as a beam reorder would. Every step's log-probs equal
+    the teacher-forced ones of the row's own prefix."""
+    def check(got, prefix):
+        want = _teacher_forced_logprobs(params, config, ids, prefix)
+        assert got[PAD_ID] == want[PAD_ID] == -np.inf
+        np.testing.assert_allclose(np.delete(got, PAD_ID), np.delete(want, PAD_ID),
+                                   rtol=0, atol=1e-12)
+
+    for seed in range(6):
+        params, ids = _decode_case(config, seed)
+        rng = np.random.default_rng(100 + seed)
+        targets = rng.integers(1, config.vocab_size, size=(3, config.pos_len - 1))
+        state = _DecodeState(params, config, ids)
+        check(_next_logprobs(params, config, state, [BOS_ID])[0], [])
+        state.reorder([0, 0, 0])
+        for j in range(config.pos_len - 1):
+            if j == config.pos_len // 2:
+                perm = rng.permutation(3)
+                state.reorder(perm)
+                targets = targets[perm]
+            steps = _next_logprobs(params, config, state, targets[:, j])
+            for row in range(3):
+                check(steps[row], targets[row, : j + 1])
+
+
+@pytest.mark.parametrize("config", [TINY, TINY_DEEP], ids=["1-layer", "2-layer"])
+def test_generate_matches_full_prefix_decoder(config):
+    differs = 0
+    for seed in range(12):
+        params, ids = _decode_case(config, seed)
+        greedy = generate(params, config, ids, mode="greedy", max_len=config.pos_len)
+        assert greedy == _full_prefix_decode(params, config, ids, "greedy", 1, config.pos_len)
+        for k in (2, 3, 4):
+            beam = generate(params, config, ids, mode="beam", beam_size=k,
+                            max_len=config.pos_len)
+            assert beam == _full_prefix_decode(params, config, ids, "beam", k, config.pos_len)
+            differs += beam != greedy
+    assert differs  # the beams reorder, or the test could not see a wrong cache row
 
 
 # ---------------------------------------------------------------------------
@@ -675,5 +793,29 @@ def test_checkpoint_round_trip(tmp_path):
 def test_checkpoint_rejects_foreign_file(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"NOTMAGIC" + b"\0" * 64)
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="junk.ckpt"):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_tensors_that_do_not_fit_its_config(tmp_path):
+    params = init_params(TINY, seed=11)
+    path = tmp_path / "model.ckpt"
+    wider = ModelConfig(**{**TINY.to_dict(), "d_model": 12})
+    save_checkpoint(path, wider, params)  # tensors of TINY under another config
+    with pytest.raises(DataError, match="shapes"):
+        load_checkpoint(path)
+    save_checkpoint(path, TINY, {k: v for k, v in params.items() if k != "dec.lnf.b"})
+    with pytest.raises(DataError, match="names"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_malformed_header(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, TINY, init_params(TINY, seed=11))
+    good = path.read_bytes()
+    for bad in (good[:8] + struct.pack("<q", len(good)) + good[16:],  # header past the end
+                good[:16] + b"[" + good[17:],                          # not JSON
+                good[:12]):                                            # no header length
+        path.write_bytes(bad)
+        with pytest.raises(DataError, match="model.ckpt"):
+            load_checkpoint(path)
