@@ -15,7 +15,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import MaxRefsExceeded, SplitTooSmall
+from .errors import DataError, MaxRefsExceeded, SplitTooSmall
 from .seeding import substream
 from .tokenizer import MAX_REFS, REF
 
@@ -384,18 +384,34 @@ def save_documents(documents: Iterable[Document], path: str | Path) -> None:
             f.write(json.dumps({"id": d.id, "title": d.title, "abstract": d.abstract}) + "\n")
 
 
+def _line_error(path, lineno: int, exc: Exception) -> DataError:
+    """A DataError naming ``path:lineno`` for an error raised reading that line."""
+    if isinstance(exc, json.JSONDecodeError):
+        what = f"malformed JSON: {exc.msg}"
+    elif isinstance(exc, KeyError):
+        what = f"missing key {exc}"
+    else:
+        what = str(exc)
+    return DataError(f"{path}:{lineno}: {what}")
+
+
 def load_documents(path: str | Path) -> dict[str, Document]:
+    """Documents by id. Raises DataError naming ``path:line`` for a malformed
+    line, a missing key, or an empty or duplicate id or empty abstract."""
     docs: dict[str, Document] = {}
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            doc = Document(id=rec["id"], title=rec["title"], abstract=rec["abstract"])
-            if not doc.id or doc.id in docs:
-                raise ValueError(f"missing or duplicate document id {doc.id!r} in {path}")
-            if not _normalize_ws(doc.abstract):
-                raise ValueError(f"document {doc.id!r} has an empty abstract")
+            try:
+                rec = json.loads(line)
+                doc = Document(id=rec["id"], title=rec["title"], abstract=rec["abstract"])
+                if not doc.id or doc.id in docs:
+                    raise DataError(f"{path}:{lineno}: empty or duplicate document id {doc.id!r}")
+                if not _normalize_ws(doc.abstract):
+                    raise DataError(f"{path}:{lineno}: document {doc.id!r} has an empty abstract")
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise _line_error(path, lineno, exc) from None
             docs[doc.id] = doc
     return docs
 
@@ -449,28 +465,51 @@ def save_dataset(instances: Iterable[CitationInstance], path: str | Path) -> Non
             f.write(json.dumps(rec) + "\n")
 
 
-def load_dataset_records(path: str | Path) -> list[dict]:
-    """Raw dataset records with a derived ``instance_id`` field."""
-    records: list[dict] = []
+_RECORD_KEYS = frozenset({"citing_id", "cited_ids", "intents", "target"})
+
+
+def _numbered_records(path: str | Path) -> list[tuple[int, dict]]:
+    """(line number, record) per non-blank line of a dataset file, each record
+    with a derived ``instance_id`` field. Raises DataError naming
+    ``path:line`` for a malformed line or a missing key."""
+    records: list[tuple[int, dict]] = []
     ordinal: dict[str, int] = {}
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            k = ordinal.get(rec["citing_id"], 0)
-            ordinal[rec["citing_id"]] = k + 1
-            rec["instance_id"] = f"{rec['citing_id']}#{k}"
-            records.append(rec)
+            try:
+                rec = json.loads(line)
+                missing = _RECORD_KEYS.difference(rec)
+                if missing:
+                    raise KeyError(min(missing))
+                k = ordinal.get(rec["citing_id"], 0)
+                ordinal[rec["citing_id"]] = k + 1
+                rec["instance_id"] = f"{rec['citing_id']}#{k}"
+            except (ValueError, KeyError, TypeError) as exc:
+                raise _line_error(path, lineno, exc) from None
+            records.append((lineno, rec))
     return records
 
 
+def load_dataset_records(path: str | Path) -> list[dict]:
+    """Raw dataset records with a derived ``instance_id`` field."""
+    return [rec for _, rec in _numbered_records(path)]
+
+
 def load_dataset(path: str | Path, documents: Mapping[str, Document]) -> list[CitationInstance]:
+    """Dataset instances; raises DataError naming ``path:line`` for a record
+    that names an unknown document or intent."""
     instances: list[CitationInstance] = []
-    for rec in load_dataset_records(path):
-        citing = documents[rec["citing_id"]]
-        cited = [documents[d] for d in rec["cited_ids"]]
-        intents = [IntentLabel(v) for v in rec["intents"]]
+    for lineno, rec in _numbered_records(path):
+        try:
+            citing = documents[rec["citing_id"]]
+            cited = [documents[d] for d in rec["cited_ids"]]
+            intents = [IntentLabel(v) for v in rec["intents"]]
+        except KeyError as exc:  # every record key is present: an id is unknown
+            raise DataError(f"{path}:{lineno}: unknown document id {exc}") from None
+        except (ValueError, TypeError) as exc:
+            raise _line_error(path, lineno, exc) from None
         instances.append(
             CitationInstance(
                 instance_id=rec["instance_id"],

@@ -6,9 +6,15 @@ the concatenation of all block states. Encoder attention cost is therefore
 linear in the number of blocks rather than quadratic.
 
 Training computes no padding it can skip: a batch encodes only the blocks
-that hold a real token, as one flat batch whose states are scattered back
-into the padded layout for cross-attention, and its targets are cut after
-the batch's longest real target.
+that hold a real token, as one flat batch, and each decoder layer projects
+its cross-attention keys and values from those real block rows only, placing
+them in the padded layout where the other blocks' keys and values are zero.
+Targets are cut after the batch's longest real target.
+
+The primitive ops (softmax, layer norm, attention, feed-forward, and Adam's
+update in ``train``) work in place in the buffers they allocate themselves,
+never in an array a caller passed in, and keep the textbook order of float
+operations, so their results are bit-identical to the plain expressions.
 
 Decoding is incremental: the blocks are encoded once, each decoder layer's
 cross-attention keys and values are computed once per instance and shared by
@@ -55,6 +61,9 @@ class ModelConfig:
             object.__setattr__(self, "ffn_dim", 4 * self.d_model)
         if self.vocab_size < len(RESERVED):
             raise ConfigError(f"vocab_size {self.vocab_size} < reserved prefix {len(RESERVED)}")
+        for name in ("d_model", "n_heads", "ffn_dim"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.block_len < 2 or self.target_len < 2:
@@ -133,20 +142,41 @@ def init_params(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
 
 # ---------------------------------------------------------------------------
 # Primitive ops (forward + backward pairs)
+#
+# Each op writes only into arrays it allocated itself, never into an input,
+# and keeps the textbook expression's order of float operations, so results
+# are bit-identical to it. Means are np.add.reduce(...) / n, which is what
+# ndarray.mean computes, without its Python-level overhead.
+
+def _mean_last(x: np.ndarray) -> np.ndarray:
+    return np.add.reduce(x, -1, keepdims=True) / x.shape[-1]
+
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    x = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(x)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, -1, keepdims=True)
+    return e
+
+
+def _logsumexp(x: np.ndarray) -> np.ndarray:
+    """log(sum(exp(x))) over the last axis, kept as a length-1 axis."""
+    zmax = x.max(axis=-1, keepdims=True)
+    e = x - zmax
+    np.exp(e, out=e)
+    return zmax + np.log(np.add.reduce(e, -1, keepdims=True))
 
 
 def _ln_fwd(x, g, b):
-    mu = x.mean(-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return g * xhat + b, (xhat, inv, g)
+    xhat = x - _mean_last(x)
+    inv = _mean_last(xhat * xhat)
+    inv += LN_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    out = xhat * g
+    out += b
+    return out, (xhat, inv, g)
 
 
 def _ln_bwd(dout, cache):
@@ -154,8 +184,13 @@ def _ln_bwd(dout, cache):
     axes = tuple(range(dout.ndim - 1))
     dg = (dout * xhat).sum(axis=axes)
     db = dout.sum(axis=axes)
-    dxh = dout * g
-    dx = inv * (dxh - dxh.mean(-1, keepdims=True) - xhat * (dxh * xhat).mean(-1, keepdims=True))
+    dx = dout * g
+    t = dx * xhat
+    m2 = _mean_last(t)
+    dx -= _mean_last(dx)
+    np.multiply(xhat, m2, out=t)
+    dx -= t
+    dx *= inv
     return dx, dg, db
 
 
@@ -169,51 +204,69 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, s, h * dh)
 
 
-def _kv_heads(kv_in, w, n_heads):
-    """Keys and values of kv_in (B, S, d), each split into heads: (B, H, S, dh)."""
-    return _split_heads(kv_in @ w["wk"], n_heads), _split_heads(kv_in @ w["wv"], n_heads)
+def _kv_heads(kv_in, w, n_heads, blocks=None):
+    """Keys and values of kv_in (B, S, d), each split into heads: (B, H, S, dh).
+
+    With ``blocks``, a (B, n) boolean mask, kv_in (R, L, d) holds only the
+    R blocks where it is True, and keys and values are laid out as
+    (B, H, n·L, dh). Only those R blocks are projected: every other block
+    stands for zero states, which project to exact zeros."""
+    def heads(wname):
+        proj = kv_in @ w[wname]
+        if blocks is not None:
+            full = np.zeros(blocks.shape + proj.shape[1:])
+            full[blocks] = proj
+            proj = full.reshape(blocks.shape[0], -1, proj.shape[-1])
+        return _split_heads(proj, n_heads)
+
+    return heads("wk"), heads("wv")
 
 
-def _attn_fwd(q_in, kv_in, w, n_heads, mask, counter=None, kv=None):
+def _attn_fwd(q_in, kv_in, w, n_heads, mask, counter=None, kv=None, blocks=None):
     """Scaled dot-product multi-head attention. mask is additive, broadcastable
     to (B, H, Sq, Sk); fully masked rows degrade to uniform weights.
 
     ``kv``, when given, is the (keys, values) pair already split into heads,
     which decoding keeps cached; kv_in is then not read. Its batch axis may be
-    1 to share one set of keys and values across every query row."""
+    1 to share one set of keys and values across every query row.
+    ``blocks`` says which blocks of the keys kv_in holds; see _kv_heads."""
     b, sq, d = q_in.shape
     dh = d // n_heads
     qh = _split_heads(q_in @ w["wq"], n_heads)
-    kh, vh = _kv_heads(kv_in, w, n_heads) if kv is None else kv
+    kh, vh = _kv_heads(kv_in, w, n_heads, blocks) if kv is None else kv
     sk = kh.shape[2]
-    scores = qh @ kh.transpose(0, 1, 3, 2) * (dh ** -0.5)
+    scores = qh @ kh.transpose(0, 1, 3, 2)
+    scores *= dh ** -0.5
     if mask is not None:
-        scores = scores + mask
+        scores += mask
     if counter is not None:
         counter.add(b * n_heads * sq * sk)
     p = _softmax(scores)
     o = _merge_heads(p @ vh)
     out = o @ w["wo"]
-    return out, (q_in, kv_in, qh, kh, vh, p, o, w, n_heads)
+    return out, (q_in, kv_in, qh, kh, vh, p, o, w, n_heads, blocks)
 
 
 def _attn_bwd(dout, cache):
-    q_in, kv_in, qh, kh, vh, p, o, w, n_heads = cache
+    q_in, kv_in, qh, kh, vh, p, o, w, n_heads, blocks = cache
     b, sq, d = q_in.shape
-    sk = kv_in.shape[1]
     dh = d // n_heads
     dwo = o.reshape(-1, d).T @ dout.reshape(-1, d)
     do = dout @ w["wo"].T
     doh = _split_heads(do, n_heads)
-    dp = doh @ vh.transpose(0, 1, 3, 2)
     dvh = p.transpose(0, 1, 3, 2) @ doh
-    ds = p * (dp - (dp * p).sum(-1, keepdims=True))
-    ds = ds * (dh ** -0.5)
+    ds = doh @ vh.transpose(0, 1, 3, 2)  # dp, turned into ds in place
+    ds -= np.add.reduce(ds * p, -1, keepdims=True)
+    ds *= p
+    ds *= dh ** -0.5
     dqh = ds @ kh
     dkh = ds.transpose(0, 1, 3, 2) @ qh
     dq = _merge_heads(dqh)
     dk = _merge_heads(dkh)
     dv = _merge_heads(dvh)
+    if blocks is not None:  # keep the gradients of the blocks kv_in holds
+        dk = dk.reshape(blocks.shape + kv_in.shape[1:])[blocks]
+        dv = dv.reshape(blocks.shape + kv_in.shape[1:])[blocks]
     grads = {
         "wq": q_in.reshape(-1, d).T @ dq.reshape(-1, d),
         "wk": kv_in.reshape(-1, d).T @ dk.reshape(-1, d),
@@ -221,24 +274,28 @@ def _attn_bwd(dout, cache):
         "wo": dwo,
     }
     dq_in = dq @ w["wq"].T
-    dkv_in = dk @ w["wk"].T + dv @ w["wv"].T
+    dkv_in = dk @ w["wk"].T
+    dkv_in += dv @ w["wv"].T
     return dq_in, dkv_in, grads
 
 
 def _ffn_fwd(x, w1, b1, w2, b2):
-    h = x @ w1 + b1
-    a = np.maximum(h, 0.0)
-    return a @ w2 + b2, (x, h, a, w1, w2)
+    a = x @ w1
+    a += b1
+    np.maximum(a, 0.0, out=a)  # a > 0 exactly where the pre-activation is
+    out = a @ w2
+    out += b2
+    return out, (x, a, w1, w2)
 
 
 def _ffn_bwd(dout, cache):
-    x, h, a, w1, w2 = cache
+    x, a, w1, w2 = cache
     d = x.shape[-1]
     f = w1.shape[1]
     dw2 = a.reshape(-1, f).T @ dout.reshape(-1, d)
     db2 = dout.reshape(-1, d).sum(0)
-    da = dout @ w2.T
-    dh = da * (h > 0)
+    dh = dout @ w2.T
+    dh *= a > 0
     dw1 = x.reshape(-1, d).T @ dh.reshape(-1, f)
     db1 = dh.reshape(-1, f).sum(0)
     dx = dh @ w1.T
@@ -275,14 +332,16 @@ def _encoder_fwd(params, config: ModelConfig, flat_ids, counter=None, drop_rng=N
         m1 = _dropout_mask(attn_out.shape, config.dropout, drop_rng)
         if m1 is not None:
             attn_out = attn_out * m1
-        x1 = x + attn_out
+        attn_out += x
+        x1 = attn_out
         f_in, ln2c = _ln_fwd(x1, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
         ffn_out, ffnc = _ffn_fwd(f_in, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"],
                                  params[f"{p}.ffn.w2"], params[f"{p}.ffn.b2"])
         m2 = _dropout_mask(ffn_out.shape, config.dropout, drop_rng)
         if m2 is not None:
             ffn_out = ffn_out * m2
-        x = x1 + ffn_out
+        ffn_out += x1
+        x = ffn_out
         layers.append((ln1c, attnc, m1, ln2c, ffnc, m2))
     out, lnfc = _ln_fwd(x, params["enc.lnf.g"], params["enc.lnf.b"])
     return out, (flat_ids, layers, lnfc)
@@ -303,30 +362,34 @@ def _encoder_bwd(params, config: ModelConfig, dout, cache, grads):
         dx1, dg, db = _ln_bwd(dfin, ln2c)
         grads[f"{p}.ln2.g"] += dg
         grads[f"{p}.ln2.b"] += db
-        dx1 = dx1 + dx
+        dx1 += dx
         dattn_out = dx1 if m1 is None else dx1 * m1
         dq_in, dkv_in, ag = _attn_bwd(dattn_out, attnc)
         for k, v in ag.items():
             grads[f"{p}.attn.{k}"] += v
-        da_in = dq_in + dkv_in
-        dx0, dg, db = _ln_bwd(da_in, ln1c)
+        dq_in += dkv_in
+        dx0, dg, db = _ln_bwd(dq_in, ln1c)
         grads[f"{p}.ln1.g"] += dg
         grads[f"{p}.ln1.b"] += db
-        dx = dx0 + dx1
+        dx0 += dx1
+        dx = dx0
     length = flat_ids.shape[1]
     np.add.at(grads["emb"], flat_ids.reshape(-1), dx.reshape(-1, dx.shape[-1]))
     grads["pos"][:length] += dx.sum(axis=0)
     return grads
 
 
-def _decoder_fwd(params, config: ModelConfig, dec_ids, enc_states, enc_mask,
+def _decoder_fwd(params, config: ModelConfig, dec_ids, enc_out, enc_blocks, enc_mask,
                  drop_rng=None, state=None):
-    """dec_ids: (B, T); enc_states: (B, S, d); enc_mask additive (B,1,1,S).
+    """dec_ids: (B, T); enc_out: (R, L, d), the states of the R blocks where
+    the (B, n) mask enc_blocks is True; enc_mask additive (B,1,1,n·L). Each
+    layer's cross-attention projects keys and values from those R blocks
+    only; the other blocks' keys and values are zero.
 
     With a ``_DecodeState``, dec_ids is (beams, 1): each beam's newest token,
     at the position after the cached ones. Its self-attention keys and values
     are appended to the state, it attends over every cached position, and
-    cross-attention uses the state's keys and values (enc_states is not read).
+    cross-attention uses the state's keys and values (enc_out is not read).
 
     The attention counter never reaches the decoder: the cost accounting
     tracks encoder self-attention, where block fusion changes the total."""
@@ -350,22 +413,26 @@ def _decoder_fwd(params, config: ModelConfig, dec_ids, enc_states, enc_mask,
         m1 = _dropout_mask(self_out.shape, config.dropout, drop_rng)
         if m1 is not None:
             self_out = self_out * m1
-        x1 = x + self_out
+        self_out += x
+        x1 = self_out
         c_in, ln2c = _ln_fwd(x1, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
-        cross_out, crossc = _attn_fwd(c_in, enc_states, _attn_params(params, f"{p}.cross"),
+        cross_out, crossc = _attn_fwd(c_in, enc_out, _attn_params(params, f"{p}.cross"),
                                       config.n_heads, enc_mask,
-                                      kv=None if state is None else state.cross[i])
+                                      kv=None if state is None else state.cross[i],
+                                      blocks=enc_blocks)
         m2 = _dropout_mask(cross_out.shape, config.dropout, drop_rng)
         if m2 is not None:
             cross_out = cross_out * m2
-        x2 = x1 + cross_out
+        cross_out += x1
+        x2 = cross_out
         f_in, ln3c = _ln_fwd(x2, params[f"{p}.ln3.g"], params[f"{p}.ln3.b"])
         ffn_out, ffnc = _ffn_fwd(f_in, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"],
                                  params[f"{p}.ffn.w2"], params[f"{p}.ffn.b2"])
         m3 = _dropout_mask(ffn_out.shape, config.dropout, drop_rng)
         if m3 is not None:
             ffn_out = ffn_out * m3
-        x = x2 + ffn_out
+        ffn_out += x2
+        x = ffn_out
         layers.append((ln1c, selfc, m1, ln2c, crossc, m2, ln3c, ffnc, m3))
     out, lnfc = _ln_fwd(x, params["dec.lnf.g"], params["dec.lnf.b"])
     if state is not None:
@@ -374,7 +441,7 @@ def _decoder_fwd(params, config: ModelConfig, dec_ids, enc_states, enc_mask,
 
 
 def _decoder_bwd(params, config: ModelConfig, dout, cache, grads):
-    """Returns gradient w.r.t. enc_states (accumulated over layers)."""
+    """Returns the gradient w.r.t. enc_out (accumulated over layers)."""
     dec_ids, layers, lnfc = cache
     dx, dg, db = _ln_bwd(dout, lnfc)
     grads["dec.lnf.g"] += dg
@@ -390,25 +457,29 @@ def _decoder_bwd(params, config: ModelConfig, dout, cache, grads):
         dx2, dg, db = _ln_bwd(dfin, ln3c)
         grads[f"{p}.ln3.g"] += dg
         grads[f"{p}.ln3.b"] += db
-        dx2 = dx2 + dx
+        dx2 += dx
         dcross_out = dx2 if m2 is None else dx2 * m2
         dc_in, dkv, cg = _attn_bwd(dcross_out, crossc)
         for k, v in cg.items():
             grads[f"{p}.cross.{k}"] += v
-        denc = dkv if denc is None else denc + dkv
+        if denc is None:
+            denc = dkv
+        else:
+            denc += dkv
         dx1, dg, db = _ln_bwd(dc_in, ln2c)
         grads[f"{p}.ln2.g"] += dg
         grads[f"{p}.ln2.b"] += db
-        dx1 = dx1 + dx2
+        dx1 += dx2
         dself_out = dx1 if m1 is None else dx1 * m1
         dq_in, dkv_in, sg = _attn_bwd(dself_out, selfc)
         for k, v in sg.items():
             grads[f"{p}.self.{k}"] += v
-        da_in = dq_in + dkv_in
-        dx0, dg, db = _ln_bwd(da_in, ln1c)
+        dq_in += dkv_in
+        dx0, dg, db = _ln_bwd(dq_in, ln1c)
         grads[f"{p}.ln1.g"] += dg
         grads[f"{p}.ln1.b"] += db
-        dx = dx0 + dx1
+        dx0 += dx1
+        dx = dx0
     t = dec_ids.shape[1]
     np.add.at(grads["emb"], dec_ids.reshape(-1), dx.reshape(-1, dx.shape[-1]))
     grads["pos"][:t] += dx.sum(axis=0)
@@ -454,49 +525,42 @@ def _forward(params, config: ModelConfig, x, y, counter=None, drop_rng=None):
     # others exactly zero weight, so zero states stand in for them. An
     # instance with no real token keeps every block, as its keys are all
     # masked and its attention degrades to uniform weights.
-    rows = x.reshape(b * n, length)
-    real_rows = (rows != PAD_ID).any(axis=1)
-    empty = ~real_rows.reshape(b, n).any(axis=1)
-    keep = np.flatnonzero(real_rows | np.repeat(empty, n))
-    enc_out, enc_cache = _encoder_fwd(params, config, rows[keep], counter, drop_rng)
-    d = config.d_model
-    enc_rows = np.zeros((b * n, length, d))
-    enc_rows[keep] = enc_out
-    enc_states = enc_rows.reshape(b, n * length, d)
+    blocks = (x != PAD_ID).any(axis=2)
+    blocks |= ~blocks.any(axis=1, keepdims=True)
+    enc_out, enc_cache = _encoder_fwd(params, config, x[blocks], counter, drop_rng)
     enc_key_pad = (x.reshape(b, n * length) == PAD_ID)
     enc_mask = np.where(enc_key_pad, NEG_INF, 0.0)[:, None, None, :]
-    t = y.shape[1]
     dec_in = np.concatenate([np.full((b, 1), BOS_ID, dtype=np.int64), y[:, :-1]], axis=1)
-    dec_out, dec_cache = _decoder_fwd(params, config, dec_in, enc_states, enc_mask, drop_rng)
+    dec_out, dec_cache = _decoder_fwd(params, config, dec_in, enc_out, blocks, enc_mask,
+                                      drop_rng)
     logits = dec_out @ params["emb"].T
     real = y != PAD_ID
     n_real = int(real.sum())
-    zmax = logits.max(axis=-1)
-    logz = zmax + np.log(np.exp(logits - zmax[..., None]).sum(axis=-1))
+    logz = _logsumexp(logits)[..., 0]
     gold = np.take_along_axis(logits, y[..., None], axis=-1)[..., 0]
     ce = np.where(real, logz - gold, 0.0)
     loss = float(ce.sum() / max(n_real, 1))
     if not np.isfinite(loss):
         raise NumericalError(f"non-finite loss {loss}")
-    cache = (x, y, enc_cache, dec_cache, dec_out, enc_states, logits, logz, real, n_real,
-             keep)
+    cache = (x, y, enc_cache, dec_cache, dec_out, blocks, logits, logz, real, n_real)
     return loss, logits, cache
 
 
 def _backward(params, config: ModelConfig, cache):
-    x, y, enc_cache, dec_cache, dec_out, enc_states, logits, logz, real, n_real, keep = cache
-    b, n, length = x.shape
+    _, y, enc_cache, dec_cache, dec_out, _, logits, logz, real, n_real = cache
     grads = {k: np.zeros_like(v) for k, v in params.items()}
-    probs = np.exp(logits - logz[..., None])
-    donehot = np.zeros_like(logits)
-    np.put_along_axis(donehot, y[..., None], 1.0, axis=-1)
-    dlogits = (probs - donehot) * real[..., None] / max(n_real, 1)
+    dlogits = logits - logz[..., None]
+    np.exp(dlogits, out=dlogits)  # softmax probabilities, minus one-hot gold below
+    gold = y[..., None]
+    np.put_along_axis(dlogits, gold, np.take_along_axis(dlogits, gold, axis=-1) - 1.0, axis=-1)
+    dlogits *= real[..., None]
+    dlogits /= max(n_real, 1)
     v = config.vocab_size
     d = config.d_model
     grads["emb"] += dlogits.reshape(-1, v).T @ dec_out.reshape(-1, d)
     ddec_out = dlogits @ params["emb"]
-    denc_states = _decoder_bwd(params, config, ddec_out, dec_cache, grads)
-    _encoder_bwd(params, config, denc_states.reshape(b * n, length, d)[keep], enc_cache, grads)
+    denc_out = _decoder_bwd(params, config, ddec_out, dec_cache, grads)
+    _encoder_bwd(params, config, denc_out, enc_cache, grads)
     return grads
 
 
@@ -657,10 +721,23 @@ def train(
             step += 1
             bc1 = 1.0 - b1 ** step
             bc2 = 1.0 - b2 ** step
-            for k in params:
-                m[k] = b1 * m[k] + (1 - b1) * grads[k]
-                v2[k] = b2 * v2[k] + (1 - b2) * grads[k] ** 2
-                params[k] -= hyper.lr * (m[k] / bc1) / (np.sqrt(v2[k] / bc2) + hyper.adam_eps)
+            for k, g in grads.items():
+                # m = b1·m + (1-b1)·g; v = b2·v + (1-b2)·g²;
+                # p -= lr·(m/bc1) / (sqrt(v/bc2) + eps), with g as scratch
+                g2 = g * g
+                g2 *= 1 - b2
+                v2[k] *= b2
+                v2[k] += g2
+                g *= 1 - b1
+                m[k] *= b1
+                m[k] += g
+                np.divide(m[k], bc1, out=g)
+                g *= hyper.lr
+                np.divide(v2[k], bc2, out=g2)
+                np.sqrt(g2, out=g2)
+                g2 += hyper.adam_eps
+                g /= g2
+                params[k] -= g
             n_real = int((y != PAD_ID).sum())
             total += loss * n_real
             count += n_real
@@ -719,11 +796,10 @@ class _DecodeState:
 def _next_logprobs(params, config, state: _DecodeState, tokens):
     """Feed each cache row its newest token; log-probs of the token after it,
     one row per cache row. <PAD> is forbidden."""
-    dec_out, _ = _decoder_fwd(params, config, np.array(tokens)[:, None], None, state.enc_mask,
-                              state=state)
+    dec_out, _ = _decoder_fwd(params, config, np.array(tokens)[:, None], None, None,
+                              state.enc_mask, state=state)
     logits = dec_out[:, 0] @ params["emb"].T
-    zmax = logits.max(axis=-1, keepdims=True)
-    logp = logits - (zmax + np.log(np.exp(logits - zmax).sum(axis=-1, keepdims=True)))
+    logp = logits - _logsumexp(logits)
     logp[:, PAD_ID] = -np.inf
     return logp
 

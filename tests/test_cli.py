@@ -233,6 +233,8 @@ def test_exit_3_config_validation(pipeline, tmp_path):
     ("generate", ["--mode", "greedy", "--beam-size", "0"], "beam_size"),
     ("generate", ["--mode", "greedy", "--max-len", "0"], "max_len"),
     ("generate", ["--mode", "beam", "--max-len", "-3"], "max_len"),
+    ("train-fid", ["--n-heads", "0"], "n_heads"),
+    ("train-fid", ["--d-model", "0"], "d_model"),
 ])
 def test_exit_3_invalid_training_and_decoding_values(pipeline, tmp_path, capsys,
                                                      command, flags, field):
@@ -294,3 +296,54 @@ def test_exit_5_data_errors(pipeline, tmp_path):
                  "--intent-model", str(pipeline["intent_model"]),
                  "--dataset", str(pipeline["built"] / "dataset.jsonl"),
                  "--report", str(tmp_path / "r.txt")]) == 5
+
+
+def _set_line(lines, k, text):
+    lines[k - 1] = text
+
+
+@pytest.mark.parametrize("command, target, line, damage", [
+    pytest.param("train-fid", "documents", 3, lambda lines: _set_line(lines, 3, "{not json"),
+                 id="documents-malformed-json"),
+    pytest.param("train-fid", "documents", 2,
+                 lambda lines: _set_line(lines, 2, json.dumps({"id": "X", "title": "t"})),
+                 id="documents-missing-key"),
+    pytest.param("generate", "documents", "last", lambda lines: lines.append(lines[0]),
+                 id="documents-duplicate-id"),
+    pytest.param("retrieve", "documents", 1, lambda lines: _set_line(
+        lines, 1, json.dumps({**json.loads(lines[0]), "id": ""})), id="documents-empty-id"),
+    pytest.param("train-fid", "dataset", 2, lambda lines: _set_line(lines, 2, lines[1][:-2]),
+                 id="dataset-malformed-json"),
+    pytest.param("train-intent", "dataset", 4, lambda lines: _set_line(
+        lines, 4, json.dumps({k: v for k, v in json.loads(lines[3]).items() if k != "intents"})),
+        id="dataset-missing-key"),
+    pytest.param("generate", "dataset", 5, lambda lines: _set_line(
+        lines, 5, json.dumps({**json.loads(lines[4]), "cited_ids": ["GHOST"]})),
+        id="dataset-unknown-document"),
+    pytest.param("evaluate", "dataset", 1, lambda lines: _set_line(lines, 1, "[1, 2]"),
+                 id="dataset-not-an-object"),
+])
+def test_exit_5_malformed_data_names_path_and_line(pipeline, tmp_path, capsys,
+                                                   command, target, line, damage):
+    files = {"documents": pipeline["synth"] / "documents.jsonl",
+             "dataset": pipeline["built"] / "dataset.jsonl"}
+    lines = files[target].read_text().splitlines()
+    damage(lines)
+    bad = tmp_path / files[target].name
+    bad.write_text("\n".join(lines) + "\n")
+    files[target] = bad
+    data = ["--dataset", str(files["dataset"])]
+    docs = ["--documents", str(files["documents"])]
+    model = ["--checkpoint", str(pipeline["model"] / "fid.ckpt")]
+    args = {
+        "train-fid": [*data, *docs, "--out-dir", str(tmp_path / "model")],
+        "train-intent": [*data, "--out", str(tmp_path / "intent.bin")],
+        "generate": [*model, *data, *docs, "--out", str(tmp_path / "out.jsonl")],
+        "retrieve": [*model, *data, *docs, "--baseline", "--out", str(tmp_path / "out.jsonl")],
+        "evaluate": ["--predictions", str(pipeline["preds"]), "--references",
+                     str(pipeline["refs"]), "--intent-model", str(pipeline["intent_model"]),
+                     *data, "--report", str(tmp_path / "report.txt")],
+    }[command]
+    assert main([command, *args]) == 5
+    where = f"{bad}:{len(lines) if line == 'last' else line}:"
+    assert where in capsys.readouterr().err

@@ -35,6 +35,10 @@ from citegen.fid import (
 )
 from citegen.fid import _backward, _forward, _pad_batch  # training-path internals under test
 from citegen.fid import _DecodeState, _next_logprobs  # decoding internals under test
+from citegen.fid import (  # primitive ops under test
+    LN_EPS, NEG_INF, _attn_bwd, _attn_fwd, _ffn_bwd, _ffn_fwd, _kv_heads, _ln_bwd, _ln_fwd,
+    _logsumexp, _merge_heads, _softmax, _split_heads,
+)
 from citegen.tokenizer import BOS_ID, EOS_ID, PAD_ID, RESERVED, build_vocab
 
 TINY = ModelConfig(vocab_size=20, d_model=8, n_heads=2, n_enc_layers=1,
@@ -63,6 +67,13 @@ def test_config_validation():
         ModelConfig(vocab_size=20, block_len=1)
     with pytest.raises(ConfigError):
         ModelConfig(vocab_size=20, dropout=1.0)
+
+
+@pytest.mark.parametrize("field", ["d_model", "n_heads", "ffn_dim"])
+@pytest.mark.parametrize("value", [0, -2])
+def test_config_rejects_non_positive_sizes(field, value):
+    with pytest.raises(ConfigError, match=field):
+        ModelConfig(vocab_size=20, **{field: value})
 
 
 def test_config_defaults():
@@ -386,6 +397,219 @@ def test_train_on_mixed_blocks_keeps_unpacked_loss_history():
             "val_loss": [2.9588090503478544, 2.9120302176435273]}
     for name, values in want.items():
         assert history[name] == pytest.approx(values, rel=1e-12, abs=0), name
+
+
+# ---------------------------------------------------------------------------
+# Primitive ops against their textbook expressions
+
+def _ref_softmax(x):
+    x = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(x)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _ref_ln_fwd(x, g, b):
+    mu = x.mean(-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
+    xhat = xc * inv
+    return g * xhat + b, (xhat, inv, g)
+
+
+def _ref_ln_bwd(dout, xhat, inv, g):
+    dxh = dout * g
+    return inv * (dxh - dxh.mean(-1, keepdims=True) - xhat * (dxh * xhat).mean(-1, keepdims=True))
+
+
+def _ref_attn(q_in, kv_in, w, n_heads, mask, dout):
+    """Forward output and (dq_in, dkv_in, grads), written out without reuse."""
+    d = q_in.shape[-1]
+    dh = d // n_heads
+    qh = _split_heads(q_in @ w["wq"], n_heads)
+    kh = _split_heads(kv_in @ w["wk"], n_heads)
+    vh = _split_heads(kv_in @ w["wv"], n_heads)
+    scores = qh @ kh.transpose(0, 1, 3, 2) * (dh ** -0.5)
+    if mask is not None:
+        scores = scores + mask
+    p = _ref_softmax(scores)
+    o = _merge_heads(p @ vh)
+    out = o @ w["wo"]
+    doh = _split_heads(dout @ w["wo"].T, n_heads)
+    dp = doh @ vh.transpose(0, 1, 3, 2)
+    dvh = p.transpose(0, 1, 3, 2) @ doh
+    ds = p * (dp - (dp * p).sum(-1, keepdims=True))
+    ds = ds * (dh ** -0.5)
+    dq = _merge_heads(ds @ kh)
+    dk = _merge_heads(ds.transpose(0, 1, 3, 2) @ qh)
+    dv = _merge_heads(dvh)
+    grads = {"wq": q_in.reshape(-1, d).T @ dq.reshape(-1, d),
+             "wk": kv_in.reshape(-1, d).T @ dk.reshape(-1, d),
+             "wv": kv_in.reshape(-1, d).T @ dv.reshape(-1, d),
+             "wo": o.reshape(-1, d).T @ dout.reshape(-1, d)}
+    return out, (dq @ w["wq"].T, dk @ w["wk"].T + dv @ w["wv"].T, grads)
+
+
+def _attn_case(seed=0, b=3, sq=5, sk=7, d=8):
+    """Random attention inputs; batch row 0 has every key masked, the other
+    rows some."""
+    rng = np.random.default_rng(seed)
+    q_in = rng.normal(size=(b, sq, d))
+    kv_in = rng.normal(size=(b, sk, d))
+    w = {k: rng.normal(size=(d, d)) for k in ("wq", "wk", "wv", "wo")}
+    masked = rng.random((b, sk)) < 0.4
+    masked[0] = True
+    mask = np.where(masked, NEG_INF, 0.0)[:, None, None, :]
+    return q_in, kv_in, w, mask, rng.normal(size=(b, sq, d))
+
+
+def _frozen(*arrays):
+    return [a.tobytes() for a in arrays]
+
+
+def test_softmax_and_logsumexp_equal_textbook_bit_for_bit():
+    x = np.random.default_rng(1).normal(size=(3, 4, 5, 9)) * 10
+    x[0, 0] = NEG_INF  # a fully masked row
+    x[1, :, :, :4] += NEG_INF  # masked keys
+    before = _frozen(x)
+    assert np.array_equal(_softmax(x), _ref_softmax(x))
+    zmax = x.max(axis=-1, keepdims=True)
+    assert np.array_equal(_logsumexp(x), zmax + np.log(np.exp(x - zmax).sum(-1, keepdims=True)))
+    assert _frozen(x) == before
+
+
+def test_layer_norm_equals_textbook_bit_for_bit():
+    rng = np.random.default_rng(2)
+    x, dout = rng.normal(size=(2, 2, 3, 5, 8)) * 3 + 1
+    g, b = rng.normal(size=(2, 8))
+    before = _frozen(x, dout, g, b)
+    out, cache = _ln_fwd(x, g, b)
+    ref_out, ref_cache = _ref_ln_fwd(x, g, b)
+    assert np.array_equal(out, ref_out)
+    for got, want in zip(cache, ref_cache):
+        assert np.array_equal(got, want)
+    cache_before = _frozen(*cache)
+    dx, dg, db = _ln_bwd(dout, cache)
+    assert np.array_equal(dx, _ref_ln_bwd(dout, *ref_cache))
+    assert np.array_equal(dg, (dout * ref_cache[0]).sum(axis=(0, 1, 2)))
+    assert np.array_equal(db, dout.sum(axis=(0, 1, 2)))
+    assert _frozen(x, dout, g, b) == before
+    assert _frozen(*cache) == cache_before
+
+
+@pytest.mark.parametrize("cross", [False, True], ids=["self", "cross"])
+def test_attention_equals_textbook_bit_for_bit(cross):
+    q_in, kv_in, w, mask, dout = _attn_case()
+    if not cross:
+        kv_in = q_in
+        causal = np.where(np.triu(np.ones((5, 5), dtype=bool), k=1), NEG_INF, 0.0)
+        mask = mask[..., :5] + causal  # batch row 0 stays fully masked
+    before = _frozen(q_in, kv_in, mask, dout, *w.values())
+    out, cache = _attn_fwd(q_in, kv_in, w, 2, mask)
+    ref_out, (ref_dq, ref_dkv, ref_grads) = _ref_attn(q_in, kv_in, w, 2, mask, dout)
+    assert np.array_equal(out, ref_out)
+    dq_in, dkv_in, grads = _attn_bwd(dout, cache)
+    assert np.array_equal(dq_in, ref_dq)
+    assert np.array_equal(dkv_in, ref_dkv)
+    for k in ref_grads:
+        assert np.array_equal(grads[k], ref_grads[k]), k
+    assert _frozen(q_in, kv_in, mask, dout, *w.values()) == before
+
+
+def test_attention_with_cached_kv_reads_and_changes_no_input():
+    q_in, kv_in, w, mask, _ = _attn_case(seed=3)
+    kv = _kv_heads(kv_in[:1], w, 2)  # batch axis 1: shared by every query row
+    before = _frozen(q_in, mask, *kv, *w.values())
+    out, _ = _attn_fwd(q_in, None, w, 2, mask[:1], kv=kv)
+    ref, _ = _ref_attn(q_in, np.repeat(kv_in[:1], 3, axis=0), w, 2, mask[:1], q_in)
+    assert np.array_equal(out, ref)
+    assert _frozen(q_in, mask, *kv, *w.values()) == before
+
+
+def test_ffn_equals_textbook_bit_for_bit():
+    rng = np.random.default_rng(4)
+    x, dout = rng.normal(size=(2, 3, 5, 8))
+    w1, w2 = rng.normal(size=(8, 12)), rng.normal(size=(12, 8))
+    b1, b2 = rng.normal(size=12), rng.normal(size=8)
+    before = _frozen(x, dout, w1, b1, w2, b2)
+    out, cache = _ffn_fwd(x, w1, b1, w2, b2)
+    h = x @ w1 + b1
+    a = np.maximum(h, 0.0)
+    assert (h <= 0).any() and (h > 0).any()
+    assert np.array_equal(out, a @ w2 + b2)
+    cache_before = _frozen(*cache)
+    dx, grads = _ffn_bwd(dout, cache)
+    dh = (dout @ w2.T) * (h > 0)
+    assert np.array_equal(dx, dh @ w1.T)
+    assert np.array_equal(grads["w1"], x.reshape(-1, 8).T @ dh.reshape(-1, 12))
+    assert np.array_equal(grads["b1"], dh.reshape(-1, 12).sum(0))
+    assert np.array_equal(grads["w2"], a.reshape(-1, 12).T @ dout.reshape(-1, 8))
+    assert np.array_equal(grads["b2"], dout.reshape(-1, 8).sum(0))
+    assert _frozen(x, dout, w1, b1, w2, b2) == before
+    assert _frozen(*cache) == cache_before
+
+
+def test_adam_steps_equal_textbook_bit_for_bit():
+    # one instance twice at batch size 1: two steps whatever the shuffle
+    item = _mixed_items()[2]
+    hyper = TrainConfig(epochs=1, batch_size=1, lr=3e-3, grad_clip=0.5, seed=0)
+    params0 = init_params(TINY, seed=11)
+    before = _frozen(*params0.values())
+    got, _ = train(params0, TINY, [item, item], hyper=hyper)
+    assert _frozen(*params0.values()) == before
+    params = {k: v.copy() for k, v in params0.items()}
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v2 = {k: np.zeros_like(v) for k, v in params.items()}
+    b1, b2 = hyper.betas
+    clipped = False
+    for step in (1, 2):
+        _, _, cache = _forward(params, TINY, *_pad_batch([item]))
+        grads = _backward(params, TINY, cache)
+        norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        if norm > hyper.grad_clip:
+            clipped = True
+            grads = {k: g * (hyper.grad_clip / norm) for k, g in grads.items()}
+        for k in params:
+            m[k] = b1 * m[k] + (1 - b1) * grads[k]
+            v2[k] = b2 * v2[k] + (1 - b2) * grads[k] ** 2
+            params[k] = params[k] - hyper.lr * (m[k] / (1.0 - b1 ** step)) / (
+                np.sqrt(v2[k] / (1.0 - b2 ** step)) + hyper.adam_eps)
+    assert clipped
+    for k in params:
+        assert np.array_equal(got[k], params[k]), k
+
+
+def test_packed_cross_attention_matches_dense_zero_rows():
+    """Keys and values projected from the real blocks only, against the same
+    attention over zero-filled states, on a batch of 1, 2 and 3 blocks."""
+    rng = np.random.default_rng(5)
+    b, n, length, d = 3, 3, TINY.block_len, TINY.d_model
+    blocks = np.arange(n)[None, :] < np.array([1, 2, 3])[:, None]
+    packed = rng.normal(size=(int(blocks.sum()), length, d))
+    dense = np.zeros((b, n, length, d))
+    dense[blocks] = packed
+    dense = dense.reshape(b, n * length, d)
+    key_pad = np.ones((b, n, length), dtype=bool)
+    key_pad[blocks] = rng.random((int(blocks.sum()), length)) < 0.3
+    mask = np.where(key_pad.reshape(b, -1), NEG_INF, 0.0)[:, None, None, :]
+    q_in = rng.normal(size=(b, 4, d))
+    dout = rng.normal(size=(b, 4, d))
+    w = {k: rng.normal(size=(d, d)) for k in ("wq", "wk", "wv", "wo")}
+    before = _frozen(q_in, packed, mask, dout, *w.values())
+    out, cache = _attn_fwd(q_in, packed, w, TINY.n_heads, mask, blocks=blocks)
+    ref_out, ref_cache = _attn_fwd(q_in, dense, w, TINY.n_heads, mask)
+    np.testing.assert_allclose(out, ref_out, rtol=1e-12, atol=0)
+    dq_in, dkv_in, grads = _attn_bwd(dout, cache)
+    ref_dq, ref_dkv, ref_grads = _attn_bwd(dout, ref_cache)
+    assert dkv_in.shape == packed.shape
+    np.testing.assert_allclose(dq_in, ref_dq, rtol=1e-12, atol=0)
+    ref_dkv = ref_dkv.reshape(b, n, length, d)
+    np.testing.assert_allclose(dkv_in, ref_dkv[blocks], rtol=1e-12, atol=1e-15)
+    assert not ref_dkv[~blocks].any()  # the dropped blocks get no gradient
+    for k in ref_grads:
+        scale = np.abs(ref_grads[k]).max()
+        assert np.abs(grads[k] - ref_grads[k]).max() <= 1e-12 * scale, k
+    assert _frozen(q_in, packed, mask, dout, *w.values()) == before
 
 
 # ---------------------------------------------------------------------------
