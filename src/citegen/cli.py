@@ -19,7 +19,7 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from . import fid as fid_mod
 from . import metrics as metrics_mod
-from .corpus import Corpus, IntentLabel, load_dataset, split_dataset
+from .corpus import Corpus, IntentLabel, _line_error, load_dataset, split_dataset
 from .errors import AlignmentError, CitegenError, ConfigError, NumericalError
 from .intent import (
     load_intent_model,
@@ -99,10 +99,13 @@ def _save_targets(instances, path: Path) -> None:
 def _load_id_text(path: Path) -> dict[str, str]:
     out: dict[str, str] = {}
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             if line.strip():
-                rec = json.loads(line)
-                out[rec["instance_id"]] = rec["text"]
+                try:
+                    rec = json.loads(line)
+                    out[rec["instance_id"]] = rec["text"]
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise _line_error(path, lineno, exc) from None
     return out
 
 

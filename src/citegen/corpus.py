@@ -423,13 +423,18 @@ def save_bodies(bodies: Mapping[str, str], path: str | Path) -> None:
 
 
 def load_bodies(path: str | Path) -> dict[str, str]:
+    """Bodies by document id. Raises DataError naming ``path:line`` for a
+    malformed line or a missing key."""
     bodies: dict[str, str] = {}
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            bodies[rec["id"]] = rec["body"]
+            try:
+                rec = json.loads(line)
+                bodies[rec["id"]] = rec["body"]
+            except (ValueError, KeyError, TypeError) as exc:
+                raise _line_error(path, lineno, exc) from None
     return bodies
 
 
@@ -466,12 +471,13 @@ def save_dataset(instances: Iterable[CitationInstance], path: str | Path) -> Non
 
 
 _RECORD_KEYS = frozenset({"citing_id", "cited_ids", "intents", "target"})
+_INTENT_VALUES = frozenset(label.value for label in IntentLabel)
 
 
 def _numbered_records(path: str | Path) -> list[tuple[int, dict]]:
     """(line number, record) per non-blank line of a dataset file, each record
     with a derived ``instance_id`` field. Raises DataError naming
-    ``path:line`` for a malformed line or a missing key."""
+    ``path:line`` for a malformed line, a missing key or an unknown intent."""
     records: list[tuple[int, dict]] = []
     ordinal: dict[str, int] = {}
     with open(path, encoding="utf-8") as f:
@@ -483,6 +489,8 @@ def _numbered_records(path: str | Path) -> list[tuple[int, dict]]:
                 missing = _RECORD_KEYS.difference(rec)
                 if missing:
                     raise KeyError(min(missing))
+                if not _INTENT_VALUES.issuperset(rec["intents"]):
+                    raise ValueError(f"unknown intent in {rec['intents']!r}")
                 k = ordinal.get(rec["citing_id"], 0)
                 ordinal[rec["citing_id"]] = k + 1
                 rec["instance_id"] = f"{rec['citing_id']}#{k}"
@@ -493,13 +501,14 @@ def _numbered_records(path: str | Path) -> list[tuple[int, dict]]:
 
 
 def load_dataset_records(path: str | Path) -> list[dict]:
-    """Raw dataset records with a derived ``instance_id`` field."""
+    """Raw dataset records with a derived ``instance_id`` field; raises
+    DataError naming ``path:line`` for a malformed record."""
     return [rec for _, rec in _numbered_records(path)]
 
 
 def load_dataset(path: str | Path, documents: Mapping[str, Document]) -> list[CitationInstance]:
-    """Dataset instances; raises DataError naming ``path:line`` for a record
-    that names an unknown document or intent."""
+    """Dataset instances; raises DataError naming ``path:line`` for a
+    malformed record or one that names an unknown document."""
     instances: list[CitationInstance] = []
     for lineno, rec in _numbered_records(path):
         try:
@@ -508,7 +517,7 @@ def load_dataset(path: str | Path, documents: Mapping[str, Document]) -> list[Ci
             intents = [IntentLabel(v) for v in rec["intents"]]
         except KeyError as exc:  # every record key is present: an id is unknown
             raise DataError(f"{path}:{lineno}: unknown document id {exc}") from None
-        except (ValueError, TypeError) as exc:
+        except TypeError as exc:
             raise _line_error(path, lineno, exc) from None
         instances.append(
             CitationInstance(

@@ -285,6 +285,28 @@ def test_exit_5_malformed_checkpoint(pipeline, tmp_path, capsys, damage):
     assert not (tmp_path / "preds.jsonl").exists()
 
 
+@pytest.mark.parametrize("command", ["build-corpus", "evaluate"])
+@pytest.mark.parametrize("damage", ["truncated", "extended", "short-header", "zero-dim"])
+def test_exit_5_malformed_intent_model(pipeline, tmp_path, capsys, command, damage):
+    good = _read(pipeline["intent_model"])
+    bad = {"truncated": good[:-5], "extended": good + bytes(8), "short-header": good[:12],
+           "zero-dim": bytes(8) + good[8:]}[damage]
+    model = tmp_path / "intent.bin"
+    model.write_bytes(bad)
+    args = {
+        "build-corpus": ["--documents", str(pipeline["synth"] / "documents.jsonl"),
+                         "--bodies", str(pipeline["synth"] / "bodies.jsonl"),
+                         "--key-table", str(pipeline["synth"] / "key_table.tsv"),
+                         "--out-dir", str(tmp_path / "built")],
+        "evaluate": ["--predictions", str(pipeline["preds"]),
+                     "--references", str(pipeline["refs"]),
+                     "--dataset", str(pipeline["built"] / "dataset.jsonl"),
+                     "--report", str(tmp_path / "report.txt")],
+    }[command]
+    assert main([command, *args, "--intent-model", str(model)]) == 5
+    assert str(model) in capsys.readouterr().err
+
+
 def test_exit_5_data_errors(pipeline, tmp_path):
     # split too small
     assert main(["synth", "--n-single", "4", "--n-multi", "0",
@@ -322,11 +344,28 @@ def _set_line(lines, k, text):
         id="dataset-unknown-document"),
     pytest.param("evaluate", "dataset", 1, lambda lines: _set_line(lines, 1, "[1, 2]"),
                  id="dataset-not-an-object"),
+    pytest.param("evaluate", "dataset", 3, lambda lines: _set_line(
+        lines, 3, json.dumps({**json.loads(lines[2]), "intents": ["bogus"]})),
+        id="dataset-unknown-intent"),
+    pytest.param("train-intent", "dataset", 2, lambda lines: _set_line(
+        lines, 2, json.dumps({**json.loads(lines[1]), "intents": ["method", "bogus"]})),
+        id="dataset-unknown-intent-train"),
+    pytest.param("build-corpus", "bodies", 2, lambda lines: _set_line(lines, 2, "{broken"),
+                 id="bodies-malformed-json"),
+    pytest.param("build-corpus", "bodies", 1, lambda lines: _set_line(
+        lines, 1, json.dumps({"id": json.loads(lines[0])["id"]})), id="bodies-missing-key"),
+    pytest.param("evaluate", "predictions", 1, lambda lines: _set_line(lines, 1, lines[0][:-3]),
+                 id="predictions-malformed-json"),
+    pytest.param("evaluate", "references", 2, lambda lines: _set_line(
+        lines, 2, json.dumps({"instance_id": json.loads(lines[1])["instance_id"]})),
+        id="references-missing-key"),
 ])
 def test_exit_5_malformed_data_names_path_and_line(pipeline, tmp_path, capsys,
                                                    command, target, line, damage):
     files = {"documents": pipeline["synth"] / "documents.jsonl",
-             "dataset": pipeline["built"] / "dataset.jsonl"}
+             "dataset": pipeline["built"] / "dataset.jsonl",
+             "bodies": pipeline["synth"] / "bodies.jsonl",
+             "predictions": pipeline["preds"], "references": pipeline["refs"]}
     lines = files[target].read_text().splitlines()
     damage(lines)
     bad = tmp_path / files[target].name
@@ -340,9 +379,12 @@ def test_exit_5_malformed_data_names_path_and_line(pipeline, tmp_path, capsys,
         "train-intent": [*data, "--out", str(tmp_path / "intent.bin")],
         "generate": [*model, *data, *docs, "--out", str(tmp_path / "out.jsonl")],
         "retrieve": [*model, *data, *docs, "--baseline", "--out", str(tmp_path / "out.jsonl")],
-        "evaluate": ["--predictions", str(pipeline["preds"]), "--references",
-                     str(pipeline["refs"]), "--intent-model", str(pipeline["intent_model"]),
+        "evaluate": ["--predictions", str(files["predictions"]), "--references",
+                     str(files["references"]), "--intent-model", str(pipeline["intent_model"]),
                      *data, "--report", str(tmp_path / "report.txt")],
+        "build-corpus": [*docs, "--bodies", str(files["bodies"]), "--key-table",
+                         str(pipeline["synth"] / "key_table.tsv"), "--intent-model",
+                         str(pipeline["intent_model"]), "--out-dir", str(tmp_path / "built")],
     }[command]
     assert main([command, *args]) == 5
     where = f"{bad}:{len(lines) if line == 'last' else line}:"

@@ -1,14 +1,16 @@
 """Hashed-feature intent classifier and placeholder windowing."""
 
 import math
+import re
 import struct
 import zlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from citegen.corpus import INTENT_ORDER, IntentLabel
-from citegen.errors import ClassMissing, EmptyEvalSet
+from citegen.errors import ClassMissing, DataError, EmptyEvalSet
 from citegen.intent import (
     IntentModel,
     _loss_and_grad,
@@ -22,11 +24,72 @@ from citegen.intent import (
     save_intent_model,
     train_intent,
 )
+from citegen.seeding import substream
 from citegen.synthetic import SynthSpec, generate_synthetic_corpus
+from citegen.tokenizer import B_TOKENS, tokenize
 
 
 def _col(feature: str, dim: int) -> int:
     return zlib.crc32(feature.encode()) % dim
+
+
+# Reference formulation: one scipy CSR row per text, scipy products and a
+# dense weight update. The classifier must reproduce it bit for bit.
+
+def _ref_featurize(text: str, dim: int) -> sp.csr_matrix:
+    toks = ["<B>" if t in B_TOKENS else t for t in tokenize(text)]
+    counts: dict[int, float] = {}
+    for f in ["1:" + t for t in toks] + [f"2:{a} {b}" for a, b in zip(toks, toks[1:])]:
+        counts[_col(f, dim)] = counts.get(_col(f, dim), 0.0) + 1.0
+    if not counts:
+        return sp.csr_matrix((1, dim), dtype=np.float64)
+    idx = sorted(counts)
+    data = np.array([counts[i] for i in idx], dtype=np.float64)
+    data /= np.linalg.norm(data)
+    return sp.csr_matrix((data, (np.zeros(len(idx), dtype=np.int64), idx)), shape=(1, dim))
+
+
+def _ref_softmax(z):
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _ref_loss_and_grad(w, b, x, y):
+    n = x.shape[0]
+    logits = x @ w.T + b
+    logz = logits.max(axis=1)
+    logz = logz + np.log(np.exp(logits - logz[:, None]).sum(axis=1))
+    loss = float((logz - logits[np.arange(n), y]).mean())
+    p = _ref_softmax(logits)
+    p[np.arange(n), y] -= 1.0
+    p /= n
+    return loss, np.asarray((x.T @ p).T), p.sum(axis=0)
+
+
+def _ref_train(pairs, epochs, lr, seed, batch_size, dim):
+    x = sp.vstack([_ref_featurize(text, dim) for text, _ in pairs], format="csr")
+    y = np.array([INTENT_ORDER.index(label) for _, label in pairs], dtype=np.int64)
+    w, b = np.zeros((4, dim)), np.zeros(4)
+    rng = substream(seed, "intent-train")
+    for _ in range(epochs):
+        order = rng.permutation(len(pairs))
+        for start in range(0, len(pairs), batch_size):
+            take = order[start : start + batch_size]
+            _, gw, gb = _ref_loss_and_grad(w, b, x[take], y[take])
+            w -= lr * gw
+            b -= lr * gb
+    return w, b
+
+
+def _dense_loss_and_grad(w, b, x, y):
+    """``_loss_and_grad`` on a CSR batch, its column gradient scattered into
+    a dense (4, dim) array."""
+    rows = np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))
+    loss, touched, gw, gb = _loss_and_grad(w, b, rows, x.indices, x.data, y)
+    full = np.zeros_like(w)
+    full[:, touched] = gw
+    return loss, full, gb
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +129,25 @@ def test_featurize_batch_shape():
     assert x.format == "csr"
 
 
+def _texts(seed=6):
+    _, bodies, gold = generate_synthetic_corpus(SynthSpec(n_single=20, n_multi=6, seed=seed))
+    windows = [w for g in gold for w in placeholder_windows(g.target, len(g.cited))]
+    return windows + [g.target for g in gold] + list(bodies.values())[:3] + ["", "<B1>"]
+
+
+@pytest.mark.parametrize("dim", [64, 2 ** 15])
+def test_featurize_equals_reference_rows(dim):
+    texts = _texts()
+    x = featurize_batch(texts, dim)
+    ref = sp.vstack([_ref_featurize(t, dim) for t in texts], format="csr")
+    stacked = sp.vstack([featurize(t, dim) for t in texts], format="csr")
+    for other in (ref, stacked):
+        assert np.array_equal(x.indptr, other.indptr)
+        assert np.array_equal(x.indices, other.indices)
+        assert np.array_equal(x.data, other.data)
+    assert featurize_batch([], dim).shape == (0, dim)
+
+
 # ---------------------------------------------------------------------------
 # Gradient correctness
 
@@ -77,7 +159,10 @@ def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(0)
     w = rng.normal(0, 0.5, size=(4, dim))
     b = rng.normal(0, 0.5, size=4)
-    _, gw, gb = _loss_and_grad(w, b, x, y)
+    _, gw, gb = _dense_loss_and_grad(w, b, x, y)
+
+    def loss(w, b):
+        return _dense_loss_and_grad(w, b, x, y)[0]
 
     h = 1e-6
     worst = 0.0
@@ -86,14 +171,29 @@ def test_gradient_matches_finite_differences():
             wp, wm = w.copy(), w.copy()
             wp[i, j] += h
             wm[i, j] -= h
-            fd = (_loss_and_grad(wp, b, x, y)[0] - _loss_and_grad(wm, b, x, y)[0]) / (2 * h)
+            fd = (loss(wp, b) - loss(wm, b)) / (2 * h)
             worst = max(worst, abs(fd - gw[i, j]) / max(abs(fd), abs(gw[i, j]), 1e-8))
         bp, bm = b.copy(), b.copy()
         bp[i] += h
         bm[i] -= h
-        fd = (_loss_and_grad(w, bp, x, y)[0] - _loss_and_grad(w, bm, x, y)[0]) / (2 * h)
+        fd = (loss(w, bp) - loss(w, bm)) / (2 * h)
         worst = max(worst, abs(fd - gb[i]) / max(abs(fd), abs(gb[i]), 1e-8))
     assert worst < 1e-5
+
+
+@pytest.mark.parametrize("dim", [64, 2 ** 12])
+def test_loss_and_grad_equal_scipy_reference(dim):
+    texts = _texts()[:40]
+    x = featurize_batch(texts, dim)
+    y = np.arange(len(texts)) % 4
+    rng = np.random.default_rng(1)
+    w = rng.normal(0, 0.5, size=(4, dim))
+    b = rng.normal(0, 0.5, size=4)
+    loss, gw, gb = _dense_loss_and_grad(w, b, x, y)
+    ref_loss, ref_gw, ref_gb = _ref_loss_and_grad(w, b, x, y)
+    assert loss == ref_loss
+    assert np.array_equal(gw, ref_gw)
+    assert np.array_equal(gb, ref_gb)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +230,16 @@ def test_train_deterministic():
     assert np.array_equal(a.bias, b.bias)
 
 
+@pytest.mark.parametrize("dim, batch_size, lr", [(64, 32, 1.0), (2 ** 12, 7, 0.5)])
+def test_train_equals_scipy_reference_trainer(dim, batch_size, lr):
+    pairs = _template_pairs(seed=5, n_single=30)
+    model = train_intent(pairs, epochs=6, lr=lr, seed=4, batch_size=batch_size,
+                         feature_dim=dim)
+    w, b = _ref_train(pairs, epochs=6, lr=lr, seed=4, batch_size=batch_size, dim=dim)
+    assert np.array_equal(model.weights, w)
+    assert np.array_equal(model.bias, b)
+
+
 def test_train_requires_all_classes():
     pairs = [("only one kind", IntentLabel.METHOD)] * 8
     with pytest.raises(ClassMissing):
@@ -151,6 +261,18 @@ def test_positive_scaling_keeps_argmax():
     scaled = IntentModel(model.weights * 2.5, model.bias * 2.5, model.feature_dim)
     for text in ["<B> introduced the idea of parsing .", "unlike <B> , we observe other behavior ."]:
         assert predict_intent(model, text)[0] == predict_intent(scaled, text)[0]
+
+
+@pytest.mark.parametrize("dim", [64, 2 ** 12])
+def test_probabilities_equal_scipy_product(dim):
+    model = train_intent(_template_pairs(seed=1, n_single=16), epochs=5, feature_dim=dim)
+    rng = np.random.default_rng(2)
+    noisy = IntentModel(rng.normal(size=(4, dim)), rng.normal(size=4), dim)
+    for m in (model, noisy):
+        for text in _texts():
+            _, probs = predict_intent(m, text)
+            logits = np.asarray(featurize(text, dim) @ m.weights.T).ravel() + m.bias
+            assert np.array_equal(probs, _ref_softmax(logits))
 
 
 def test_tie_goes_to_label_order():
@@ -259,5 +381,23 @@ def test_checkpoint_binary_layout(tmp_path):
 def test_checkpoint_rejects_wrong_class_count(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(struct.pack("<qq", 8, 3) + b"\0" * (8 * 3 * 8 + 8 * 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
+        load_intent_model(path)
+
+
+@pytest.mark.parametrize("damage", [
+    lambda blob: blob[:-3],
+    lambda blob: blob[:10],
+    lambda blob: b"",
+    lambda blob: blob + bytes(8),
+    lambda blob: struct.pack("<qq", 0, 4) + bytes(32),
+    lambda blob: struct.pack("<qq", -2, 4) + blob[16:],
+    lambda blob: struct.pack("<qq", 17, 4) + blob[16:],
+], ids=["truncated", "short-header", "empty", "extended", "zero-dim", "negative-dim",
+        "wrong-dim"])
+def test_checkpoint_rejects_damaged_file(tmp_path, damage):
+    path = tmp_path / "intent.bin"
+    save_intent_model(IntentModel(np.ones((4, 16)), np.zeros(4), 16), path)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(DataError, match=re.escape(str(path))):
         load_intent_model(path)
