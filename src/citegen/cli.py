@@ -20,7 +20,7 @@ from . import corpus as corpus_mod
 from . import fid as fid_mod
 from . import metrics as metrics_mod
 from .corpus import Corpus, IntentLabel, _line_error, load_dataset, split_dataset
-from .errors import AlignmentError, CitegenError, ConfigError, NumericalError
+from .errors import AlignmentError, CitegenError, ConfigError, DataError, NumericalError
 from .intent import (
     load_intent_model,
     make_intent_fn,
@@ -40,10 +40,11 @@ SPLIT_RATIOS = (0.8, 0.1, 0.1)  # fixed; split_dataset implements them
 # ---------------------------------------------------------------------------
 # Config file + manifest plumbing
 
-def _load_config_file(path: str | None) -> dict[str, str]:
+def _load_config_file(path: str | None) -> dict[str, tuple[str, str]]:
+    """``key = value`` lines as {key: (value, "path:line")}."""
     if path is None:
         return {}
-    cfg: dict[str, str] = {}
+    cfg: dict[str, tuple[str, str]] = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
@@ -52,20 +53,22 @@ def _load_config_file(path: str | None) -> dict[str, str]:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, _, value = line.partition("=")
-            cfg[key.strip().replace("-", "_")] = value.strip()
+            cfg[key.strip().replace("-", "_")] = (value.strip(), f"{path}:{lineno}")
     return cfg
 
 
-def _merge(args: argparse.Namespace, cfg: dict[str, str], key: str, default, cast):
-    """Flag wins over config file, config file over default."""
+def _merge(args: argparse.Namespace, cfg: dict[str, tuple[str, str]], key: str, default, cast):
+    """Flag wins over config file, config file over default. Raises
+    ConfigError naming ``path:line`` and the key for a value ``cast`` rejects."""
     flag = getattr(args, key, None)
     if flag is not None:
         return flag
     if key in cfg:
-        raw = cfg[key]
-        if cast is bool:
-            return raw.lower() in ("1", "true", "yes")
-        return cast(raw)
+        raw, where = cfg[key]
+        try:
+            return cast(raw)
+        except ValueError:
+            raise ConfigError(f"{where}: {key} = {raw!r} is not a valid {cast.__name__}") from None
     return default
 
 
@@ -260,6 +263,9 @@ def _load_model(args):
     config, params, meta = fid_mod.load_checkpoint(ckpt)
     vocab_path = Path(args.vocab) if args.vocab else ckpt.parent / meta["vocab_file"]
     vocab = load_vocab(vocab_path)
+    if len(vocab.id_to_token) != config.vocab_size:
+        raise DataError(f"{vocab_path} holds {len(vocab.id_to_token)} tokens, "
+                        f"{ckpt} needs {config.vocab_size}")
     return config, params, meta, vocab, [ckpt, vocab_path]
 
 

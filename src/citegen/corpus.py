@@ -445,13 +445,18 @@ def save_key_table(key_table: Mapping[str, str], path: str | Path) -> None:
 
 
 def load_key_table(path: str | Path) -> dict[str, str]:
+    """Document ids by citation marker. Raises DataError naming ``path:line``
+    for a non-blank line without a tab."""
     table: dict[str, str] = {}
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            marker, _, doc_id = line.partition("\t")
+            marker, tab, doc_id = line.partition("\t")
+            if not tab:
+                raise DataError(f"{path}:{lineno}: expected 'marker<TAB>document id', "
+                                f"got {line!r}")
             table[marker] = doc_id
     return table
 

@@ -11,6 +11,12 @@ its cross-attention keys and values from those real block rows only, placing
 them in the padded layout where the other blocks' keys and values are zero.
 Targets are cut after the batch's longest real target.
 
+A training batch is split into ``_SHARDS`` contiguous shards that run
+forward and backward concurrently, the first on the calling thread and the
+others on worker threads, with BLAS held at one thread;
+their gradients are added in shard order, so results depend on the shard
+count and not on the machine.
+
 The primitive ops (softmax, layer norm, attention, feed-forward, and Adam's
 update in ``train``) work in place in the buffers they allocate themselves,
 never in an array a caller passed in, and keep the textbook order of float
@@ -27,8 +33,12 @@ difference checks and bit-level invariants are meaningful.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import struct
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -546,7 +556,11 @@ def _forward(params, config: ModelConfig, x, y, counter=None, drop_rng=None):
     return loss, logits, cache
 
 
-def _backward(params, config: ModelConfig, cache):
+def _backward(params, config: ModelConfig, cache, n_tokens: int | None = None):
+    """Gradients of the cached batch's summed token losses divided by
+    ``n_tokens``, by default its own real-token count (the gradient of its
+    mean loss). A shard of a larger batch passes the whole batch's count, so
+    the shards' gradients add up to the batch gradient."""
     _, y, enc_cache, dec_cache, dec_out, _, logits, logz, real, n_real = cache
     grads = {k: np.zeros_like(v) for k, v in params.items()}
     dlogits = logits - logz[..., None]
@@ -554,7 +568,7 @@ def _backward(params, config: ModelConfig, cache):
     gold = y[..., None]
     np.put_along_axis(dlogits, gold, np.take_along_axis(dlogits, gold, axis=-1) - 1.0, axis=-1)
     dlogits *= real[..., None]
-    dlogits /= max(n_real, 1)
+    dlogits /= max(n_real if n_tokens is None else n_tokens, 1)
     v = config.vocab_size
     d = config.d_model
     grads["emb"] += dlogits.reshape(-1, v).T @ dec_out.reshape(-1, d)
@@ -665,16 +679,96 @@ def _pad_batch(items: Sequence[tuple[np.ndarray, np.ndarray]]):
     return x, y
 
 
-def _dataset_loss(params, config, data, batch_size):
+def _real_tokens(items) -> int:
+    return sum(int((y != PAD_ID).sum()) for _, y in items)
+
+
+# Each training batch is cut into this many contiguous shards (fewer when the
+# batch is smaller), run on as many threads. It fixes how float64 sums are
+# grouped, so trained parameters depend on it and on nothing about the machine.
+_SHARDS = 2
+
+
+def _shards(batch: Sequence, k: int) -> list:
+    """``batch`` cut into min(k, len(batch)) contiguous, non-empty shards
+    whose sizes differ by at most one."""
+    k = min(k, len(batch))
+    bounds = [len(batch) * j // k for j in range(k + 1)]
+    return [batch[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _shard_loss(params, config, items, drop_rng=None):
+    """Summed token loss of one shard, padded on its own, and its cache."""
+    x, y = _pad_batch(items)
+    loss, _, cache = _forward(params, config, x, y, drop_rng=drop_rng)
+    return loss * _real_tokens(items), cache
+
+
+def _dataset_loss(params, config, data, batch_size, map_shards):
+    """Per-token loss over ``data``, batched and sharded as ``train`` does;
+    the shards' loss sums are added in shard order."""
+    def shard_loss(items):
+        return _shard_loss(params, config, items)[0]
+
     total = 0.0
-    count = 0
     for start in range(0, len(data), batch_size):
-        x, y = _pad_batch(data[start : start + batch_size])
-        n_real = int((y != PAD_ID).sum())
-        loss, _, _ = _forward(params, config, x, y)
-        total += loss * n_real
-        count += n_real
-    return total / max(count, 1)
+        for loss_sum in map_shards(shard_loss, _shards(data[start : start + batch_size], _SHARDS)):
+            total += loss_sum
+    return total / max(_real_tokens(data), 1)
+
+
+@functools.cache
+def _openblas():
+    """The OpenBLAS that numpy bundles, with its thread-count functions
+    declared, or None where that library or those functions are not found."""
+    libs = Path(np.__file__).parent.with_name("numpy.libs")
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get, set_ = (lib.scipy_openblas_get_num_threads64_,
+                         lib.scipy_openblas_set_num_threads64_)
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return lib
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS at one thread, then restore its count.
+
+    Shard threads then each keep to one core, where more BLAS threads would
+    oversubscribe the cores, and BLAS sums do not depend on the thread count
+    the process started with. Does nothing where the library is not found."""
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
+
+
+def _map_shards(pool, fn, *iterables) -> list:
+    """``fn`` over the shards, results in shard order: the first shard on
+    the calling thread, the others on ``pool`` meanwhile. The calling thread
+    keeps a share of the work and its allocations, as in a serial loop, and
+    one shard starts no thread at all."""
+    first, *rest = zip(*iterables)
+    futures = [pool.submit(fn, *args) for args in rest]
+    return [fn(*first)] + [f.result() for f in futures]
+
+
+def _shard_step(params, config, n_tokens, items, drop_rng):
+    """Loss sum and gradients of one shard of a batch that holds ``n_tokens``
+    real target tokens; the shards' gradients add up to the batch's."""
+    loss_sum, cache = _shard_loss(params, config, items, drop_rng)
+    return loss_sum, _backward(params, config, cache, n_tokens)
 
 
 def train(
@@ -686,6 +780,13 @@ def train(
 ) -> tuple[dict[str, np.ndarray], dict[str, list[float]]]:
     """Adam with global-norm gradient clipping; keeps the best-validation
     parameters when a validation set is given, else the final ones.
+
+    Each batch is split into ``_SHARDS`` shards, each padded on its own
+    and run forward and backward concurrently (the first on the calling
+    thread, the others on a pool), with BLAS held at one thread. Shard
+    gradients and loss sums are added in shard order, so the results do
+    not depend on thread scheduling. With dropout, every step
+    spawns one generator per shard from the ``dropout`` substream.
 
     Aborts with NumericalError if the epoch loss exceeds 10x the first
     epoch's loss or stops being finite.
@@ -704,57 +805,65 @@ def train(
     initial = None
     step = 0
     n = len(train_data)
-    for _ in range(hyper.epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        count = 0
-        for start in range(0, n, hyper.batch_size):
-            batch = [train_data[i] for i in order[start : start + hyper.batch_size]]
-            x, y = _pad_batch(batch)
-            loss, _, cache = _forward(params, config, x, y, drop_rng=drop_rng)
-            grads = _backward(params, config, cache)
-            norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-            if hyper.grad_clip > 0 and norm > hyper.grad_clip:
-                scale = hyper.grad_clip / norm
-                for g in grads.values():
-                    g *= scale
-            step += 1
-            bc1 = 1.0 - b1 ** step
-            bc2 = 1.0 - b2 ** step
-            for k, g in grads.items():
-                # m = b1·m + (1-b1)·g; v = b2·v + (1-b2)·g²;
-                # p -= lr·(m/bc1) / (sqrt(v/bc2) + eps), with g as scratch
-                g2 = g * g
-                g2 *= 1 - b2
-                v2[k] *= b2
-                v2[k] += g2
-                g *= 1 - b1
-                m[k] *= b1
-                m[k] += g
-                np.divide(m[k], bc1, out=g)
-                g *= hyper.lr
-                np.divide(v2[k], bc2, out=g2)
-                np.sqrt(g2, out=g2)
-                g2 += hyper.adam_eps
-                g /= g2
-                params[k] -= g
-            n_real = int((y != PAD_ID).sum())
-            total += loss * n_real
-            count += n_real
-        epoch_loss = total / max(count, 1)
-        history["train_loss"].append(epoch_loss)
-        if initial is None:
-            initial = epoch_loss
-        if not np.isfinite(epoch_loss) or epoch_loss > 10.0 * max(initial, 1e-12):
-            raise NumericalError(
-                f"training diverged: epoch loss {epoch_loss:.4f} vs initial {initial:.4f}"
-            )
-        if valid_data:
-            val = _dataset_loss(params, config, valid_data, hyper.batch_size)
-            history["val_loss"].append(val)
-            if val < best_val:
-                best_val = val
-                best_params = {k: p.copy() for k, p in params.items()}
+    # Threads start on first use, so one shard starts none.
+    with _one_blas_thread(), ThreadPoolExecutor(max(_SHARDS - 1, 1)) as pool:
+        map_shards = functools.partial(_map_shards, pool)
+        for _ in range(hyper.epochs):
+            order = rng.permutation(n)
+            total = 0.0
+            count = 0
+            for start in range(0, n, hyper.batch_size):
+                batch = [train_data[i] for i in order[start : start + hyper.batch_size]]
+                n_tokens = _real_tokens(batch)
+                parts = _shards(batch, _SHARDS)
+                rngs = [None] * len(parts) if drop_rng is None else drop_rng.spawn(len(parts))
+                (loss_sum, grads), *rest = map_shards(
+                    functools.partial(_shard_step, params, config, n_tokens), parts, rngs)
+                total += loss_sum
+                for shard_loss, shard_grads in rest:
+                    total += shard_loss
+                    for k, g in shard_grads.items():
+                        grads[k] += g
+                count += n_tokens
+                norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+                if hyper.grad_clip > 0 and norm > hyper.grad_clip:
+                    scale = hyper.grad_clip / norm
+                    for g in grads.values():
+                        g *= scale
+                step += 1
+                bc1 = 1.0 - b1 ** step
+                bc2 = 1.0 - b2 ** step
+                for k, g in grads.items():
+                    # m = b1·m + (1-b1)·g; v = b2·v + (1-b2)·g²;
+                    # p -= lr·(m/bc1) / (sqrt(v/bc2) + eps), with g as scratch
+                    g2 = g * g
+                    g2 *= 1 - b2
+                    v2[k] *= b2
+                    v2[k] += g2
+                    g *= 1 - b1
+                    m[k] *= b1
+                    m[k] += g
+                    np.divide(m[k], bc1, out=g)
+                    g *= hyper.lr
+                    np.divide(v2[k], bc2, out=g2)
+                    np.sqrt(g2, out=g2)
+                    g2 += hyper.adam_eps
+                    g /= g2
+                    params[k] -= g
+            epoch_loss = total / max(count, 1)
+            history["train_loss"].append(epoch_loss)
+            if initial is None:
+                initial = epoch_loss
+            if not np.isfinite(epoch_loss) or epoch_loss > 10.0 * max(initial, 1e-12):
+                raise NumericalError(
+                    f"training diverged: epoch loss {epoch_loss:.4f} vs initial {initial:.4f}"
+                )
+            if valid_data:
+                val = _dataset_loss(params, config, valid_data, hyper.batch_size, map_shards)
+                history["val_loss"].append(val)
+                if val < best_val:
+                    best_val = val
+                    best_params = {k: p.copy() for k, p in params.items()}
     if valid_data and best_params is not None:
         params = best_params
     return params, history

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .errors import VocabTooSmall
+from .errors import DataError, VocabTooSmall
 
 MAX_REFS = 8
 
@@ -129,16 +129,25 @@ def save_vocab(vocab: Vocabulary, path: str | Path) -> None:
 
 
 def load_vocab(path: str | Path) -> Vocabulary:
+    """Read a vocabulary written by save_vocab. Raises DataError naming
+    ``path:line`` for a line without a tab or whose id is not the next
+    integer, and naming ``path`` when the reserved prefix is missing."""
     tokens: list[str] = []
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            token, _, idx = line.rpartition("\t")
-            if int(idx) != len(tokens):
-                raise ValueError(f"non-contiguous id {idx} in {path}")
+            token, tab, idx = line.rpartition("\t")
+            if not tab:
+                raise DataError(f"{path}:{lineno}: expected 'token<TAB>id', got {line!r}")
+            try:
+                n = int(idx)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: id {idx!r} is not an integer") from None
+            if n != len(tokens):
+                raise DataError(f"{path}:{lineno}: non-contiguous id {n}, expected {len(tokens)}")
             tokens.append(token)
     if tuple(tokens[: len(RESERVED)]) != RESERVED:
-        raise ValueError(f"{path} does not start with the reserved token prefix")
+        raise DataError(f"{path} does not start with the reserved token prefix")
     return Vocabulary({t: i for i, t in enumerate(tokens)}, tuple(tokens))

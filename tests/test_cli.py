@@ -259,6 +259,23 @@ def test_exit_3_malformed_config_file(tmp_path):
     assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 3
 
 
+@pytest.mark.parametrize("command, line, key", [
+    ("synth", "n-single = abc", "n_single"),
+    ("train-fid", "epochs = abc", "epochs"),
+    ("train-fid", "lr = fast", "lr"),
+])
+def test_exit_3_config_value_fails_its_cast(pipeline, tmp_path, capsys, command, line, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed = 1\n{line}\n")
+    args = {"synth": [],
+            "train-fid": ["--dataset", str(pipeline["built"] / "dataset.jsonl"),
+                          "--documents", str(pipeline["synth"] / "documents.jsonl")]}[command]
+    assert main([command, "--config", str(cfg), *args, "--out-dir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert f"{cfg}:2:" in err
+    assert key in err
+
+
 def test_exit_4_numerical_divergence(pipeline, tmp_path):
     assert main(["train-fid", "--dataset", str(pipeline["built"] / "dataset.jsonl"),
                  "--documents", str(pipeline["synth"] / "documents.jsonl"),
@@ -283,6 +300,17 @@ def test_exit_5_malformed_checkpoint(pipeline, tmp_path, capsys, damage):
                  "--out", str(tmp_path / "preds.jsonl")]) == 5
     assert str(ckpt) in capsys.readouterr().err
     assert not (tmp_path / "preds.jsonl").exists()
+
+
+def test_exit_5_vocab_size_differs_from_checkpoint(pipeline, tmp_path, capsys):
+    vocab = tmp_path / "vocab.tsv"
+    vocab.write_text("".join(_read(pipeline["model"] / "vocab.tsv").decode().splitlines(True)[:-1]))
+    assert main(["generate", "--checkpoint", str(pipeline["model"] / "fid.ckpt"),
+                 "--vocab", str(vocab),
+                 "--dataset", str(pipeline["built"] / "dataset.jsonl"),
+                 "--documents", str(pipeline["synth"] / "documents.jsonl"),
+                 "--out", str(tmp_path / "preds.jsonl")]) == 5
+    assert str(vocab) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["build-corpus", "evaluate"])
@@ -359,13 +387,27 @@ def _set_line(lines, k, text):
     pytest.param("evaluate", "references", 2, lambda lines: _set_line(
         lines, 2, json.dumps({"instance_id": json.loads(lines[1])["instance_id"]})),
         id="references-missing-key"),
+    pytest.param("build-corpus", "key_table", 2,
+                 lambda lines: _set_line(lines, 2, "broken line without tab"),
+                 id="key_table-missing-tab"),
+    pytest.param("generate", "vocab", 10, lambda lines: _set_line(lines, 10, "garbage"),
+                 id="vocab-missing-tab"),
+    pytest.param("retrieve", "vocab", 7, lambda lines: _set_line(lines, 7, "token\tseven"),
+                 id="vocab-non-integer-id"),
+    pytest.param("generate", "vocab", 9, lambda lines: _set_line(lines, 9, "token\t99"),
+                 id="vocab-non-contiguous-id"),
+    pytest.param("generate", "vocab", "last",
+                 lambda lines: _set_line(lines, len(lines), lines[-1].partition("\t")[0]),
+                 id="vocab-truncated"),
 ])
 def test_exit_5_malformed_data_names_path_and_line(pipeline, tmp_path, capsys,
                                                    command, target, line, damage):
     files = {"documents": pipeline["synth"] / "documents.jsonl",
              "dataset": pipeline["built"] / "dataset.jsonl",
              "bodies": pipeline["synth"] / "bodies.jsonl",
-             "predictions": pipeline["preds"], "references": pipeline["refs"]}
+             "predictions": pipeline["preds"], "references": pipeline["refs"],
+             "key_table": pipeline["synth"] / "key_table.tsv",
+             "vocab": pipeline["model"] / "vocab.tsv"}
     lines = files[target].read_text().splitlines()
     damage(lines)
     bad = tmp_path / files[target].name
@@ -373,7 +415,7 @@ def test_exit_5_malformed_data_names_path_and_line(pipeline, tmp_path, capsys,
     files[target] = bad
     data = ["--dataset", str(files["dataset"])]
     docs = ["--documents", str(files["documents"])]
-    model = ["--checkpoint", str(pipeline["model"] / "fid.ckpt")]
+    model = ["--checkpoint", str(pipeline["model"] / "fid.ckpt"), "--vocab", str(files["vocab"])]
     args = {
         "train-fid": [*data, *docs, "--out-dir", str(tmp_path / "model")],
         "train-intent": [*data, "--out", str(tmp_path / "intent.bin")],
@@ -383,7 +425,7 @@ def test_exit_5_malformed_data_names_path_and_line(pipeline, tmp_path, capsys,
                      str(files["references"]), "--intent-model", str(pipeline["intent_model"]),
                      *data, "--report", str(tmp_path / "report.txt")],
         "build-corpus": [*docs, "--bodies", str(files["bodies"]), "--key-table",
-                         str(pipeline["synth"] / "key_table.tsv"), "--intent-model",
+                         str(files["key_table"]), "--intent-model",
                          str(pipeline["intent_model"]), "--out-dir", str(tmp_path / "built")],
     }[command]
     assert main([command, *args]) == 5

@@ -32,7 +32,7 @@ from citegen.corpus import (
     split_dataset,
     split_sentences,
 )
-from citegen.errors import MaxRefsExceeded, SplitTooSmall
+from citegen.errors import DataError, MaxRefsExceeded, SplitTooSmall
 
 
 def _texts(spans):
@@ -383,6 +383,13 @@ def test_document_and_body_round_trip(tmp_path):
 def test_key_table_round_trip(tmp_path):
     save_key_table(KEYS, tmp_path / "keys.tsv")
     assert load_key_table(tmp_path / "keys.tsv") == KEYS
+
+
+def test_key_table_line_without_tab_names_path_and_line(tmp_path):
+    path = tmp_path / "keys.tsv"
+    path.write_text("Smith et al. (2019)\tP0001\n\nbroken line without tab\n")
+    with pytest.raises(DataError, match=f"{path}:3:"):
+        load_key_table(path)
 
 
 def test_dataset_record_fields(tmp_path):

@@ -1,15 +1,19 @@
 """Encoder-decoder model: shapes, invariants, gradients, training, decoding."""
 
+import ctypes
 import math
 import os
 import struct
 import subprocess
 import sys
+import threading
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from citegen import fid
 from citegen.corpus import CitationInstance, Document, IntentLabel
 from citegen.errors import ConfigError, DataError, NumericalError, ShapeError
 from citegen.fid import (
@@ -33,12 +37,16 @@ from citegen.fid import (
     save_checkpoint,
     train,
 )
-from citegen.fid import _backward, _forward, _pad_batch  # training-path internals under test
+from citegen.fid import (  # training-path internals under test
+    _backward, _dataset_loss, _forward, _one_blas_thread, _openblas, _pad_batch, _real_tokens,
+    _shard_step, _shards,
+)
 from citegen.fid import _DecodeState, _next_logprobs  # decoding internals under test
 from citegen.fid import (  # primitive ops under test
     LN_EPS, NEG_INF, _attn_bwd, _attn_fwd, _ffn_bwd, _ffn_fwd, _kv_heads, _ln_bwd, _ln_fwd,
     _logsumexp, _merge_heads, _softmax, _split_heads,
 )
+from citegen.seeding import substream
 from citegen.tokenizer import BOS_ID, EOS_ID, PAD_ID, RESERVED, build_vocab
 
 TINY = ModelConfig(vocab_size=20, d_model=8, n_heads=2, n_enc_layers=1,
@@ -353,6 +361,31 @@ def test_packed_batch_matches_per_instance_results():
     for k, g in grads.items():
         scale = np.abs(ref_grads[k]).max()
         assert np.abs(g - ref_grads[k]).max() <= 1e-12 * scale, k
+
+
+def test_shard_gradients_sum_to_batch_gradient():
+    params = init_params(TINY, seed=11)
+    items = _mixed_items()  # 1 to 3 blocks; each shard pads to its own widest
+    x, y = _pad_batch(items)
+    loss, _, cache = _forward(params, TINY, x, y)
+    want = _backward(params, TINY, cache)
+    n_tokens = _real_tokens(items)
+    parts = _shards(items, 2)
+    assert [len(p) for p in parts] == [3, 3]
+    steps = [_shard_step(params, TINY, n_tokens, part, None) for part in parts]
+    assert sum(loss_sum for loss_sum, _ in steps) / n_tokens == pytest.approx(
+        loss, rel=1e-12, abs=0)
+    for k, g in want.items():
+        got = steps[0][1][k] + steps[1][1][k]
+        assert np.abs(got - g).max() <= 1e-12 * np.abs(g).max(), k
+
+
+def test_shards_are_contiguous_and_non_empty():
+    batch = list(range(7))
+    assert _shards(batch, 1) == [batch]
+    assert _shards(batch, 2) == [[0, 1, 2], [3, 4, 5, 6]]
+    assert _shards(batch, 3) == [[0, 1], [2, 3], [4, 5, 6]]
+    assert _shards(batch[:2], 4) == [[0], [1]]
 
 
 def test_pad_batch_cuts_targets_to_longest_real_target():
@@ -674,23 +707,24 @@ def test_train_deterministic_and_finite():
 
 
 def test_train_records_and_keeps_best_validation():
-    from citegen.fid import _dataset_loss
-
     data = _toy_data(8)
     valid = _toy_data(4, seed=9)
     params, history = train(init_params(TINY, seed=11), TINY, data, valid,
                             TrainConfig(epochs=4, batch_size=4, lr=3e-3))
     assert len(history["val_loss"]) == 4
-    got = _dataset_loss(params, TINY, valid, 4)
+    got = _dataset_loss(params, TINY, valid, 4, map)
     assert got == pytest.approx(min(history["val_loss"]), abs=1e-12)
 
 
 _TRAIN_AND_HASH = """
 import hashlib
 import numpy as np
+from citegen import fid
 from citegen.fid import ModelConfig, TrainConfig, init_params, train
+fid._SHARDS = {shards}
 from citegen.tokenizer import PAD_ID
-cfg = ModelConfig(vocab_size=40, d_model=32, n_heads=4, block_len=16, target_len=12)
+cfg = ModelConfig(vocab_size=40, d_model=32, n_heads=4, block_len=16, target_len=12,
+                  dropout={dropout})
 rng = np.random.default_rng(0)
 data = []
 for i in range(24):
@@ -709,22 +743,193 @@ print(h.hexdigest())
 """
 
 
-def test_train_parameter_hash_repeats_at_one_blas_thread():
-    # float64 sums are reproducible only at a fixed BLAS thread count, so
-    # both runs pin it
+def _hash_in_subprocess(blas_threads: str, shards: int = 2) -> str:
     import citegen
 
     src = str(Path(citegen.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1",
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads,
+               MKL_NUM_THREADS=blas_threads,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    hashes = [
-        subprocess.run([sys.executable, "-c", _TRAIN_AND_HASH], env=env, check=True,
-                       capture_output=True, text=True, timeout=120).stdout.strip()
-        for _ in range(2)
-    ]
+    code = _TRAIN_AND_HASH.format(shards=shards, dropout=0.0)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120).stdout.strip()
+
+
+def test_train_parameter_hash_repeats_at_one_blas_thread():
+    hashes = [_hash_in_subprocess("1") for _ in range(2)]
     assert len(hashes[0]) == 64
     assert hashes[0] == hashes[1]
+    if _openblas() is None:
+        pytest.skip("OpenBLAS thread control not found: train cannot pin BLAS threads")
+    # train holds BLAS at one thread, whatever the process started with
+    assert _hash_in_subprocess("2") == hashes[0]
+
+
+def test_train_holds_blas_at_one_thread_and_restores_it(monkeypatch):
+    lib = _openblas()
+    if lib is None:
+        pytest.skip("OpenBLAS thread control not found")
+    seen = []
+
+    def step(*args):
+        seen.append(lib.scipy_openblas_get_num_threads64_())
+        return _shard_step(*args)
+
+    monkeypatch.setattr(fid, "_shard_step", step)
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(2)
+    try:
+        train(init_params(TINY, seed=11), TINY, _toy_data(), hyper=TrainConfig(epochs=1))
+        assert lib.scipy_openblas_get_num_threads64_() == 2
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
+    assert seen and set(seen) == {1}
+
+
+@pytest.mark.parametrize("shards", [1, 2, 3])
+def test_one_shard_per_batch_runs_on_the_calling_thread(monkeypatch, shards):
+    threads = []
+
+    def step(*args):
+        threads.append(threading.get_ident())
+        return _shard_step(*args)
+
+    monkeypatch.setattr(fid, "_shard_step", step)
+    monkeypatch.setattr(fid, "_SHARDS", shards)
+    train(init_params(TINY, seed=11), TINY, _toy_data(6), hyper=TrainConfig(epochs=1, batch_size=6))
+    # one batch: its shards run concurrently, one of them on this thread
+    assert len(threads) == shards
+    assert threads.count(threading.get_ident()) == 1
+
+
+# The parameter hash of the unsharded step before sharding existed. Float64
+# sums round differently under another numpy or OpenBLAS build or kernel set,
+# so the value holds only for the build it was recorded with.
+_UNSHARDED_HASH = "6ffbfc0df9d0d8eb5177cf54154d4074cec4d97d2ddc34729b369a71aeab9d02"
+_HASH_BUILD = ("2.4.6", b"OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY "
+                        b"SkylakeX MAX_THREADS=64")
+
+
+def _unsharded_train(params, config, train_data, valid_data, hyper):
+    """The training loop as it was before sharding: each batch padded whole,
+    one forward and backward, then clip and Adam; validation batched alike."""
+    def dataset_loss(params):
+        total = 0.0
+        count = 0
+        for start in range(0, len(valid_data), hyper.batch_size):
+            x, y = _pad_batch(valid_data[start : start + hyper.batch_size])
+            n_real = int((y != PAD_ID).sum())
+            loss, _, _ = _forward(params, config, x, y)
+            total += loss * n_real
+            count += n_real
+        return total / max(count, 1)
+
+    params = {k: v.copy() for k, v in params.items()}
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v2 = {k: np.zeros_like(v) for k, v in params.items()}
+    b1, b2 = hyper.betas
+    rng = substream(hyper.seed, "shuffle")
+    history = {"train_loss": [], "val_loss": []}
+    best_val, best_params, step = np.inf, None, 0
+    for _ in range(hyper.epochs):
+        order = rng.permutation(len(train_data))
+        total = 0.0
+        count = 0
+        for start in range(0, len(train_data), hyper.batch_size):
+            x, y = _pad_batch([train_data[i] for i in order[start : start + hyper.batch_size]])
+            loss, _, cache = _forward(params, config, x, y)
+            grads = _backward(params, config, cache)
+            norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+            if hyper.grad_clip > 0 and norm > hyper.grad_clip:
+                for g in grads.values():
+                    g *= hyper.grad_clip / norm
+            step += 1
+            bc1 = 1.0 - b1 ** step
+            bc2 = 1.0 - b2 ** step
+            for k, g in grads.items():
+                g2 = g * g
+                g2 *= 1 - b2
+                v2[k] *= b2
+                v2[k] += g2
+                g *= 1 - b1
+                m[k] *= b1
+                m[k] += g
+                np.divide(m[k], bc1, out=g)
+                g *= hyper.lr
+                np.divide(v2[k], bc2, out=g2)
+                np.sqrt(g2, out=g2)
+                g2 += hyper.adam_eps
+                g /= g2
+                params[k] -= g
+            n_real = int((y != PAD_ID).sum())
+            total += loss * n_real
+            count += n_real
+        history["train_loss"].append(total / max(count, 1))
+        val = dataset_loss(params)
+        history["val_loss"].append(val)
+        if val < best_val:
+            best_val = val
+            best_params = {k: p.copy() for k, p in params.items()}
+    return best_params, history
+
+
+def test_one_shard_is_bit_identical_to_the_unsharded_loop(monkeypatch):
+    data = [item for seed in (3, 4, 5, 6) for item in _mixed_items(seed)]
+    valid = _mixed_items(seed=9)
+    hyper = TrainConfig(epochs=3, batch_size=5, lr=1e-2, grad_clip=0.5, seed=2)
+    params0 = init_params(TINY, seed=11)
+    with _one_blas_thread():  # train pins BLAS; so must the reference
+        want, want_history = _unsharded_train(params0, TINY, data, valid, hyper)
+    monkeypatch.setattr(fid, "_SHARDS", 1)
+    got, history = train(params0, TINY, data, valid, hyper)
+    assert history == want_history
+    for k in want:
+        assert np.array_equal(got[k], want[k]), k
+
+
+def test_one_shard_keeps_the_unsharded_parameter_hash():
+    lib = _openblas()
+    if lib is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    lib.scipy_openblas_get_config64_.restype = ctypes.c_char_p
+    if (np.__version__, lib.scipy_openblas_get_config64_()) != _HASH_BUILD:
+        pytest.skip("hash recorded under another numpy or OpenBLAS build")
+    assert _hash_in_subprocess("1", shards=1) == _UNSHARDED_HASH
+
+
+class _SerialPool:
+    """Stands in for ThreadPoolExecutor: runs each task on the calling
+    thread when it is submitted."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+def test_sharded_train_does_not_depend_on_thread_scheduling(monkeypatch, dropout):
+    def digest():
+        scope = {}
+        exec(_TRAIN_AND_HASH.format(shards=2, dropout=dropout), scope)
+        return scope["h"].hexdigest()
+
+    monkeypatch.setattr(fid, "_SHARDS", 2)
+    threaded = digest()
+    with monkeypatch.context() as m:
+        m.setattr(fid, "ThreadPoolExecutor", _SerialPool)
+        serial = digest()
+    assert serial == threaded
+    assert threaded != _UNSHARDED_HASH
 
 
 def test_train_divergence_aborts():

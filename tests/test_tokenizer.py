@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from citegen.errors import VocabTooSmall
+from citegen.errors import DataError, VocabTooSmall
 from citegen.tokenizer import (
     B_TOKENS,
     BOS_ID,
@@ -122,7 +122,27 @@ def test_save_load_round_trip(tmp_path):
 def test_load_rejects_missing_reserved_prefix(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("a\t0\nb\t1\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="reserved token prefix"):
+        load_vocab(path)
+
+
+@pytest.mark.parametrize("line, text", [
+    (3, "garbage"),  # no tab
+    (4, "token\tfour"),  # id not an integer
+    (5, "token\t7"),  # id out of order
+    ("last", None),  # cut inside the last line's id
+])
+def test_load_names_path_and_line_of_a_malformed_row(tmp_path, line, text):
+    path = tmp_path / "vocab.tsv"
+    save_vocab(build_vocab(["alpha beta gamma alpha"]), path)
+    lines = path.read_text().splitlines()
+    if line == "last":
+        line = len(lines)
+        lines[-1] = lines[-1][:-1]
+    else:
+        lines[line - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=f"{path}:{line}:"):
         load_vocab(path)
 
 
