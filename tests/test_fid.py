@@ -1,6 +1,7 @@
 """Encoder-decoder model: shapes, invariants, gradients, training, decoding."""
 
 import ctypes
+import hashlib
 import math
 import os
 import struct
@@ -743,14 +744,14 @@ print(h.hexdigest())
 """
 
 
-def _hash_in_subprocess(blas_threads: str, shards: int = 2) -> str:
+def _hash_in_subprocess(blas_threads: str, shards: int = 2, dropout: float = 0.0) -> str:
     import citegen
 
     src = str(Path(citegen.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads,
                MKL_NUM_THREADS=blas_threads,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = _TRAIN_AND_HASH.format(shards=shards, dropout=0.0)
+    code = _TRAIN_AND_HASH.format(shards=shards, dropout=dropout)
     return subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True, timeout=120).stdout.strip()
 
@@ -802,12 +803,26 @@ def test_one_shard_per_batch_runs_on_the_calling_thread(monkeypatch, shards):
     assert threads.count(threading.get_ident()) == 1
 
 
-# The parameter hash of the unsharded step before sharding existed. Float64
-# sums round differently under another numpy or OpenBLAS build or kernel set,
-# so the value holds only for the build it was recorded with.
+# The parameter hash of the unsharded step before sharding existed, and of
+# the default two-shard step by dropout rate. Float64 sums round differently
+# under another numpy or OpenBLAS build or kernel set, so the values hold only
+# for the build they were recorded with.
 _UNSHARDED_HASH = "6ffbfc0df9d0d8eb5177cf54154d4074cec4d97d2ddc34729b369a71aeab9d02"
+_TWO_SHARD_HASH = {
+    0.0: "e02d9d7cbd71e8541ef9fd57e0221a478ba29e803b09ba52a61227e155b6925d",
+    0.1: "8726f05ac62d897abc20a78c5c12d8607786cabff051884a8d4b8bf2f236de87",
+}
 _HASH_BUILD = ("2.4.6", b"OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY "
                         b"SkylakeX MAX_THREADS=64")
+
+
+def _skip_unless_hash_build():
+    lib = _openblas()
+    if lib is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    lib.scipy_openblas_get_config64_.restype = ctypes.c_char_p
+    if (np.__version__, lib.scipy_openblas_get_config64_()) != _HASH_BUILD:
+        pytest.skip("hash recorded under another numpy or OpenBLAS build")
 
 
 def _unsharded_train(params, config, train_data, valid_data, hyper):
@@ -888,13 +903,14 @@ def test_one_shard_is_bit_identical_to_the_unsharded_loop(monkeypatch):
 
 
 def test_one_shard_keeps_the_unsharded_parameter_hash():
-    lib = _openblas()
-    if lib is None:
-        pytest.skip("numpy's bundled OpenBLAS not found")
-    lib.scipy_openblas_get_config64_.restype = ctypes.c_char_p
-    if (np.__version__, lib.scipy_openblas_get_config64_()) != _HASH_BUILD:
-        pytest.skip("hash recorded under another numpy or OpenBLAS build")
+    _skip_unless_hash_build()
     assert _hash_in_subprocess("1", shards=1) == _UNSHARDED_HASH
+
+
+@pytest.mark.parametrize("dropout", sorted(_TWO_SHARD_HASH))
+def test_two_shards_keep_their_parameter_hash(dropout):
+    _skip_unless_hash_build()
+    assert _hash_in_subprocess("1", dropout=dropout) == _TWO_SHARD_HASH[dropout]
 
 
 class _SerialPool:
@@ -1217,6 +1233,17 @@ def test_checkpoint_round_trip(tmp_path):
     assert set(loaded) == set(params)
     for k in params:
         assert np.array_equal(loaded[k], params[k])
+
+
+def test_checkpoint_bytes_of_initial_params_are_pinned(tmp_path):
+    # every parameter name, shape, order and initial value, and the header
+    if np.__version__ != _HASH_BUILD[0]:
+        pytest.skip("hash recorded under another numpy, whose generator may differ")
+    config = ModelConfig(**{**TINY.to_dict(), "n_enc_layers": 2, "n_dec_layers": 3})
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, config, init_params(config, 11))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "417b78cb493cc56bd769240ef216f061d47dbfe886801c926d693984e60f594c"
 
 
 def test_checkpoint_rejects_foreign_file(tmp_path):
