@@ -5,6 +5,13 @@ Every citation block is encoded independently (positional indices restart at
 the concatenation of all block states. Encoder attention cost is therefore
 linear in the number of blocks rather than quadratic.
 
+Both stacks are lists of residual sublayers (``_SUBLAYERS``): an encoder
+layer is self-attention then feed-forward, a decoder layer is causal
+self-attention, cross-attention over the block states, then feed-forward.
+Each sublayer maps x to x + dropout(op(layer_norm(x))). One forward loop
+(``_stack_fwd``) and one backward loop (``_stack_bwd``) run every sublayer
+of either stack, and the parameter layout is read from the same list.
+
 Training computes no padding it can skip: a batch encodes only the blocks
 that hold a real token, as one flat batch, and each decoder layer projects
 its cross-attention keys and values from those real block rows only, placing
@@ -104,35 +111,30 @@ class AttentionCounter:
         self.scores += n
 
 
+# One layer of each stack as its residual sublayers, in order: (layer norm,
+# parameter group, op). Each sublayer maps x to x + dropout(op(ln(x))), where
+# op is self-attention, cross-attention over the encoder states, or the
+# feed-forward net; a final layer norm ends the stack.
+_SUBLAYERS = {
+    "enc": (("ln1", "attn", "self"), ("ln2", "ffn", "ffn")),
+    "dec": (("ln1", "self", "self"), ("ln2", "cross", "cross"), ("ln3", "ffn", "ffn")),
+}
+_ATTN_KEYS = ("wq", "wk", "wv", "wo")
+_FFN_KEYS = ("w1", "b1", "w2", "b2")
+
+
 def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     d, f = config.d_model, config.ffn_dim
-    shapes: dict[str, tuple[int, ...]] = {
-        "emb": (config.vocab_size, d),
-        "pos": (config.pos_len, d),
-        "enc.lnf.g": (d,), "enc.lnf.b": (d,),
-        "dec.lnf.g": (d,), "dec.lnf.b": (d,),
-    }
-    def sublayer(prefix: str, attn: str):
-        shapes[f"{prefix}.{attn}.wq"] = (d, d)
-        shapes[f"{prefix}.{attn}.wk"] = (d, d)
-        shapes[f"{prefix}.{attn}.wv"] = (d, d)
-        shapes[f"{prefix}.{attn}.wo"] = (d, d)
-    for i in range(config.n_enc_layers):
-        p = f"enc{i}"
-        shapes[f"{p}.ln1.g"] = (d,); shapes[f"{p}.ln1.b"] = (d,)
-        sublayer(p, "attn")
-        shapes[f"{p}.ln2.g"] = (d,); shapes[f"{p}.ln2.b"] = (d,)
-        shapes[f"{p}.ffn.w1"] = (d, f); shapes[f"{p}.ffn.b1"] = (f,)
-        shapes[f"{p}.ffn.w2"] = (f, d); shapes[f"{p}.ffn.b2"] = (d,)
-    for i in range(config.n_dec_layers):
-        p = f"dec{i}"
-        shapes[f"{p}.ln1.g"] = (d,); shapes[f"{p}.ln1.b"] = (d,)
-        sublayer(p, "self")
-        shapes[f"{p}.ln2.g"] = (d,); shapes[f"{p}.ln2.b"] = (d,)
-        sublayer(p, "cross")
-        shapes[f"{p}.ln3.g"] = (d,); shapes[f"{p}.ln3.b"] = (d,)
-        shapes[f"{p}.ffn.w1"] = (d, f); shapes[f"{p}.ffn.b1"] = (f,)
-        shapes[f"{p}.ffn.w2"] = (f, d); shapes[f"{p}.ffn.b2"] = (d,)
+    ffn = dict(zip(_FFN_KEYS, ((d, f), (f,), (f, d), (d,))))
+    attn = dict.fromkeys(_ATTN_KEYS, (d, d))
+    shapes = {"emb": (config.vocab_size, d), "pos": (config.pos_len, d)}
+    for side, sublayers in _SUBLAYERS.items():
+        shapes[f"{side}.lnf.g"] = shapes[f"{side}.lnf.b"] = (d,)
+        for i in range(getattr(config, f"n_{side}_layers")):
+            for ln, group, op in sublayers:
+                shapes[f"{side}{i}.{ln}.g"] = shapes[f"{side}{i}.{ln}.b"] = (d,)
+                for k, shape in (ffn if op == "ffn" else attn).items():
+                    shapes[f"{side}{i}.{group}.{k}"] = shape
     return shapes
 
 
@@ -141,7 +143,7 @@ def init_params(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
     rng = substream(seed, "init")
     params: dict[str, np.ndarray] = {}
     for name, shape in sorted(_param_shapes(config).items()):
-        if name.endswith(".g") or name.endswith("lnf.g"):
+        if name.endswith(".g"):
             params[name] = np.ones(shape)
         elif name.endswith(".b") or name.endswith(".b1") or name.endswith(".b2"):
             params[name] = np.zeros(shape)
@@ -322,178 +324,100 @@ def _dropout_mask(shape, rate, rng):
 # Encoder / decoder stacks
 
 def _attn_params(params, prefix):
-    return {k: params[f"{prefix}.{k}"] for k in ("wq", "wk", "wv", "wo")}
+    return {k: params[f"{prefix}.{k}"] for k in _ATTN_KEYS}
+
+
+def _stack_fwd(params, config: ModelConfig, side: str, ids, self_mask, cross=None, state=None,
+               drop_rng=None, counter=None):
+    """The ``side`` ("enc" or "dec") stack over ids (B, T): embeddings, every
+    sublayer of ``_SUBLAYERS``, then the final layer norm. self_mask is the
+    additive self-attention mask, or None.
+
+    ``cross`` is (enc_out, enc_blocks, enc_mask): enc_out (R, L, d) holds the
+    states of the R blocks where the (B, n) mask enc_blocks is True, and
+    enc_mask is additive (B,1,1,n·L). Each cross-attention sublayer projects
+    keys and values from those R blocks only; the other blocks' keys and
+    values are zero.
+
+    With a ``_DecodeState``, ids is (beams, 1): each beam's newest token, at
+    the position after the cached ones. Its self-attention keys and values
+    are appended to the state, it attends over every cached position, and
+    cross-attention uses the state's keys and values (enc_out is not read).
+
+    ``counter`` counts self-attention scores; callers pass it to the encoder
+    only, where block fusion changes the total."""
+    start = 0 if state is None else state.length
+    x = params["emb"][ids] + params["pos"][start : start + ids.shape[1]]
+    layers = []
+    for i in range(getattr(config, f"n_{side}_layers")):
+        for ln_key, group_key, op in _SUBLAYERS[side]:
+            ln, group = f"{side}{i}.{ln_key}", f"{side}{i}.{group_key}"
+            h, lnc = _ln_fwd(x, params[f"{ln}.g"], params[f"{ln}.b"])
+            if op == "ffn":
+                out, opc = _ffn_fwd(h, *(params[f"{group}.{k}"] for k in _FFN_KEYS))
+            elif op == "self":
+                w = _attn_params(params, group)
+                kv = None if state is None else state.append(i, _kv_heads(h, w, config.n_heads))
+                out, opc = _attn_fwd(h, h, w, config.n_heads, self_mask, counter, kv=kv)
+            else:
+                enc_out, enc_blocks, enc_mask = cross
+                out, opc = _attn_fwd(h, enc_out, _attn_params(params, group), config.n_heads,
+                                     enc_mask, kv=None if state is None else state.cross[i],
+                                     blocks=enc_blocks)
+            m = _dropout_mask(out.shape, config.dropout, drop_rng)
+            if m is not None:
+                out = out * m
+            out += x
+            x = out
+            layers.append((ln, group, op, lnc, opc, m))
+    out, lnfc = _ln_fwd(x, params[f"{side}.lnf.g"], params[f"{side}.lnf.b"])
+    if state is not None:
+        state.length += ids.shape[1]
+    return out, (side, ids, layers, lnfc)
+
+
+def _stack_bwd(dout, cache, grads):
+    """Adds the stack's parameter gradients to ``grads``; returns the
+    gradient w.r.t. enc_out summed over its cross-attention sublayers (None
+    for the encoder)."""
+    side, ids, layers, lnfc = cache
+    dx, dg, db = _ln_bwd(dout, lnfc)
+    grads[f"{side}.lnf.g"] += dg
+    grads[f"{side}.lnf.b"] += db
+    denc = None
+    for ln, group, op, lnc, opc, m in reversed(layers):
+        dop = dx if m is None else dx * m
+        if op == "ffn":
+            dh, g = _ffn_bwd(dop, opc)
+        else:
+            dh, dkv, g = _attn_bwd(dop, opc)
+            if op == "self":
+                dh += dkv
+            elif denc is None:
+                denc = dkv
+            else:
+                denc += dkv
+        for k, v in g.items():
+            grads[f"{group}.{k}"] += v
+        dprev, dg, db = _ln_bwd(dh, lnc)
+        grads[f"{ln}.g"] += dg
+        grads[f"{ln}.b"] += db
+        dprev += dx
+        dx = dprev
+    np.add.at(grads["emb"], ids.reshape(-1), dx.reshape(-1, dx.shape[-1]))
+    grads["pos"][: ids.shape[1]] += dx.sum(axis=0)
+    return denc
 
 
 def _encoder_fwd(params, config: ModelConfig, flat_ids, counter=None, drop_rng=None,
                  key_real=None):
-    """flat_ids: (rows, L) where each row is one independently encoded block."""
-    rows, length = flat_ids.shape
-    x = params["emb"][flat_ids] + params["pos"][:length]
+    """flat_ids: (rows, L) where each row is one independently encoded block;
+    ``key_real`` marks the positions that may be attended to, by default
+    every non-<PAD> token."""
     if key_real is None:
         key_real = flat_ids != PAD_ID
     mask = np.where(key_real, 0.0, NEG_INF)[:, None, None, :]
-    layers = []
-    for i in range(config.n_enc_layers):
-        p = f"enc{i}"
-        a_in, ln1c = _ln_fwd(x, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
-        attn_out, attnc = _attn_fwd(a_in, a_in, _attn_params(params, f"{p}.attn"),
-                                    config.n_heads, mask, counter)
-        m1 = _dropout_mask(attn_out.shape, config.dropout, drop_rng)
-        if m1 is not None:
-            attn_out = attn_out * m1
-        attn_out += x
-        x1 = attn_out
-        f_in, ln2c = _ln_fwd(x1, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
-        ffn_out, ffnc = _ffn_fwd(f_in, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"],
-                                 params[f"{p}.ffn.w2"], params[f"{p}.ffn.b2"])
-        m2 = _dropout_mask(ffn_out.shape, config.dropout, drop_rng)
-        if m2 is not None:
-            ffn_out = ffn_out * m2
-        ffn_out += x1
-        x = ffn_out
-        layers.append((ln1c, attnc, m1, ln2c, ffnc, m2))
-    out, lnfc = _ln_fwd(x, params["enc.lnf.g"], params["enc.lnf.b"])
-    return out, (flat_ids, layers, lnfc)
-
-
-def _encoder_bwd(params, config: ModelConfig, dout, cache, grads):
-    flat_ids, layers, lnfc = cache
-    dx, dg, db = _ln_bwd(dout, lnfc)
-    grads["enc.lnf.g"] += dg
-    grads["enc.lnf.b"] += db
-    for i in reversed(range(config.n_enc_layers)):
-        p = f"enc{i}"
-        ln1c, attnc, m1, ln2c, ffnc, m2 = layers[i]
-        dffn_out = dx if m2 is None else dx * m2
-        dfin, fg = _ffn_bwd(dffn_out, ffnc)
-        for k, v in fg.items():
-            grads[f"{p}.ffn.{k}"] += v
-        dx1, dg, db = _ln_bwd(dfin, ln2c)
-        grads[f"{p}.ln2.g"] += dg
-        grads[f"{p}.ln2.b"] += db
-        dx1 += dx
-        dattn_out = dx1 if m1 is None else dx1 * m1
-        dq_in, dkv_in, ag = _attn_bwd(dattn_out, attnc)
-        for k, v in ag.items():
-            grads[f"{p}.attn.{k}"] += v
-        dq_in += dkv_in
-        dx0, dg, db = _ln_bwd(dq_in, ln1c)
-        grads[f"{p}.ln1.g"] += dg
-        grads[f"{p}.ln1.b"] += db
-        dx0 += dx1
-        dx = dx0
-    length = flat_ids.shape[1]
-    np.add.at(grads["emb"], flat_ids.reshape(-1), dx.reshape(-1, dx.shape[-1]))
-    grads["pos"][:length] += dx.sum(axis=0)
-    return grads
-
-
-def _decoder_fwd(params, config: ModelConfig, dec_ids, enc_out, enc_blocks, enc_mask,
-                 drop_rng=None, state=None):
-    """dec_ids: (B, T); enc_out: (R, L, d), the states of the R blocks where
-    the (B, n) mask enc_blocks is True; enc_mask additive (B,1,1,n·L). Each
-    layer's cross-attention projects keys and values from those R blocks
-    only; the other blocks' keys and values are zero.
-
-    With a ``_DecodeState``, dec_ids is (beams, 1): each beam's newest token,
-    at the position after the cached ones. Its self-attention keys and values
-    are appended to the state, it attends over every cached position, and
-    cross-attention uses the state's keys and values (enc_out is not read).
-
-    The attention counter never reaches the decoder: the cost accounting
-    tracks encoder self-attention, where block fusion changes the total."""
-    b, t = dec_ids.shape
-    if state is None:
-        start = 0
-        causal = np.where(np.triu(np.ones((t, t), dtype=bool), k=1), NEG_INF, 0.0)[None, None]
-    else:
-        start = state.length
-        causal = None  # the one new position may attend to every cached one
-    x = params["emb"][dec_ids] + params["pos"][start : start + t]
-    layers = []
-    for i in range(config.n_dec_layers):
-        p = f"dec{i}"
-        a_in, ln1c = _ln_fwd(x, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
-        w_self = _attn_params(params, f"{p}.self")
-        self_kv = None
-        if state is not None:
-            self_kv = state.append(i, _kv_heads(a_in, w_self, config.n_heads))
-        self_out, selfc = _attn_fwd(a_in, a_in, w_self, config.n_heads, causal, kv=self_kv)
-        m1 = _dropout_mask(self_out.shape, config.dropout, drop_rng)
-        if m1 is not None:
-            self_out = self_out * m1
-        self_out += x
-        x1 = self_out
-        c_in, ln2c = _ln_fwd(x1, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
-        cross_out, crossc = _attn_fwd(c_in, enc_out, _attn_params(params, f"{p}.cross"),
-                                      config.n_heads, enc_mask,
-                                      kv=None if state is None else state.cross[i],
-                                      blocks=enc_blocks)
-        m2 = _dropout_mask(cross_out.shape, config.dropout, drop_rng)
-        if m2 is not None:
-            cross_out = cross_out * m2
-        cross_out += x1
-        x2 = cross_out
-        f_in, ln3c = _ln_fwd(x2, params[f"{p}.ln3.g"], params[f"{p}.ln3.b"])
-        ffn_out, ffnc = _ffn_fwd(f_in, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"],
-                                 params[f"{p}.ffn.w2"], params[f"{p}.ffn.b2"])
-        m3 = _dropout_mask(ffn_out.shape, config.dropout, drop_rng)
-        if m3 is not None:
-            ffn_out = ffn_out * m3
-        ffn_out += x2
-        x = ffn_out
-        layers.append((ln1c, selfc, m1, ln2c, crossc, m2, ln3c, ffnc, m3))
-    out, lnfc = _ln_fwd(x, params["dec.lnf.g"], params["dec.lnf.b"])
-    if state is not None:
-        state.length += t
-    return out, (dec_ids, layers, lnfc)
-
-
-def _decoder_bwd(params, config: ModelConfig, dout, cache, grads):
-    """Returns the gradient w.r.t. enc_out (accumulated over layers)."""
-    dec_ids, layers, lnfc = cache
-    dx, dg, db = _ln_bwd(dout, lnfc)
-    grads["dec.lnf.g"] += dg
-    grads["dec.lnf.b"] += db
-    denc = None
-    for i in reversed(range(config.n_dec_layers)):
-        p = f"dec{i}"
-        ln1c, selfc, m1, ln2c, crossc, m2, ln3c, ffnc, m3 = layers[i]
-        dffn_out = dx if m3 is None else dx * m3
-        dfin, fg = _ffn_bwd(dffn_out, ffnc)
-        for k, v in fg.items():
-            grads[f"{p}.ffn.{k}"] += v
-        dx2, dg, db = _ln_bwd(dfin, ln3c)
-        grads[f"{p}.ln3.g"] += dg
-        grads[f"{p}.ln3.b"] += db
-        dx2 += dx
-        dcross_out = dx2 if m2 is None else dx2 * m2
-        dc_in, dkv, cg = _attn_bwd(dcross_out, crossc)
-        for k, v in cg.items():
-            grads[f"{p}.cross.{k}"] += v
-        if denc is None:
-            denc = dkv
-        else:
-            denc += dkv
-        dx1, dg, db = _ln_bwd(dc_in, ln2c)
-        grads[f"{p}.ln2.g"] += dg
-        grads[f"{p}.ln2.b"] += db
-        dx1 += dx2
-        dself_out = dx1 if m1 is None else dx1 * m1
-        dq_in, dkv_in, sg = _attn_bwd(dself_out, selfc)
-        for k, v in sg.items():
-            grads[f"{p}.self.{k}"] += v
-        dq_in += dkv_in
-        dx0, dg, db = _ln_bwd(dq_in, ln1c)
-        grads[f"{p}.ln1.g"] += dg
-        grads[f"{p}.ln1.b"] += db
-        dx0 += dx1
-        dx = dx0
-    t = dec_ids.shape[1]
-    np.add.at(grads["emb"], dec_ids.reshape(-1), dx.reshape(-1, dx.shape[-1]))
-    grads["pos"][:t] += dx.sum(axis=0)
-    return denc
+    return _stack_fwd(params, config, "enc", flat_ids, mask, drop_rng=drop_rng, counter=counter)
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +465,10 @@ def _forward(params, config: ModelConfig, x, y, counter=None, drop_rng=None):
     enc_key_pad = (x.reshape(b, n * length) == PAD_ID)
     enc_mask = np.where(enc_key_pad, NEG_INF, 0.0)[:, None, None, :]
     dec_in = np.concatenate([np.full((b, 1), BOS_ID, dtype=np.int64), y[:, :-1]], axis=1)
-    dec_out, dec_cache = _decoder_fwd(params, config, dec_in, enc_out, blocks, enc_mask,
-                                      drop_rng)
+    t = dec_in.shape[1]
+    causal = np.where(np.triu(np.ones((t, t), dtype=bool), k=1), NEG_INF, 0.0)[None, None]
+    dec_out, dec_cache = _stack_fwd(params, config, "dec", dec_in, causal,
+                                    (enc_out, blocks, enc_mask), drop_rng=drop_rng)
     logits = dec_out @ params["emb"].T
     real = y != PAD_ID
     n_real = int(real.sum())
@@ -573,8 +499,8 @@ def _backward(params, config: ModelConfig, cache, n_tokens: int | None = None):
     d = config.d_model
     grads["emb"] += dlogits.reshape(-1, v).T @ dec_out.reshape(-1, d)
     ddec_out = dlogits @ params["emb"]
-    denc_out = _decoder_bwd(params, config, ddec_out, dec_cache, grads)
-    _encoder_bwd(params, config, denc_out, enc_cache, grads)
+    denc_out = _stack_bwd(ddec_out, dec_cache, grads)
+    _stack_bwd(denc_out, enc_cache, grads)
     return grads
 
 
@@ -905,8 +831,9 @@ class _DecodeState:
 def _next_logprobs(params, config, state: _DecodeState, tokens):
     """Feed each cache row its newest token; log-probs of the token after it,
     one row per cache row. <PAD> is forbidden."""
-    dec_out, _ = _decoder_fwd(params, config, np.array(tokens)[:, None], None, None,
-                              state.enc_mask, state=state)
+    # the one new position may attend to every cached one: no self mask
+    dec_out, _ = _stack_fwd(params, config, "dec", np.array(tokens)[:, None], None,
+                            (None, None, state.enc_mask), state)
     logits = dec_out[:, 0] @ params["emb"].T
     logp = logits - _logsumexp(logits)
     logp[:, PAD_ID] = -np.inf
