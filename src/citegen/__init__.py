@@ -51,7 +51,6 @@ from .fid import (
 )
 from .intent import (
     IntentModel,
-    featurize,
     load_intent_model,
     predict_intent,
     round_trip_accuracy,
@@ -81,7 +80,7 @@ __all__ = [
     "SynthSpec", "TrainConfig", "Vocabulary", "VocabTooSmall",
     "attention_cost", "backward", "bleu", "build_dataset", "build_fid_input",
     "build_vocab", "decode", "detect_citations", "embed_sentence", "encode",
-    "encode_block", "evaluate", "featurize", "forward_loss", "generate",
+    "encode_block", "evaluate", "forward_loss", "generate",
     "generate_synthetic_corpus", "group_consecutive", "init_params",
     "load_checkpoint", "load_intent_model", "load_vocab", "meteor_simplified",
     "predict_intent", "retrieve_baseline", "retrieve_oracle", "rewrite_target",

@@ -108,9 +108,9 @@ _ABBREVIATIONS = frozenset(
 _TERMINALS = ".!?"
 
 
-def _is_boundary(text: str, i: int) -> bool:
+def _is_boundary(text: str, i: int, openers: str, abbreviations: bool) -> bool:
     ch = text[i]
-    if ch == ".":
+    if abbreviations and ch == ".":
         j = i - 1
         while j >= 0 and not text[j].isspace():
             j -= 1
@@ -126,7 +126,32 @@ def _is_boundary(text: str, i: int) -> bool:
         return False
     while k < len(text) and text[k].isspace():
         k += 1
-    return k >= len(text) or text[k].isupper()
+    return k >= len(text) or text[k].isupper() or text[k] in openers
+
+
+def _sentences(text: str, openers: str, abbreviations: bool) -> list[str]:
+    """Sentences of ``text``, each stripped. A boundary is a ``.``/``!``/``?``
+    outside parentheses, followed by whitespace and then an uppercase letter,
+    a character of ``openers``, or the end of the text. With
+    ``abbreviations``, a ``.`` that ends a known abbreviation or a single
+    uppercase initial is no boundary."""
+    sentences: list[str] = []
+    depth = 0
+    start = 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth = max(0, depth - 1)
+        elif ch in _TERMINALS and depth == 0 and _is_boundary(text, i, openers, abbreviations):
+            piece = text[start : i + 1].strip()
+            if piece:
+                sentences.append(piece)
+            start = i + 1
+    tail = text[start:].strip()
+    if tail:
+        sentences.append(tail)
+    return sentences
 
 
 def split_sentences(body: str) -> list[SentenceSpan]:
@@ -136,25 +161,7 @@ def split_sentences(body: str) -> list[SentenceSpan]:
     letter (or end of text), guarded against abbreviations and never taken
     inside parentheses. Whitespace runs are collapsed to single spaces.
     """
-    text = _normalize_ws(body)
-    if not text:
-        return []
-    sentences: list[str] = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth = max(0, depth - 1)
-        elif ch in _TERMINALS and depth == 0 and _is_boundary(text, i):
-            piece = text[start : i + 1].strip()
-            if piece:
-                sentences.append(piece)
-            start = i + 1
-    tail = text[start:].strip()
-    if tail:
-        sentences.append(tail)
+    sentences = _sentences(_normalize_ws(body), "", abbreviations=True)
     return [SentenceSpan(text=s, index=k) for k, s in enumerate(sentences)]
 
 

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import INTENT_ORDER, IntentLabel
+from .corpus import INTENT_ORDER, IntentLabel, _sentences
 from .errors import ClassMissing, DataError, EmptyEvalSet
 from .fid import _logsumexp, _softmax
 from .seeding import substream
@@ -70,11 +70,6 @@ def featurize_batch(texts: list[str], dim: int = DEFAULT_DIM) -> sp.csr_matrix:
     cols = np.concatenate([c for c, _ in feats] + [np.empty(0, np.int64)])
     vals = np.concatenate([v for _, v in feats] + [np.empty(0)])
     return sp.csr_matrix((vals, cols, indptr), shape=(len(texts), dim))
-
-
-def featurize(text: str, dim: int = DEFAULT_DIM) -> sp.csr_matrix:
-    """Hashed unigram+bigram counts, L2-normalized. Empty text → zero row."""
-    return featurize_batch([text], dim)
 
 
 def _scatter_rows(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -162,42 +157,13 @@ def round_trip_accuracy(model: IntentModel, generations: list[tuple[IntentLabel,
 
 # ---------------------------------------------------------------------------
 # Per-placeholder windows: the minimal sentence window holding each <Bn>.
-# Sentences here may start with a placeholder or bracket, so the boundary
-# rule admits '<' and '[' as sentence openers alongside uppercase.
-
-_TERMINALS = ".!?"
-
-
-def _window_sentences(text: str) -> list[str]:
-    out: list[str] = []
-    start = 0
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth = max(0, depth - 1)
-        elif ch in _TERMINALS and depth == 0:
-            k = i + 1
-            if k < len(text) and not text[k].isspace():
-                continue
-            while k < len(text) and text[k].isspace():
-                k += 1
-            if k < len(text) and not (text[k].isupper() or text[k] in "<["):
-                continue
-            piece = text[start : i + 1].strip()
-            if piece:
-                out.append(piece)
-            start = i + 1
-    tail = text[start:].strip()
-    if tail:
-        out.append(tail)
-    return out
-
 
 def placeholder_windows(text: str, n_refs: int) -> list[str]:
-    """Window text for <B1>..<Bn_refs>; falls back to the whole text."""
-    sents = _window_sentences(text)
+    """Window text for <B1>..<Bn_refs>; falls back to the whole text.
+
+    Sentences here may start with a placeholder or bracket, so '<' and '['
+    open a sentence alongside uppercase; no abbreviation guard applies."""
+    sents = _sentences(text, "<[", abbreviations=False)
     windows: list[str] = []
     for n in range(1, n_refs + 1):
         tag = f"<B{n}>"

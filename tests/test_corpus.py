@@ -32,7 +32,10 @@ from citegen.corpus import (
     split_dataset,
     split_sentences,
 )
+from citegen.corpus import _ABBREVIATIONS
 from citegen.errors import DataError, MaxRefsExceeded, SplitTooSmall
+from citegen.intent import placeholder_windows
+from citegen.synthetic import SynthSpec, generate_synthetic_corpus
 
 
 def _texts(spans):
@@ -81,6 +84,110 @@ def test_split_indices_are_positional():
 def test_split_collapses_whitespace():
     spans = split_sentences("A  one.\n\nB   two.")
     assert _texts(spans) == ["A one.", "B two."]
+
+
+# Reference splitters: the body splitter and the placeholder-window splitter
+# as they were written before both became one. Every split must match them.
+
+def _ref_is_boundary(text, i):
+    ch = text[i]
+    if ch == ".":
+        j = i - 1
+        while j >= 0 and not text[j].isspace():
+            j -= 1
+        word = text[j + 1 : i].lstrip("([\"'")
+        if word.lower() in _ABBREVIATIONS:
+            return False
+        if len(word) == 1 and word.isupper():
+            return False
+    k = i + 1
+    if k >= len(text):
+        return True
+    if not text[k].isspace():
+        return False
+    while k < len(text) and text[k].isspace():
+        k += 1
+    return k >= len(text) or text[k].isupper()
+
+
+def _ref_split_sentences(body):
+    text = " ".join(body.split())
+    if not text:
+        return []
+    sentences = []
+    depth = 0
+    start = 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth = max(0, depth - 1)
+        elif ch in ".!?" and depth == 0 and _ref_is_boundary(text, i):
+            piece = text[start : i + 1].strip()
+            if piece:
+                sentences.append(piece)
+            start = i + 1
+    tail = text[start:].strip()
+    if tail:
+        sentences.append(tail)
+    return sentences
+
+
+def _ref_window_sentences(text):
+    out = []
+    start = 0
+    depth = 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth = max(0, depth - 1)
+        elif ch in ".!?" and depth == 0:
+            k = i + 1
+            if k < len(text) and not text[k].isspace():
+                continue
+            while k < len(text) and text[k].isspace():
+                k += 1
+            if k < len(text) and not (text[k].isupper() or text[k] in "<["):
+                continue
+            piece = text[start : i + 1].strip()
+            if piece:
+                out.append(piece)
+            start = i + 1
+    tail = text[start:].strip()
+    if tail:
+        out.append(tail)
+    return out
+
+
+def _ref_placeholder_windows(text, n_refs):
+    sents = _ref_window_sentences(text)
+    windows = []
+    for n in range(1, n_refs + 1):
+        hit = [s for s in sents if f"<B{n}>" in s]
+        windows.append(" ".join(hit) if hit else text)
+    return windows
+
+
+_SPLIT_EDGE_CASES = [
+    "", "  ", "A.", "a. b. C.", "See Smith et al. (2019). Next.", "We thank J. Smith. Then.",
+    "One (a. B.) two. Three!  Four?\n\nfive. <B1> six. [3] seven. e.g. Eight.",
+    "Cf. <B2> and (<B1>. <B3>). [<B1>, <B2>] close. <B3>. <B2> done.",
+    "<B1>  has\n  inner   space. <B2> too.",
+]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_splitters_match_reference_on_synthetic_corpus(seed):
+    _, bodies, gold = generate_synthetic_corpus(SynthSpec(n_single=40, n_multi=20, seed=seed))
+    texts = list(bodies.values()) + [g.target for g in gold] + _SPLIT_EDGE_CASES
+    for text in texts:
+        assert _texts(split_sentences(text)) == _ref_split_sentences(text)
+        for n_refs in (1, 3):
+            assert placeholder_windows(text, n_refs) == _ref_placeholder_windows(text, n_refs)
+    for g in gold:
+        assert (placeholder_windows(g.target, len(g.cited))
+                == _ref_placeholder_windows(g.target, len(g.cited)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from citegen.errors import ClassMissing, DataError, EmptyEvalSet
 from citegen.intent import (
     IntentModel,
     _loss_and_grad,
-    featurize,
     featurize_batch,
     load_intent_model,
     make_intent_fn,
@@ -97,7 +96,7 @@ def _dense_loss_and_grad(w, b, x, y):
 
 def test_unigram_counts_pre_normalization():
     dim = 512
-    x = featurize("a a b", dim)
+    x = featurize_batch(["a a b"], dim)
     # counts: a=2, b=1, bigrams "a a"=1, "a b"=1; norm = sqrt(4+1+1+1)
     norm = math.sqrt(7.0)
     assert x[0, _col("1:a", dim)] * norm == pytest.approx(2.0)
@@ -107,18 +106,18 @@ def test_unigram_counts_pre_normalization():
 
 
 def test_feature_vector_unit_norm():
-    x = featurize("we follow the procedure of <B1> for parsing .")
+    x = featurize_batch(["we follow the procedure of <B1> for parsing ."])
     assert np.linalg.norm(x.toarray()) == pytest.approx(1.0)
 
 
 def test_placeholders_share_one_feature():
-    a = featurize("<B1> x")
-    b = featurize("<B2> x")
+    a = featurize_batch(["<B1> x"])
+    b = featurize_batch(["<B2> x"])
     assert (a != b).nnz == 0
 
 
 def test_empty_text_zero_vector():
-    x = featurize("")
+    x = featurize_batch([""])
     assert x.nnz == 0
     assert x.shape == (1, 2 ** 15)
 
@@ -140,7 +139,7 @@ def test_featurize_equals_reference_rows(dim):
     texts = _texts()
     x = featurize_batch(texts, dim)
     ref = sp.vstack([_ref_featurize(t, dim) for t in texts], format="csr")
-    stacked = sp.vstack([featurize(t, dim) for t in texts], format="csr")
+    stacked = sp.vstack([featurize_batch([t], dim) for t in texts], format="csr")
     for other in (ref, stacked):
         assert np.array_equal(x.indptr, other.indptr)
         assert np.array_equal(x.indices, other.indices)
@@ -271,7 +270,7 @@ def test_probabilities_equal_scipy_product(dim):
     for m in (model, noisy):
         for text in _texts():
             _, probs = predict_intent(m, text)
-            logits = np.asarray(featurize(text, dim) @ m.weights.T).ravel() + m.bias
+            logits = np.asarray(featurize_batch([text], dim) @ m.weights.T).ravel() + m.bias
             assert np.array_equal(probs, _ref_softmax(logits))
 
 
