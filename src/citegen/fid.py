@@ -112,9 +112,8 @@ class AttentionCounter:
 
 
 # One layer of each stack as its residual sublayers, in order: (layer norm,
-# parameter group, op). Each sublayer maps x to x + dropout(op(ln(x))), where
-# op is self-attention, cross-attention over the encoder states, or the
-# feed-forward net; a final layer norm ends the stack.
+# parameter group, op). Each maps x to x + dropout(op(ln(x))), where op is
+# self-attention, cross-attention over the block states, or feed-forward.
 _SUBLAYERS = {
     "enc": (("ln1", "attn", "self"), ("ln2", "ffn", "ffn")),
     "dec": (("ln1", "self", "self"), ("ln2", "cross", "cross"), ("ln3", "ffn", "ffn")),
@@ -123,18 +122,24 @@ _ATTN_KEYS = ("wq", "wk", "wv", "wo")
 _FFN_KEYS = ("w1", "b1", "w2", "b2")
 
 
+@functools.cache
+def _sublayer_names(side: str, n_layers: int) -> tuple[tuple[int, str, str, str], ...]:
+    """(layer, layer-norm name, parameter group, op) of every sublayer, in order."""
+    return tuple((i, f"{side}{i}.{ln}", f"{side}{i}.{group}", op)
+                 for i in range(n_layers) for ln, group, op in _SUBLAYERS[side])
+
+
 def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     d, f = config.d_model, config.ffn_dim
     ffn = dict(zip(_FFN_KEYS, ((d, f), (f,), (f, d), (d,))))
     attn = dict.fromkeys(_ATTN_KEYS, (d, d))
     shapes = {"emb": (config.vocab_size, d), "pos": (config.pos_len, d)}
-    for side, sublayers in _SUBLAYERS.items():
+    for side in _SUBLAYERS:
         shapes[f"{side}.lnf.g"] = shapes[f"{side}.lnf.b"] = (d,)
-        for i in range(getattr(config, f"n_{side}_layers")):
-            for ln, group, op in sublayers:
-                shapes[f"{side}{i}.{ln}.g"] = shapes[f"{side}{i}.{ln}.b"] = (d,)
-                for k, shape in (ffn if op == "ffn" else attn).items():
-                    shapes[f"{side}{i}.{group}.{k}"] = shape
+        for _, ln, group, op in _sublayer_names(side, getattr(config, f"n_{side}_layers")):
+            shapes[f"{ln}.g"] = shapes[f"{ln}.b"] = (d,)
+            for k, shape in (ffn if op == "ffn" else attn).items():
+                shapes[f"{group}.{k}"] = shape
     return shapes
 
 
@@ -349,27 +354,25 @@ def _stack_fwd(params, config: ModelConfig, side: str, ids, self_mask, cross=Non
     start = 0 if state is None else state.length
     x = params["emb"][ids] + params["pos"][start : start + ids.shape[1]]
     layers = []
-    for i in range(getattr(config, f"n_{side}_layers")):
-        for ln_key, group_key, op in _SUBLAYERS[side]:
-            ln, group = f"{side}{i}.{ln_key}", f"{side}{i}.{group_key}"
-            h, lnc = _ln_fwd(x, params[f"{ln}.g"], params[f"{ln}.b"])
-            if op == "ffn":
-                out, opc = _ffn_fwd(h, *(params[f"{group}.{k}"] for k in _FFN_KEYS))
-            elif op == "self":
-                w = _attn_params(params, group)
-                kv = None if state is None else state.append(i, _kv_heads(h, w, config.n_heads))
-                out, opc = _attn_fwd(h, h, w, config.n_heads, self_mask, counter, kv=kv)
-            else:
-                enc_out, enc_blocks, enc_mask = cross
-                out, opc = _attn_fwd(h, enc_out, _attn_params(params, group), config.n_heads,
-                                     enc_mask, kv=None if state is None else state.cross[i],
-                                     blocks=enc_blocks)
-            m = _dropout_mask(out.shape, config.dropout, drop_rng)
-            if m is not None:
-                out = out * m
-            out += x
-            x = out
-            layers.append((ln, group, op, lnc, opc, m))
+    for i, ln, group, op in _sublayer_names(side, getattr(config, f"n_{side}_layers")):
+        h, lnc = _ln_fwd(x, params[f"{ln}.g"], params[f"{ln}.b"])
+        if op == "ffn":
+            out, opc = _ffn_fwd(h, *(params[f"{group}.{k}"] for k in _FFN_KEYS))
+        elif op == "self":
+            w = _attn_params(params, group)
+            kv = None if state is None else state.append(i, _kv_heads(h, w, config.n_heads))
+            out, opc = _attn_fwd(h, h, w, config.n_heads, self_mask, counter, kv=kv)
+        else:
+            enc_out, enc_blocks, enc_mask = cross
+            out, opc = _attn_fwd(h, enc_out, _attn_params(params, group), config.n_heads,
+                                 enc_mask, kv=None if state is None else state.cross[i],
+                                 blocks=enc_blocks)
+        m = _dropout_mask(out.shape, config.dropout, drop_rng)
+        if m is not None:
+            out = out * m
+        out += x
+        x = out
+        layers.append((ln, group, op, lnc, opc, m))
     out, lnfc = _ln_fwd(x, params[f"{side}.lnf.g"], params[f"{side}.lnf.b"])
     if state is not None:
         state.length += ids.shape[1]
@@ -411,9 +414,7 @@ def _stack_bwd(dout, cache, grads):
 
 def _encoder_fwd(params, config: ModelConfig, flat_ids, counter=None, drop_rng=None,
                  key_real=None):
-    """flat_ids: (rows, L) where each row is one independently encoded block;
-    ``key_real`` marks the positions that may be attended to, by default
-    every non-<PAD> token."""
+    """flat_ids: (rows, L) where each row is one independently encoded block."""
     if key_real is None:
         key_real = flat_ids != PAD_ID
     mask = np.where(key_real, 0.0, NEG_INF)[:, None, None, :]
