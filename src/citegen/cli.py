@@ -3,8 +3,9 @@ retrieval, and evaluation.
 
 Every command reads and writes only the files named by its flags, writes a
 manifest (config hash, seed, input digests) next to its outputs, and exits
-with a per-error-class code: 2 missing file, 3 config validation, 4 numerical
-divergence, 5 data errors, 1 anything unexpected.
+with a per-error-class code: 2 missing file (or a directory in its place),
+3 config validation, 4 numerical divergence, 5 data errors, 1 anything
+unexpected.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from . import fid as fid_mod
 from . import metrics as metrics_mod
-from .corpus import Corpus, IntentLabel, _line_error, load_dataset, split_dataset
+from .corpus import Corpus, IntentLabel, load_dataset, split_dataset
 from .errors import AlignmentError, CitegenError, ConfigError, DataError, NumericalError
+from .files import read_lines, read_settings, write_lines
 from .intent import (
     load_intent_model,
     make_intent_fn,
@@ -42,19 +44,7 @@ SPLIT_RATIOS = (0.8, 0.1, 0.1)  # fixed; split_dataset implements them
 
 def _load_config_file(path: str | None) -> dict[str, tuple[str, str]]:
     """``key = value`` lines as {key: (value, "path:line")}."""
-    if path is None:
-        return {}
-    cfg: dict[str, tuple[str, str]] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
-            cfg[key.strip().replace("-", "_")] = (value.strip(), f"{path}:{lineno}")
-    return cfg
+    return {} if path is None else read_settings(path, ConfigError)
 
 
 def _merge(args: argparse.Namespace, cfg: dict[str, tuple[str, str]], key: str, default, cast):
@@ -73,11 +63,7 @@ def _merge(args: argparse.Namespace, cfg: dict[str, tuple[str, str]], key: str, 
 
 
 def _digest(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _write_manifest(out_dir: Path, command: str, options: dict, inputs: list[Path]) -> None:
@@ -94,21 +80,18 @@ def _write_manifest(out_dir: Path, command: str, options: dict, inputs: list[Pat
 
 
 def _save_targets(instances, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for inst in instances:
-            f.write(json.dumps({"instance_id": inst.instance_id, "text": inst.target}) + "\n")
+    write_lines(path, (json.dumps({"instance_id": inst.instance_id, "text": inst.target})
+                       for inst in instances))
 
 
 def _load_id_text(path: Path) -> dict[str, str]:
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if line.strip():
-                try:
-                    rec = json.loads(line)
-                    out[rec["instance_id"]] = rec["text"]
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise _line_error(path, lineno, exc) from None
+
+    def add(line: str) -> None:
+        rec = json.loads(line)
+        out[rec["instance_id"]] = rec["text"]
+
+    read_lines(path, add)
     return out
 
 
@@ -278,13 +261,12 @@ def _cmd_generate(args) -> int:
         fid_in = fid_mod.build_fid_input(inst, vocab, config, meta["with_intent"])
         ids = fid_mod.generate(params, config, fid_in, mode=args.mode,
                                beam_size=args.beam_size, max_len=args.max_len)
-        lines.append(json.dumps({"instance_id": inst.instance_id,
-                                 "text": decode(ids, vocab)}) + "\n")
+        lines.append(json.dumps({"instance_id": inst.instance_id, "text": decode(ids, vocab)}))
     # written only after every instance decoded, so a failed run leaves an
     # earlier predictions file as it was
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("".join(lines), encoding="utf-8")
+    write_lines(out, lines)
     _write_manifest(out.parent, "generate",
                     {"mode": args.mode, "beam_size": args.beam_size,
                      "max_len": args.max_len, "split": args.split,
@@ -301,10 +283,9 @@ def _cmd_retrieve(args) -> int:
     retrieve = retrieve_oracle if args.oracle else retrieve_baseline
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as f:
-        for inst in instances:
-            result = retrieve(params["emb"], inst, vocab)
-            f.write(json.dumps({"instance_id": inst.instance_id, "text": result.text}) + "\n")
+    write_lines(out, (json.dumps({"instance_id": inst.instance_id,
+                                  "text": retrieve(params["emb"], inst, vocab).text})
+                      for inst in instances))
     _write_manifest(out.parent, "retrieve",
                     {"mode": "oracle" if args.oracle else "baseline", "split": args.split},
                     inputs + [Path(args.dataset), Path(args.documents)])
@@ -448,8 +429,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: missing file: {exc}", file=sys.stderr)
+    except (FileNotFoundError, IsADirectoryError) as exc:
+        print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return 2
     except ConfigError as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)

@@ -15,7 +15,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import DataError, MaxRefsExceeded, SplitTooSmall
+from .errors import MaxRefsExceeded, SplitTooSmall
+from .files import read_lines, write_lines
 from .seeding import substream
 from .tokenizer import MAX_REFS, REF
 
@@ -386,159 +387,124 @@ def split_dataset(instances: Sequence[CitationInstance], seed: int) -> list[Cita
 # File formats (all UTF-8, line-delimited)
 
 def save_documents(documents: Iterable[Document], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for d in documents:
-            f.write(json.dumps({"id": d.id, "title": d.title, "abstract": d.abstract}) + "\n")
-
-
-def _line_error(path, lineno: int, exc: Exception) -> DataError:
-    """A DataError naming ``path:lineno`` for an error raised reading that line."""
-    if isinstance(exc, json.JSONDecodeError):
-        what = f"malformed JSON: {exc.msg}"
-    elif isinstance(exc, KeyError):
-        what = f"missing key {exc}"
-    else:
-        what = str(exc)
-    return DataError(f"{path}:{lineno}: {what}")
+    write_lines(path, (json.dumps({"id": d.id, "title": d.title, "abstract": d.abstract})
+                       for d in documents))
 
 
 def load_documents(path: str | Path) -> dict[str, Document]:
     """Documents by id. Raises DataError naming ``path:line`` for a malformed
     line, a missing key, or an empty or duplicate id or empty abstract."""
     docs: dict[str, Document] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                doc = Document(id=rec["id"], title=rec["title"], abstract=rec["abstract"])
-                if not doc.id or doc.id in docs:
-                    raise DataError(f"{path}:{lineno}: empty or duplicate document id {doc.id!r}")
-                if not _normalize_ws(doc.abstract):
-                    raise DataError(f"{path}:{lineno}: document {doc.id!r} has an empty abstract")
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                raise _line_error(path, lineno, exc) from None
-            docs[doc.id] = doc
+
+    def add(line: str) -> None:
+        rec = json.loads(line)
+        doc = Document(id=rec["id"], title=rec["title"], abstract=rec["abstract"])
+        if not doc.id or doc.id in docs:
+            raise ValueError(f"empty or duplicate document id {doc.id!r}")
+        if not _normalize_ws(doc.abstract):
+            raise ValueError(f"document {doc.id!r} has an empty abstract")
+        docs[doc.id] = doc
+
+    read_lines(path, add)
     return docs
 
 
 def save_bodies(bodies: Mapping[str, str], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for doc_id, body in bodies.items():
-            f.write(json.dumps({"id": doc_id, "body": body}) + "\n")
+    write_lines(path, (json.dumps({"id": doc_id, "body": body})
+                       for doc_id, body in bodies.items()))
 
 
 def load_bodies(path: str | Path) -> dict[str, str]:
     """Bodies by document id. Raises DataError naming ``path:line`` for a
     malformed line or a missing key."""
     bodies: dict[str, str] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                bodies[rec["id"]] = rec["body"]
-            except (ValueError, KeyError, TypeError) as exc:
-                raise _line_error(path, lineno, exc) from None
+
+    def add(line: str) -> None:
+        rec = json.loads(line)
+        bodies[rec["id"]] = rec["body"]
+
+    read_lines(path, add)
     return bodies
 
 
 def save_key_table(key_table: Mapping[str, str], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for marker, doc_id in key_table.items():
-            f.write(f"{marker}\t{doc_id}\n")
+    write_lines(path, (f"{marker}\t{doc_id}" for marker, doc_id in key_table.items()))
+
+
+def _key_entry(line: str) -> tuple[str, str]:
+    marker, tab, doc_id = line.partition("\t")
+    if not tab:
+        raise ValueError(f"expected 'marker<TAB>document id', got {line!r}")
+    return marker, doc_id
 
 
 def load_key_table(path: str | Path) -> dict[str, str]:
     """Document ids by citation marker. Raises DataError naming ``path:line``
     for a non-blank line without a tab."""
-    table: dict[str, str] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            marker, tab, doc_id = line.partition("\t")
-            if not tab:
-                raise DataError(f"{path}:{lineno}: expected 'marker<TAB>document id', "
-                                f"got {line!r}")
-            table[marker] = doc_id
-    return table
+    return dict(read_lines(path, _key_entry))
 
 
 def save_dataset(instances: Iterable[CitationInstance], path: str | Path) -> None:
     """Write dataset records: {citing_id, cited_ids, intents, target, split}."""
-    with open(path, "w", encoding="utf-8") as f:
-        for inst in instances:
-            rec = {
-                "citing_id": inst.citing.id,
-                "cited_ids": [d.id for d in inst.cited],
-                "intents": [i.value for i in inst.intents],
-                "target": inst.target,
-                "split": inst.split,
-            }
-            f.write(json.dumps(rec) + "\n")
+    write_lines(path, (json.dumps({
+        "citing_id": inst.citing.id,
+        "cited_ids": [d.id for d in inst.cited],
+        "intents": [i.value for i in inst.intents],
+        "target": inst.target,
+        "split": inst.split,
+    }) for inst in instances))
 
 
 _RECORD_KEYS = frozenset({"citing_id", "cited_ids", "intents", "target"})
 _INTENT_VALUES = frozenset(label.value for label in IntentLabel)
 
 
-def _numbered_records(path: str | Path) -> list[tuple[int, dict]]:
-    """(line number, record) per non-blank line of a dataset file, each record
-    with a derived ``instance_id`` field. Raises DataError naming
-    ``path:line`` for a malformed line, a missing key or an unknown intent."""
-    records: list[tuple[int, dict]] = []
+def _record_parser() -> Callable[[str], dict]:
+    """Parses one dataset line into its record, with an ``instance_id`` field
+    derived from the citing id and the records before it. Raises KeyError for
+    a missing key and ValueError for an unknown intent."""
     ordinal: dict[str, int] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                missing = _RECORD_KEYS.difference(rec)
-                if missing:
-                    raise KeyError(min(missing))
-                if not _INTENT_VALUES.issuperset(rec["intents"]):
-                    raise ValueError(f"unknown intent in {rec['intents']!r}")
-                k = ordinal.get(rec["citing_id"], 0)
-                ordinal[rec["citing_id"]] = k + 1
-                rec["instance_id"] = f"{rec['citing_id']}#{k}"
-            except (ValueError, KeyError, TypeError) as exc:
-                raise _line_error(path, lineno, exc) from None
-            records.append((lineno, rec))
-    return records
+
+    def parse(line: str) -> dict:
+        rec = json.loads(line)
+        missing = _RECORD_KEYS.difference(rec)
+        if missing:
+            raise KeyError(min(missing))
+        if not _INTENT_VALUES.issuperset(rec["intents"]):
+            raise ValueError(f"unknown intent in {rec['intents']!r}")
+        k = ordinal.get(rec["citing_id"], 0)
+        ordinal[rec["citing_id"]] = k + 1
+        rec["instance_id"] = f"{rec['citing_id']}#{k}"
+        return rec
+
+    return parse
 
 
 def load_dataset_records(path: str | Path) -> list[dict]:
     """Raw dataset records with a derived ``instance_id`` field; raises
     DataError naming ``path:line`` for a malformed record."""
-    return [rec for _, rec in _numbered_records(path)]
+    return read_lines(path, _record_parser())
 
 
 def load_dataset(path: str | Path, documents: Mapping[str, Document]) -> list[CitationInstance]:
     """Dataset instances; raises DataError naming ``path:line`` for a
     malformed record or one that names an unknown document."""
-    instances: list[CitationInstance] = []
-    for lineno, rec in _numbered_records(path):
+    record = _record_parser()
+
+    def instance(line: str) -> CitationInstance:
+        rec = record(line)
         try:
             citing = documents[rec["citing_id"]]
             cited = [documents[d] for d in rec["cited_ids"]]
-            intents = [IntentLabel(v) for v in rec["intents"]]
         except KeyError as exc:  # every record key is present: an id is unknown
-            raise DataError(f"{path}:{lineno}: unknown document id {exc}") from None
-        except TypeError as exc:
-            raise _line_error(path, lineno, exc) from None
-        instances.append(
-            CitationInstance(
-                instance_id=rec["instance_id"],
-                citing=citing,
-                cited=cited,
-                intents=intents,
-                target=rec["target"],
-                split=rec.get("split"),
-            )
+            raise ValueError(f"unknown document id {exc}") from None
+        return CitationInstance(
+            instance_id=rec["instance_id"],
+            citing=citing,
+            cited=cited,
+            intents=[IntentLabel(v) for v in rec["intents"]],
+            target=rec["target"],
+            split=rec.get("split"),
         )
-    return instances
+
+    return read_lines(path, instance)

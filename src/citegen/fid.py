@@ -42,8 +42,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import json
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -52,7 +50,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericalError, ShapeError
+from .errors import ConfigError, NumericalError, ShapeError
+from .files import read_tensors, write_tensors
 from .seeding import substream
 from .tokenizer import BOS_ID, EOS_ID, PAD_ID, RESERVED, Vocabulary, encode, tokenize
 
@@ -958,52 +957,19 @@ _MAGIC = b"CGFID001"
 
 def save_checkpoint(path: str | Path, config: ModelConfig, params: Mapping[str, np.ndarray],
                     vocab_file: str = "vocab.tsv", with_intent: bool = True) -> None:
-    names = sorted(params)
-    header = {
-        "config": config.to_dict(),
-        "vocab_file": vocab_file,
-        "with_intent": with_intent,
-        "tensors": [{"name": n, "shape": list(params[n].shape)} for n in names],
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<q", len(blob)))
-        f.write(blob)
-        for n in names:
-            f.write(np.ascontiguousarray(params[n], dtype="<f8").tobytes())
+    header = {"config": config.to_dict(), "vocab_file": vocab_file, "with_intent": with_intent}
+    write_tensors(path, _MAGIC, header, params)
+
+
+def _checkpoint_header(header: dict, _shapes) -> tuple[tuple[ModelConfig, dict], dict]:
+    config = ModelConfig(**header["config"])
+    meta = {"vocab_file": header["vocab_file"], "with_intent": header["with_intent"]}
+    return (config, meta), _param_shapes(config)
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray], dict]:
     """Read a checkpoint written by save_checkpoint. Raises DataError, naming
     the path, unless the file holds exactly the header and the tensors that
     its config requires."""
-    data = Path(path).read_bytes()
-    if data[: len(_MAGIC)] != _MAGIC:
-        raise DataError(f"{path} is not a model checkpoint")
-    hstart = len(_MAGIC) + 8
-    if len(data) < hstart:
-        raise DataError(f"{path}: truncated header")
-    (hlen,) = struct.unpack_from("<q", data, len(_MAGIC))
-    if not 0 <= hlen <= len(data) - hstart:
-        raise DataError(f"{path}: header length {hlen} exceeds the file's {len(data)} bytes")
-    try:
-        header = json.loads(data[hstart : hstart + hlen].decode("utf-8"))
-        config = ModelConfig(**header["config"])
-        specs = [(spec["name"], tuple(spec["shape"])) for spec in header["tensors"]]
-        meta = {"vocab_file": header["vocab_file"], "with_intent": header["with_intent"]}
-    except (ValueError, KeyError, TypeError, ArithmeticError, ConfigError) as exc:
-        raise DataError(f"{path}: malformed header: {exc}") from exc
-    if specs != sorted(_param_shapes(config).items()):
-        raise DataError(f"{path}: tensor names or shapes do not match its config")
-    offset = hstart + hlen
-    size = offset + 8 * sum(int(np.prod(shape)) for _, shape in specs)
-    if len(data) != size:
-        raise DataError(f"{path} has {len(data)} bytes, its header describes {size}")
-    params: dict[str, np.ndarray] = {}
-    for name, shape in specs:
-        n_items = int(np.prod(shape))
-        params[name] = np.frombuffer(data, dtype="<f8", count=n_items,
-                                     offset=offset).reshape(shape).copy()
-        offset += 8 * n_items
+    (config, meta), params = read_tensors(path, _MAGIC, _checkpoint_header)
     return config, params, meta

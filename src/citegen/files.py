@@ -1,0 +1,143 @@
+"""The file layer: one reader and one writer for every text file, one format
+for every trained model.
+
+Text inputs are UTF-8 with one record per line, and every error names
+``path:line``. Tensor files (``fid.ckpt``, ``intent.bin``) hold an 8-byte
+magic, the little-endian int64 length of a sorted-key JSON header that lists
+each tensor's name and shape, then the tensors in name order as
+little-endian float64.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import struct
+from pathlib import Path
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
+
+import numpy as np
+
+from .errors import CitegenError, ConfigError, DataError
+
+T = TypeVar("T")
+
+
+def _numbered_lines(path: str | Path, error: type[CitegenError] = DataError
+                   ) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each non-blank line of the UTF-8 file ``path``,
+    the line without its ending. As in a text-mode read, ``\\n``, ``\\r\\n``
+    and ``\\r`` each end a line. Raises ``error`` naming ``path:line`` for
+    bytes that are not UTF-8."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        lineno = head.count(b"\n") + 1
+        raise error(f"{path}:{lineno}: not valid UTF-8 ({exc.reason})") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, line in enumerate(text.split("\n"), 1):
+        if line and not line.isspace():
+            yield lineno, line
+
+
+def read_settings(path: str | Path, error: type[CitegenError] = DataError
+                  ) -> dict[str, tuple[str, str]]:
+    """``key = value`` lines, where a line starting with ``#`` is a comment, as
+    {key: (value, "path:line")}, with ``-`` in keys read as ``_``. Raises
+    ``error`` naming ``path:line`` for a line without ``=``."""
+    settings: dict[str, tuple[str, str]] = {}
+    for lineno, line in _numbered_lines(path, error):
+        line = line.strip()
+        if line.startswith("#"):
+            continue
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise error(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        settings[key.strip().replace("-", "_")] = (value.strip(), f"{path}:{lineno}")
+    return settings
+
+
+def read_lines(path: str | Path, parse: Callable[[str], T],
+               error: type[CitegenError] = DataError) -> list[T]:
+    """``parse(line)`` for each line ``_numbered_lines`` yields. A ValueError,
+    KeyError, TypeError or AttributeError that ``parse`` raises becomes
+    ``error`` naming ``path:line``; loaders raise ValueError for their own
+    checks."""
+    out: list[T] = []
+    lineno = 0
+    try:
+        for lineno, line in _numbered_lines(path, error):
+            out.append(parse(line))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        if isinstance(exc, json.JSONDecodeError):
+            what = f"malformed JSON: {exc.msg}"
+        elif isinstance(exc, KeyError):
+            what = f"missing key {exc}"
+        else:
+            what = str(exc)
+        raise error(f"{path}:{lineno}: {what}") from None
+    return out
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write each of ``lines`` to the UTF-8 file ``path``, one per line."""
+    with open(path, "w", encoding="utf-8") as f:
+        for line in lines:
+            f.write(line + "\n")
+
+
+def write_tensors(path: str | Path, magic: bytes, header: Mapping,
+                  tensors: Mapping[str, np.ndarray]) -> None:
+    """Write ``tensors`` under ``magic``; ``header`` gains the ``tensors``
+    list of names and shapes."""
+    names = sorted(tensors)
+    full = {**header, "tensors": [{"name": n, "shape": list(tensors[n].shape)} for n in names]}
+    blob = json.dumps(full, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(magic)
+        f.write(struct.pack("<q", len(blob)))
+        f.write(blob)
+        for n in names:
+            f.write(np.ascontiguousarray(tensors[n], dtype="<f8").tobytes())
+
+
+def read_tensors(path: str | Path, magic: bytes,
+                 parse_header: Callable[[dict, dict], tuple[T, Mapping[str, tuple]]]
+                 ) -> tuple[T, dict[str, np.ndarray]]:
+    """``(value, tensors)`` of a file that ``write_tensors`` wrote under
+    ``magic``, where ``parse_header(header, listed shapes)`` returns ``value``
+    and the shapes the file must hold; an error it raises marks the header
+    malformed. Raises DataError naming the path for a wrong magic, a
+    malformed header, other tensor names or shapes, or a wrong byte length."""
+    data = Path(path).read_bytes()
+    if data[: len(magic)] != magic:
+        raise DataError(f"{path} is not a {magic.decode('ascii')} file")
+    hstart = len(magic) + 8
+    if len(data) < hstart:
+        raise DataError(f"{path}: truncated header")
+    (hlen,) = struct.unpack_from("<q", data, len(magic))
+    if not 0 <= hlen <= len(data) - hstart:
+        raise DataError(f"{path}: header length {hlen} exceeds the file's {len(data)} bytes")
+    try:
+        header = json.loads(data[hstart : hstart + hlen].decode("utf-8"))
+        specs = [(spec["name"], tuple(spec["shape"])) for spec in header["tensors"]]
+        value, expected = parse_header(header, dict(specs))
+    except (ValueError, LookupError, TypeError, ArithmeticError, ConfigError) as exc:
+        raise DataError(f"{path}: malformed header: {exc}") from exc
+    want = sorted(expected.items())
+    if specs != want:
+        raise DataError(f"{path}: tensor names or shapes differ from those its header requires")
+    offset = hstart + hlen
+    size = offset + 8 * sum(math.prod(shape) for _, shape in want)
+    if len(data) != size:
+        raise DataError(f"{path} has {len(data)} bytes, its header describes {size}")
+    tensors: dict[str, np.ndarray] = {}
+    for name, shape in want:
+        n_items = math.prod(shape)
+        tensors[name] = np.frombuffer(data, dtype="<f8", count=n_items,
+                                      offset=offset).reshape(shape).copy()
+        offset += 8 * n_items
+    return value, tensors

@@ -17,7 +17,6 @@ update.
 
 from __future__ import annotations
 
-import struct
 import zlib
 from collections import Counter
 from dataclasses import dataclass
@@ -27,8 +26,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import INTENT_ORDER, IntentLabel, _sentences
-from .errors import ClassMissing, DataError, EmptyEvalSet
+from .errors import ClassMissing, EmptyEvalSet
 from .fid import _logsumexp, _softmax
+from .files import read_tensors, write_tensors
 from .seeding import substream
 from .tokenizer import B_TOKENS, tokenize
 
@@ -185,33 +185,26 @@ def make_intent_fn(model: IntentModel):
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint: little-endian header (feature_dim, n_classes), then the weight
-# matrix row-major as float64, then the bias vector.
+# Checkpoint: a tensor file (see ``files``) holding ``bias`` (4,) and
+# ``weights`` (4, feature_dim).
+
+_MAGIC = b"CGINT001"
+
 
 def save_intent_model(model: IntentModel, path: str | Path) -> None:
-    with open(path, "wb") as f:
-        f.write(struct.pack("<qq", model.feature_dim, N_CLASSES))
-        f.write(np.ascontiguousarray(model.weights, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(model.bias, dtype="<f8").tobytes())
+    write_tensors(path, _MAGIC, {}, {"bias": model.bias, "weights": model.weights})
+
+
+def _intent_header(_header: dict, shapes: dict) -> tuple[int, dict]:
+    dim = int(shapes["weights"][-1])
+    if dim < 1:
+        raise ValueError(f"feature dimension {dim}")
+    return dim, {"bias": (N_CLASSES,), "weights": (N_CLASSES, dim)}
 
 
 def load_intent_model(path: str | Path) -> IntentModel:
     """Read a checkpoint written by ``save_intent_model``. Raises DataError
-    naming the file for a short header, a class count other than 4, a
-    feature dimension below 1, or a byte length that does not match."""
-    blob = Path(path).read_bytes()
-    if len(blob) < 16:
-        raise DataError(f"{path}: intent checkpoint has {len(blob)} bytes, "
-                        "shorter than its 16-byte header")
-    dim, k = struct.unpack_from("<qq", blob)
-    if k != N_CLASSES:
-        raise DataError(f"{path}: intent checkpoint has {k} classes, expected {N_CLASSES}")
-    if dim < 1:
-        raise DataError(f"{path}: intent checkpoint has feature dimension {dim}")
-    size = 16 + 8 * k * (dim + 1)
-    if len(blob) != size:
-        raise DataError(f"{path}: intent checkpoint has {len(blob)} bytes, expected {size} "
-                        f"for feature dimension {dim}")
-    w = np.frombuffer(blob, "<f8", k * dim, 16).reshape(k, dim).astype(np.float64)
-    b = np.frombuffer(blob, "<f8", k, 16 + 8 * k * dim).astype(np.float64)
-    return IntentModel(weights=w, bias=b, feature_dim=dim)
+    naming the file unless it is a tensor file holding a bias of 4 classes
+    and their weights over a feature dimension of at least 1."""
+    dim, tensors = read_tensors(path, _MAGIC, _intent_header)
+    return IntentModel(weights=tensors["weights"], bias=tensors["bias"], feature_dim=dim)

@@ -15,7 +15,8 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .corpus import IntentLabel
-from .errors import AlignmentError, EmptyEvalSet
+from .errors import AlignmentError, DataError, EmptyEvalSet
+from .files import read_settings, write_lines
 from .intent import IntentModel, placeholder_windows, round_trip_accuracy
 from .tokenizer import tokenize
 
@@ -229,25 +230,27 @@ REPORT_FIELDS = (
 
 def save_report(report: EvalReport, path: str | Path) -> None:
     """Plain `key = value` lines; a missing optional field is omitted."""
-    with open(path, "w", encoding="utf-8") as f:
-        for name in REPORT_FIELDS:
-            value = getattr(report, name)
-            if value is None:
-                continue
-            f.write(f"{name} = {value!r}\n")
+    values = ((name, getattr(report, name)) for name in REPORT_FIELDS)
+    write_lines(path, (f"{name} = {value!r}" for name, value in values if value is not None))
 
 
 def load_report(path: str | Path) -> EvalReport:
-    values: dict[str, float | int] = {}
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            name, _, raw = line.partition("=")
-            values[name.strip()] = ast.literal_eval(raw.strip())
+    """Read a report written by ``save_report``. Raises DataError naming
+    ``path:line`` for a line that is not ``name = literal`` with a known
+    name, and naming ``path`` when a required field is missing."""
+    values: dict[str, float | int | None] = {}
+    for name, (raw, where) in read_settings(path).items():
+        if name not in REPORT_FIELDS:
+            raise DataError(f"{where}: unknown report field {name!r}")
+        try:
+            values[name] = ast.literal_eval(raw)
+        except (ValueError, SyntaxError):
+            raise DataError(f"{where}: {name} = {raw!r} is not a literal") from None
     values.setdefault("round_trip_acc_without_intent", None)
-    return EvalReport(**values)  # type: ignore[arg-type]
+    try:
+        return EvalReport(**values)  # type: ignore[arg-type]
+    except TypeError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def format_report(report: EvalReport) -> str:

@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import DataError, VocabTooSmall
+from .files import read_lines, write_lines
 
 MAX_REFS = 8
 
@@ -123,9 +124,7 @@ def decode(ids: Iterable[int], vocab: Vocabulary) -> str:
 
 def save_vocab(vocab: Vocabulary, path: str | Path) -> None:
     """Write line-delimited ``token<TAB>id`` rows, reserved prefix first."""
-    with open(path, "w", encoding="utf-8") as f:
-        for i, token in enumerate(vocab.id_to_token):
-            f.write(f"{token}\t{i}\n")
+    write_lines(path, (f"{token}\t{i}" for i, token in enumerate(vocab.id_to_token)))
 
 
 def load_vocab(path: str | Path) -> Vocabulary:
@@ -133,21 +132,17 @@ def load_vocab(path: str | Path) -> Vocabulary:
     ``path:line`` for a line without a tab or whose id is not the next
     integer, and naming ``path`` when the reserved prefix is missing."""
     tokens: list[str] = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            token, tab, idx = line.rpartition("\t")
-            if not tab:
-                raise DataError(f"{path}:{lineno}: expected 'token<TAB>id', got {line!r}")
-            try:
-                n = int(idx)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: id {idx!r} is not an integer") from None
-            if n != len(tokens):
-                raise DataError(f"{path}:{lineno}: non-contiguous id {n}, expected {len(tokens)}")
-            tokens.append(token)
+
+    def add(line: str) -> None:
+        token, tab, idx = line.rpartition("\t")
+        if not tab:
+            raise ValueError(f"expected 'token<TAB>id', got {line!r}")
+        n = int(idx)
+        if n != len(tokens):
+            raise ValueError(f"non-contiguous id {n}, expected {len(tokens)}")
+        tokens.append(token)
+
+    read_lines(path, add)
     if tuple(tokens[: len(RESERVED)]) != RESERVED:
         raise DataError(f"{path} does not start with the reserved token prefix")
     return Vocabulary({t: i for i, t in enumerate(tokens)}, tuple(tokens))

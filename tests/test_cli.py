@@ -1,12 +1,19 @@
 """End-to-end command-line pipeline: artifacts, determinism, exit codes."""
 
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citegen.cli import main
 from citegen.fid import load_checkpoint
+from citegen.intent import IntentModel, save_intent_model
 from citegen.metrics import load_report
 
 
@@ -212,9 +219,12 @@ def test_config_file_defaults_and_flag_override(pipeline, tmp_path):
 # ---------------------------------------------------------------------------
 # Exit codes
 
-def test_exit_2_missing_file(tmp_path):
-    assert main(["train-intent", "--dataset", str(tmp_path / "nope.jsonl"),
-                 "--out", str(tmp_path / "m.bin")]) == 2
+def test_exit_2_missing_file(tmp_path, capsys):
+    # a missing file, and a directory where a file is expected
+    for dataset in (tmp_path / "nope.jsonl", tmp_path):
+        assert main(["train-intent", "--dataset", str(dataset),
+                     "--out", str(tmp_path / "m.bin")]) == 2
+        assert str(dataset) in capsys.readouterr().err
 
 
 def test_exit_3_config_validation(pipeline, tmp_path):
@@ -314,12 +324,14 @@ def test_exit_5_vocab_size_differs_from_checkpoint(pipeline, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["build-corpus", "evaluate"])
-@pytest.mark.parametrize("damage", ["truncated", "extended", "short-header", "zero-dim"])
+@pytest.mark.parametrize("damage", ["truncated", "extended", "short-header", "zero-dim",
+                                    "fid-checkpoint"])
 def test_exit_5_malformed_intent_model(pipeline, tmp_path, capsys, command, damage):
     good = _read(pipeline["intent_model"])
-    bad = {"truncated": good[:-5], "extended": good + bytes(8), "short-header": good[:12],
-           "zero-dim": bytes(8) + good[8:]}[damage]
     model = tmp_path / "intent.bin"
+    save_intent_model(IntentModel(np.zeros((4, 0)), np.zeros(4), 0), model)
+    bad = {"truncated": good[:-5], "extended": good + bytes(8), "short-header": good[:12],
+           "zero-dim": _read(model), "fid-checkpoint": _read(pipeline["model"] / "fid.ckpt")}[damage]
     model.write_bytes(bad)
     args = {
         "build-corpus": ["--documents", str(pipeline["synth"] / "documents.jsonl"),
@@ -431,3 +443,77 @@ def test_exit_5_malformed_data_names_path_and_line(pipeline, tmp_path, capsys,
     assert main([command, *args]) == 5
     where = f"{bad}:{len(lines) if line == 'last' else line}:"
     assert where in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Exit codes under damaged text inputs
+
+_FUZZ_TINY = ["--d-model", "16", "--n-heads", "2", "--n-enc-layers", "1", "--n-dec-layers", "1",
+              "--block-len", "24", "--target-len", "16", "--epochs", "1", "--batch-size", "8"]
+
+# every text input each command reads (generate, retrieve and evaluate accept
+# --config but never read it)
+_FUZZ_INPUTS = {
+    "synth": ["config"],
+    "build-corpus": ["config", "documents", "bodies", "key_table"],
+    "train-intent": ["config", "dataset"],
+    "train-fid": ["config", "dataset", "documents"],
+    "generate": ["vocab", "dataset", "documents"],
+    "retrieve": ["vocab", "dataset", "documents"],
+    "evaluate": ["predictions", "references", "dataset", "without"],
+}
+
+
+def _fuzz_args(command: str, f: dict, out: Path) -> list[str]:
+    model = ["--checkpoint", str(f["checkpoint"]), "--vocab", str(f["vocab"]),
+             "--dataset", str(f["dataset"]), "--documents", str(f["documents"])]
+    return {
+        "synth": ["--n-single", "12", "--n-multi", "2", "--out-dir", str(out)],
+        "build-corpus": ["--documents", str(f["documents"]), "--bodies", str(f["bodies"]),
+                         "--key-table", str(f["key_table"]),
+                         "--intent-model", str(f["intent_model"]), "--out-dir", str(out)],
+        "train-intent": ["--dataset", str(f["dataset"]), "--split", "all", "--epochs", "2",
+                         "--feature-dim", "256", "--out", str(out / "intent.bin")],
+        "train-fid": ["--dataset", str(f["dataset"]), "--documents", str(f["documents"]),
+                      "--out-dir", str(out), *_FUZZ_TINY],
+        "generate": [*model, "--max-len", "4", "--out", str(out / "preds.jsonl")],
+        "retrieve": [*model, "--baseline", "--out", str(out / "retrieved.jsonl")],
+        "evaluate": ["--predictions", str(f["predictions"]), "--references", str(f["references"]),
+                     "--predictions-without-intent", str(f["without"]),
+                     "--intent-model", str(f["intent_model"]), "--dataset", str(f["dataset"]),
+                     "--report", str(out / "report.txt")],
+    }[command]
+
+
+@pytest.mark.parametrize("command, target", [
+    (command, target) for command, targets in _FUZZ_INPUTS.items() for target in targets])
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(inject=st.booleans(), at=st.floats(0.0, 1.0))
+def test_damaged_text_input_never_exits_1(pipeline, command, target, inject, at):
+    # A truncated file may still be valid; invalid UTF-8 never is, and names
+    # the damaged file's path:line, as a configuration error for --config.
+    files = {"config": None, "documents": pipeline["synth"] / "documents.jsonl",
+             "bodies": pipeline["synth"] / "bodies.jsonl",
+             "key_table": pipeline["synth"] / "key_table.tsv",
+             "dataset": pipeline["built"] / "dataset.jsonl",
+             "vocab": pipeline["model"] / "vocab.tsv",
+             "checkpoint": pipeline["model"] / "fid.ckpt",
+             "intent_model": pipeline["intent_model"], "predictions": pipeline["preds"],
+             "references": pipeline["refs"], "without": pipeline["retrieved"]}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        good = (b"# fuzzed run\nseed = 3\nmin-freq = 1\n" if target == "config"
+                else _read(files[target]))
+        offset = round(at * len(good))
+        bad = good[:offset] + b"\xff" + good[offset:] if inject else good[:offset]
+        files[target] = tmp / f"damaged-{target}"
+        files[target].write_bytes(bad)
+        config = ["--config", str(files["config"])] if files["config"] else []
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, *config, *_fuzz_args(command, files, tmp / "out")])
+    assert code != 1, err.getvalue()
+    if inject:
+        assert code == (3 if target == "config" else 5), err.getvalue()
+        line = good[:offset].count(b"\n") + 1
+        assert f"{files[target]}:{line}:" in err.getvalue()

@@ -1,5 +1,7 @@
 """Hashed-feature intent classifier and placeholder windowing."""
 
+import hashlib
+import json
 import math
 import re
 import struct
@@ -11,6 +13,7 @@ import scipy.sparse as sp
 
 from citegen.corpus import INTENT_ORDER, IntentLabel
 from citegen.errors import ClassMissing, DataError, EmptyEvalSet
+from citegen.files import write_tensors
 from citegen.intent import (
     IntentModel,
     _loss_and_grad,
@@ -362,6 +365,20 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.array_equal(loaded.bias, model.bias)
 
 
+def _intent_file(weights_shape, payload: bytes) -> bytes:
+    """An intent tensor file whose header lists a bias of 4 classes and
+    weights of ``weights_shape``, followed by ``payload``."""
+    header = json.dumps({"tensors": [{"name": "bias", "shape": [4]},
+                                     {"name": "weights", "shape": list(weights_shape)}]},
+                        sort_keys=True).encode()
+    return b"CGINT001" + struct.pack("<q", len(header)) + header + payload
+
+
+def _payload(blob: bytes) -> bytes:
+    (hlen,) = struct.unpack_from("<q", blob, 8)
+    return blob[16 + hlen :]
+
+
 def test_checkpoint_binary_layout(tmp_path):
     dim = 16
     w = np.arange(4 * dim, dtype=np.float64).reshape(4, dim)
@@ -369,18 +386,29 @@ def test_checkpoint_binary_layout(tmp_path):
     path = tmp_path / "intent.bin"
     save_intent_model(IntentModel(w, b, dim), path)
     blob = path.read_bytes()
-    assert blob[:16] == struct.pack("<qq", dim, 4)
-    assert len(blob) == 16 + 8 * 4 * dim + 8 * 4
-    # row-major weights, then bias, little-endian float64
-    assert struct.unpack("<d", blob[16:24])[0] == 0.0
-    assert struct.unpack("<d", blob[16 + 8 * dim : 24 + 8 * dim])[0] == float(dim)
-    assert struct.unpack("<d", blob[-32:-24])[0] == 1.0
+    # magic, header length, sorted-key JSON header, then the tensors in name
+    # order: the bias, then the row-major weights, little-endian float64
+    assert blob == _intent_file((4, dim), b.astype("<f8").tobytes() + w.astype("<f8").tobytes())
+    payload = _payload(blob)
+    assert len(payload) == 8 * 4 + 8 * 4 * dim
+    assert struct.unpack("<d", payload[:8])[0] == 1.0
+    assert struct.unpack("<d", payload[32:40])[0] == 0.0
+    assert struct.unpack("<d", payload[32 + 8 * dim : 40 + 8 * dim])[0] == float(dim)
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    # np.arange values: no generator, so the bytes depend on the format alone
+    path = tmp_path / "intent.bin"
+    model = IntentModel(np.arange(4 * 16, dtype=np.float64).reshape(4, 16),
+                        np.arange(4, dtype=np.float64), 16)
+    save_intent_model(model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == "305ea84b061dd4dc7ab6b35ac23f6ed65742073d8a5257cf8888055230641de0"
 
 
 def test_checkpoint_rejects_wrong_class_count(tmp_path):
     path = tmp_path / "bad.bin"
-    path.write_bytes(struct.pack("<qq", 8, 3) + b"\0" * (8 * 3 * 8 + 8 * 3))
-    with pytest.raises(DataError):
+    write_tensors(path, b"CGINT001", {}, {"bias": np.zeros(3), "weights": np.zeros((3, 8))})
+    with pytest.raises(DataError, match="names or shapes"):
         load_intent_model(path)
 
 
@@ -389,9 +417,9 @@ def test_checkpoint_rejects_wrong_class_count(tmp_path):
     lambda blob: blob[:10],
     lambda blob: b"",
     lambda blob: blob + bytes(8),
-    lambda blob: struct.pack("<qq", 0, 4) + bytes(32),
-    lambda blob: struct.pack("<qq", -2, 4) + blob[16:],
-    lambda blob: struct.pack("<qq", 17, 4) + blob[16:],
+    lambda blob: _intent_file((4, 0), bytes(32)),
+    lambda blob: _intent_file((4, -2), _payload(blob)),
+    lambda blob: _intent_file((4, 17), _payload(blob)),
 ], ids=["truncated", "short-header", "empty", "extended", "zero-dim", "negative-dim",
         "wrong-dim"])
 def test_checkpoint_rejects_damaged_file(tmp_path, damage):

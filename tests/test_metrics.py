@@ -1,6 +1,7 @@
 """Overlap metrics against brute-force oracles, plus report plumbing."""
 
 import math
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from citegen.corpus import IntentLabel
-from citegen.errors import AlignmentError, EmptyEvalSet
+from citegen.errors import AlignmentError, DataError, EmptyEvalSet
 from citegen.intent import IntentModel
 from citegen.metrics import (
     EvalReport,
@@ -326,6 +327,30 @@ def test_report_omits_missing_optional_field(tmp_path):
     text = (tmp_path / "r.txt").read_text()
     assert "round_trip_acc_without_intent" not in text
     assert load_report(tmp_path / "r.txt") == report
+
+
+@pytest.mark.parametrize("line, reason", [
+    ("bleu 12.5", "expected 'key = value'"),
+    ("bleu = abc", "is not a literal"),
+    ("bleu = 1 +", "is not a literal"),
+    ("precision = 0.5", "unknown report field"),
+], ids=["no-equals", "not-a-literal", "syntax-error", "unknown-field"])
+def test_malformed_report_line_names_path_and_line(tmp_path, line, reason):
+    path = tmp_path / "r.txt"
+    save_report(EvalReport(1.0, 2.0, 3.0, 4.0, 5.0, 0.9, None, 7), path)
+    lines = path.read_text().splitlines()
+    lines[2] = line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}:3: ") + ".*" + re.escape(reason)):
+        load_report(path)
+
+
+def test_report_missing_field_names_path(tmp_path):
+    path = tmp_path / "r.txt"
+    save_report(EvalReport(1.0, 2.0, 3.0, 4.0, 5.0, 0.9, None, 7), path)
+    path.write_text("".join(path.read_text().splitlines(True)[1:]))
+    with pytest.raises(DataError, match=re.escape(str(path)) + ".*bleu"):
+        load_report(path)
 
 
 def test_format_report_lists_fields():
