@@ -6,11 +6,15 @@ manifest (config hash, seed, input digests) next to its outputs, and exits
 with a per-error-class code: 2 missing file (or a directory in its place),
 3 config validation, 4 numerical divergence, 5 data errors, 1 anything
 unexpected.
+
+``SETTINGS`` lists the settings a flag or a ``--config`` file may set, for
+the four commands that have any; every other option is a flag only.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
@@ -40,26 +44,56 @@ SPLIT_RATIOS = (0.8, 0.1, 0.1)  # fixed; split_dataset implements them
 
 
 # ---------------------------------------------------------------------------
-# Config file + manifest plumbing
+# Settings, config file and manifest plumbing
 
-def _load_config_file(path: str | None) -> dict[str, tuple[str, str]]:
-    """``key = value`` lines as {key: (value, "path:line")}."""
-    return {} if path is None else read_settings(path, ConfigError)
+# Each command's settings as {key: (cast, default)}. A setting's flag is
+# ``--`` plus the key with ``_`` written as ``-``; the flag wins over the
+# ``--config`` file, the file over the default.
+SETTINGS: dict[str, dict[str, tuple]] = {
+    "synth": {"seed": (int, 0), "n_single": (int, 50), "n_multi": (int, 10)},
+    "build-corpus": {"seed": (int, 0)},
+    "train-intent": {"seed": (int, 0), "epochs": (int, 40), "lr": (float, 1.0),
+                     "feature_dim": (int, 2 ** 15)},
+    "train-fid": {
+        "seed": (int, 0), "min_freq": (int, 1), "max_vocab": (int, 50000),
+        "d_model": (int, 64), "n_heads": (int, 4), "n_enc_layers": (int, 2),
+        "n_dec_layers": (int, 2), "ffn_dim": (int, None), "block_len": (int, 64),
+        "target_len": (int, 32), "dropout": (float, 0.0), "epochs": (int, 30),
+        "batch_size": (int, 16), "lr": (float, 3e-4), "grad_clip": (float, 1.0),
+    },
+}
 
 
-def _merge(args: argparse.Namespace, cfg: dict[str, tuple[str, str]], key: str, default, cast):
-    """Flag wins over config file, config file over default. Raises
-    ConfigError naming ``path:line`` and the key for a value ``cast`` rejects."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in cfg:
-        raw, where = cfg[key]
-        try:
-            return cast(raw)
-        except ValueError:
-            raise ConfigError(f"{where}: {key} = {raw!r} is not a valid {cast.__name__}") from None
-    return default
+def _settings(args: argparse.Namespace) -> dict:
+    """Every setting of ``args.command``: the flag, else the config file, else
+    the default. Raises ConfigError naming ``path:line`` and the key for a key
+    the command has no setting for, or a value the setting's cast rejects."""
+    table = SETTINGS[args.command]
+    cfg = {} if args.config is None else read_settings(args.config, ConfigError)
+    for key, (_, where) in cfg.items():
+        if key not in table:
+            raise ConfigError(f"{where}: unknown key {key!r}; {args.command} reads "
+                              f"{', '.join(table)}")
+    out = {}
+    for key, (cast, default) in table.items():
+        if getattr(args, key) is not None:
+            out[key] = getattr(args, key)
+        elif key in cfg:
+            raw, where = cfg[key]
+            try:
+                out[key] = cast(raw)
+            except ValueError:
+                raise ConfigError(f"{where}: {key} = {raw!r} is not a valid "
+                                  f"{cast.__name__}") from None
+        else:
+            out[key] = default
+    return out
+
+
+def _fields(cls, settings: dict) -> dict:
+    """The entries of ``settings`` that name a field of dataclass ``cls``."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return {k: v for k, v in settings.items() if k in names}
 
 
 def _digest(path: Path) -> str:
@@ -89,6 +123,8 @@ def _load_id_text(path: Path) -> dict[str, str]:
 
     def add(line: str) -> None:
         rec = json.loads(line)
+        if rec["instance_id"] in out:
+            raise ValueError(f"duplicate instance id {rec['instance_id']!r}")
         out[rec["instance_id"]] = rec["text"]
 
     read_lines(path, add)
@@ -105,28 +141,24 @@ def _select_split(instances, split: str | None):
 # Commands
 
 def _cmd_synth(args) -> int:
-    cfg = _load_config_file(args.config)
-    n_single = _merge(args, cfg, "n_single", 50, int)
-    n_multi = _merge(args, cfg, "n_multi", 10, int)
-    seed = _merge(args, cfg, "seed", 0, int)
+    settings = _settings(args)
+    spec = SynthSpec(**settings)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    corpus, bodies, gold = generate_synthetic_corpus(SynthSpec(n_single, n_multi, seed))
-    split_dataset(gold, seed)
+    corpus, bodies, gold = generate_synthetic_corpus(spec)
+    split_dataset(gold, spec.seed)
     corpus_mod.save_documents(corpus.documents.values(), out_dir / "documents.jsonl")
     corpus_mod.save_bodies(bodies, out_dir / "bodies.jsonl")
     corpus_mod.save_key_table(corpus.key_table, out_dir / "key_table.tsv")
     corpus_mod.save_dataset(gold, out_dir / "gold.jsonl")
     _save_targets(gold, out_dir / "gold_targets.jsonl")
-    _write_manifest(out_dir, "synth",
-                    {"n_single": n_single, "n_multi": n_multi, "seed": seed}, [])
+    _write_manifest(out_dir, "synth", settings, [])
     print(f"wrote {len(gold)} gold instances to {out_dir}")
     return 0
 
 
 def _cmd_build_corpus(args) -> int:
-    cfg = _load_config_file(args.config)
-    seed = _merge(args, cfg, "seed", 0, int)
+    settings = _settings(args)
     out_dir = Path(args.out_dir)
     documents = corpus_mod.load_documents(Path(args.documents))
     bodies = corpus_mod.load_bodies(Path(args.bodies))
@@ -135,14 +167,14 @@ def _cmd_build_corpus(args) -> int:
     result = corpus_mod.build_dataset(Corpus(documents, key_table), bodies, intent_fn)
     if result.skipped:
         logger.warning("skipped %d group(s) with unresolvable documents", result.skipped)
-    split_dataset(result.instances, seed)
+    split_dataset(result.instances, settings["seed"])
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus_mod.save_dataset(result.instances, out_dir / "dataset.jsonl")
     _save_targets(result.instances, out_dir / "targets.jsonl")
     for split in corpus_mod.SPLITS:
         _save_targets(_select_split(result.instances, split),
                       out_dir / f"targets.{split}.jsonl")
-    _write_manifest(out_dir, "build-corpus", {"seed": seed, "skipped": result.skipped},
+    _write_manifest(out_dir, "build-corpus", {**settings, "skipped": result.skipped},
                     [Path(args.documents), Path(args.bodies), Path(args.key_table),
                      Path(args.intent_model)])
     print(f"built {len(result.instances)} instances ({result.skipped} skipped)")
@@ -159,22 +191,17 @@ def _train_pairs(records) -> list[tuple[str, IntentLabel]]:
 
 
 def _cmd_train_intent(args) -> int:
-    cfg = _load_config_file(args.config)
-    seed = _merge(args, cfg, "seed", 0, int)
-    epochs = _merge(args, cfg, "epochs", 40, int)
-    lr = _merge(args, cfg, "lr", 1.0, float)
-    dim = _merge(args, cfg, "feature_dim", 2 ** 15, int)
+    settings = _settings(args)
     records = corpus_mod.load_dataset_records(Path(args.dataset))
     if args.split != "all":
         records = [r for r in records if r.get("split") == args.split]
     pairs = _train_pairs(records)
-    model = train_intent(pairs, epochs=epochs, lr=lr, seed=seed, feature_dim=dim)
+    model = train_intent(pairs, **settings)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_intent_model(model, out)
-    _write_manifest(out.parent, "train-intent",
-                    {"seed": seed, "epochs": epochs, "lr": lr, "feature_dim": dim,
-                     "split": args.split}, [Path(args.dataset)])
+    _write_manifest(out.parent, "train-intent", {**settings, "split": args.split},
+                    [Path(args.dataset)])
     print(f"trained intent model on {len(pairs)} windows -> {out}")
     return 0
 
@@ -191,8 +218,7 @@ def _instances_text(instances) -> list[str]:
 
 
 def _cmd_train_fid(args) -> int:
-    cfg = _load_config_file(args.config)
-    seed = _merge(args, cfg, "seed", 0, int)
+    settings = _settings(args)
     with_intent = args.with_intent
     documents = corpus_mod.load_documents(Path(args.documents))
     instances = load_dataset(Path(args.dataset), documents)
@@ -200,28 +226,12 @@ def _cmd_train_fid(args) -> int:
     valid_set = _select_split(instances, "valid")
     if not train_set:
         raise ConfigError("dataset has no train split")
-    vocab = build_vocab(_instances_text(train_set),
-                        min_freq=_merge(args, cfg, "min_freq", 1, int),
-                        max_size=_merge(args, cfg, "max_vocab", 50000, int))
-    config = fid_mod.ModelConfig(
-        vocab_size=len(vocab.id_to_token),
-        d_model=_merge(args, cfg, "d_model", 64, int),
-        n_heads=_merge(args, cfg, "n_heads", 4, int),
-        n_enc_layers=_merge(args, cfg, "n_enc_layers", 2, int),
-        n_dec_layers=_merge(args, cfg, "n_dec_layers", 2, int),
-        ffn_dim=_merge(args, cfg, "ffn_dim", None, int),
-        block_len=_merge(args, cfg, "block_len", 64, int),
-        target_len=_merge(args, cfg, "target_len", 32, int),
-        dropout=_merge(args, cfg, "dropout", 0.0, float),
-    )
-    hyper = fid_mod.TrainConfig(
-        epochs=_merge(args, cfg, "epochs", 30, int),
-        batch_size=_merge(args, cfg, "batch_size", 16, int),
-        lr=_merge(args, cfg, "lr", 3e-4, float),
-        grad_clip=_merge(args, cfg, "grad_clip", 1.0, float),
-        seed=seed,
-    )
-    params = fid_mod.init_params(config, seed)
+    vocab = build_vocab(_instances_text(train_set), min_freq=settings["min_freq"],
+                        max_size=settings["max_vocab"])
+    config = fid_mod.ModelConfig(vocab_size=len(vocab.id_to_token),
+                                 **_fields(fid_mod.ModelConfig, settings))
+    hyper = fid_mod.TrainConfig(**_fields(fid_mod.TrainConfig, settings))
+    params = fid_mod.init_params(config, hyper.seed)
     train_data = fid_mod.prepare_data(train_set, vocab, config, with_intent)
     valid_data = fid_mod.prepare_data(valid_set, vocab, config, with_intent)
     params, history = fid_mod.train(params, config, train_data, valid_data, hyper)
@@ -232,7 +242,7 @@ def _cmd_train_fid(args) -> int:
                             vocab_file="vocab.tsv", with_intent=with_intent)
     (out_dir / "history.json").write_text(json.dumps(history, indent=2) + "\n")
     _write_manifest(out_dir, "train-fid",
-                    {"seed": seed, "with_intent": with_intent, "config": config.to_dict(),
+                    {"seed": hyper.seed, "with_intent": with_intent, "config": config.to_dict(),
                      "epochs": hyper.epochs, "batch_size": hyper.batch_size,
                      "lr": hyper.lr, "grad_clip": hyper.grad_clip},
                     [Path(args.dataset), Path(args.documents)])
@@ -321,9 +331,11 @@ def _cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser / dispatch
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_settings(p: argparse.ArgumentParser, command: str) -> None:
     p.add_argument("--config", help="key = value config file; flags override it")
-    p.add_argument("--seed", type=int, help="seed for every stochastic step (default 0)")
+    for key, (cast, default) in SETTINGS[command].items():
+        p.add_argument("--" + key.replace("_", "-"), type=cast,
+                       help=None if default is None else f"default {default}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,14 +349,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus with gold instances")
-    _add_common(p)
-    p.add_argument("--n-single", type=int, dest="n_single")
-    p.add_argument("--n-multi", type=int, dest="n_multi")
+    _add_settings(p, "synth")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("build-corpus", help="extract citation instances from bodies")
-    _add_common(p)
+    _add_settings(p, "build-corpus")
     p.add_argument("--documents", required=True)
     p.add_argument("--bodies", required=True)
     p.add_argument("--key-table", required=True, dest="key_table")
@@ -353,17 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_build_corpus)
 
     p = sub.add_parser("train-intent", help="train the intent classifier")
-    _add_common(p)
+    _add_settings(p, "train-intent")
     p.add_argument("--dataset", required=True)
     p.add_argument("--split", default="train", choices=["train", "valid", "test", "all"])
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--feature-dim", type=int, dest="feature_dim")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train_intent)
 
     p = sub.add_parser("train-fid", help="train the block-fused generation model")
-    _add_common(p)
+    _add_settings(p, "train-fid")
     p.add_argument("--dataset", required=True)
     p.add_argument("--documents", required=True)
     p.add_argument("--out-dir", required=True)
@@ -372,16 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="prepend intent codes to blocks (default)")
     g.add_argument("--no-intent", dest="with_intent", action="store_false",
                    help="omit intent codes from every block")
-    for flag in ("epochs", "batch-size", "d-model", "n-heads", "n-enc-layers",
-                 "n-dec-layers", "ffn-dim", "block-len", "target-len",
-                 "min-freq", "max-vocab"):
-        p.add_argument(f"--{flag}", type=int, dest=flag.replace("-", "_"))
-    for flag in ("lr", "grad-clip", "dropout"):
-        p.add_argument(f"--{flag}", type=float, dest=flag.replace("-", "_"))
     p.set_defaults(func=_cmd_train_fid)
 
     p = sub.add_parser("generate", help="decode predictions for a dataset split")
-    _add_common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--vocab", help="override the vocabulary path from the checkpoint")
     p.add_argument("--dataset", required=True)
@@ -394,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("retrieve", help="retrieval baselines over cited abstracts")
-    _add_common(p)
     p.add_argument("--checkpoint", required=True,
                    help="trained model whose embedding table embeds sentences")
     p.add_argument("--vocab")
@@ -410,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_retrieve)
 
     p = sub.add_parser("evaluate", help="score predictions and write a report")
-    _add_common(p)
     p.add_argument("--predictions", required=True)
     p.add_argument("--references", required=True)
     p.add_argument("--intent-model", required=True, dest="intent_model")

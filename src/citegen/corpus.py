@@ -416,11 +416,13 @@ def save_bodies(bodies: Mapping[str, str], path: str | Path) -> None:
 
 def load_bodies(path: str | Path) -> dict[str, str]:
     """Bodies by document id. Raises DataError naming ``path:line`` for a
-    malformed line or a missing key."""
+    malformed line, a missing key or a duplicate id."""
     bodies: dict[str, str] = {}
 
     def add(line: str) -> None:
         rec = json.loads(line)
+        if rec["id"] in bodies:
+            raise ValueError(f"duplicate body id {rec['id']!r}")
         bodies[rec["id"]] = rec["body"]
 
     read_lines(path, add)

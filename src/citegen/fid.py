@@ -77,7 +77,8 @@ class ModelConfig:
             object.__setattr__(self, "ffn_dim", 4 * self.d_model)
         if self.vocab_size < len(RESERVED):
             raise ConfigError(f"vocab_size {self.vocab_size} < reserved prefix {len(RESERVED)}")
-        for name in ("d_model", "n_heads", "ffn_dim"):
+        for name in ("d_model", "n_heads", "ffn_dim", "n_enc_layers", "n_dec_layers",
+                     "max_blocks"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:

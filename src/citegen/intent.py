@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import INTENT_ORDER, IntentLabel, _sentences
-from .errors import ClassMissing, EmptyEvalSet
+from .errors import ClassMissing, ConfigError, EmptyEvalSet
 from .fid import _logsumexp, _softmax
 from .files import read_tensors, write_tensors
 from .seeding import substream
@@ -118,7 +118,15 @@ def train_intent(
     batch_size: int = 32,
     feature_dim: int = DEFAULT_DIM,
 ) -> IntentModel:
-    """Mini-batch gradient descent on cross-entropy. Deterministic by seed."""
+    """Mini-batch gradient descent on cross-entropy. Deterministic by seed.
+    Raises ConfigError for ``epochs``, ``batch_size`` or ``feature_dim`` below
+    1, or an ``lr`` that is not > 0."""
+    for name, value in (("epochs", epochs), ("batch_size", batch_size),
+                        ("feature_dim", feature_dim)):
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
+    if not lr > 0:
+        raise ConfigError(f"lr must be > 0, got {lr}")
     labels = {label for _, label in pairs}
     missing = [lab.value for lab in INTENT_ORDER if lab not in labels]
     if missing:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .corpus import INTENT_ORDER, CitationInstance, Corpus, Document, IntentLabel
+from .errors import ConfigError
 from .seeding import substream
 
 _NAMES = (
@@ -62,6 +63,11 @@ class SynthSpec:
     n_single: int = 50
     n_multi: int = 10
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("n_single", "n_multi"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 class _Factory:

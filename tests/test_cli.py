@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citegen.cli import main
+from citegen.cli import SETTINGS, main
 from citegen.fid import load_checkpoint
 from citegen.intent import IntentModel, save_intent_model
 from citegen.metrics import load_report
@@ -216,6 +216,98 @@ def test_config_file_defaults_and_flag_override(pipeline, tmp_path):
     assert len(_jsonl(out2 / "gold.jsonl")) == 13
 
 
+def _settings_run(pipeline, command: str, out: Path) -> list[str]:
+    """A command's arguments apart from its settings, writing under ``out``."""
+    synth, built = pipeline["synth"], pipeline["built"]
+    return {
+        "synth": ["--out-dir", str(out)],
+        "build-corpus": ["--documents", str(synth / "documents.jsonl"),
+                         "--bodies", str(synth / "bodies.jsonl"),
+                         "--key-table", str(synth / "key_table.tsv"),
+                         "--intent-model", str(pipeline["intent_model"]),
+                         "--out-dir", str(out)],
+        "train-intent": ["--dataset", str(built / "dataset.jsonl"), "--split", "all",
+                         "--out", str(out / "intent.bin")],
+        "train-fid": ["--dataset", str(built / "dataset.jsonl"),
+                      "--documents", str(synth / "documents.jsonl"), "--out-dir", str(out)],
+    }[command]
+
+
+# a non-default value for every setting of each command
+_NON_DEFAULT = {
+    "synth": {"seed": 9, "n_single": 12, "n_multi": 2},
+    "build-corpus": {"seed": 4},
+    "train-intent": {"seed": 2, "epochs": 3, "lr": 0.5, "feature_dim": 512},
+    "train-fid": {"seed": 1, "min_freq": 2, "max_vocab": 400, "d_model": 16, "n_heads": 2,
+                  "n_enc_layers": 1, "n_dec_layers": 1, "ffn_dim": 24, "block_len": 24,
+                  "target_len": 16, "dropout": 0.1, "epochs": 1, "batch_size": 8,
+                  "lr": 0.001, "grad_clip": 0.5},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_NON_DEFAULT))
+def test_config_file_and_flags_give_same_outputs(pipeline, tmp_path, command):
+    values = _NON_DEFAULT[command]
+    assert set(values) == set(SETTINGS[command])
+    assert all(value != SETTINGS[command][key][1] for key, value in values.items())
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key.replace('_', '-')} = {value}\n"
+                           for key, value in values.items()))
+    flags = [arg for key, value in values.items()
+             for arg in ("--" + key.replace("_", "-"), str(value))]
+    by_config, by_flags = tmp_path / "config", tmp_path / "flags"
+    assert main([command, "--config", str(cfg), *_settings_run(pipeline, command, by_config)]) == 0
+    assert main([command, *flags, *_settings_run(pipeline, command, by_flags)]) == 0
+    names = sorted(f.name for f in by_config.iterdir())
+    assert f"manifest-{command}.json" in names
+    assert names == sorted(f.name for f in by_flags.iterdir())
+    for name in names:
+        assert _read(by_config / name) == _read(by_flags / name), name
+    options = json.loads((by_config / f"manifest-{command}.json").read_text())["options"]
+    options.update(options.pop("config", {}))  # train-fid nests its model settings
+    # train-fid's min_freq and max_vocab show only in vocab.tsv
+    shown = {key: value for key, value in values.items() if key not in ("min_freq", "max_vocab")}
+    assert {key: options[key] for key in shown} == shown
+
+
+@pytest.mark.parametrize("command, line, key", [
+    ("synth", "n-singel = 11", "n_singel"),
+    ("build-corpus", "n-single = 3", "n_single"),
+    ("train-intent", "epoch = 1", "epoch"),
+    ("train-fid", "feature-dim = 64", "feature_dim"),
+])
+def test_exit_3_unknown_config_key(pipeline, tmp_path, capsys, command, line, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed = 1\n{line}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), *_settings_run(pipeline, command, out)]) == 3
+    err = capsys.readouterr().err
+    assert f"{cfg}:2:" in err
+    assert repr(key) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "retrieve", "evaluate"])
+@pytest.mark.parametrize("option", [["--config", "run.cfg"], ["--seed", "3"]])
+def test_flag_only_commands_reject_config_and_seed(pipeline, tmp_path, capsys, command, option):
+    model = ["--checkpoint", str(pipeline["model"] / "fid.ckpt"),
+             "--dataset", str(pipeline["built"] / "dataset.jsonl"),
+             "--documents", str(pipeline["synth"] / "documents.jsonl")]
+    args = {
+        "generate": [*model, "--out", str(tmp_path / "preds.jsonl")],
+        "retrieve": [*model, "--baseline", "--out", str(tmp_path / "retrieved.jsonl")],
+        "evaluate": ["--predictions", str(pipeline["preds"]), "--references", str(pipeline["refs"]),
+                     "--intent-model", str(pipeline["intent_model"]),
+                     "--dataset", str(pipeline["built"] / "dataset.jsonl"),
+                     "--report", str(tmp_path / "report.txt")],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, *option])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # Exit codes
 
@@ -245,21 +337,30 @@ def test_exit_3_config_validation(pipeline, tmp_path):
     ("generate", ["--mode", "beam", "--max-len", "-3"], "max_len"),
     ("train-fid", ["--n-heads", "0"], "n_heads"),
     ("train-fid", ["--d-model", "0"], "d_model"),
+    ("train-fid", ["--n-dec-layers", "0"], "n_dec_layers"),
+    ("train-fid", ["--n-enc-layers", "-1"], "n_enc_layers"),
+    ("train-intent", ["--feature-dim", "0"], "feature_dim"),
+    ("train-intent", ["--feature-dim", "-5"], "feature_dim"),
+    ("train-intent", ["--epochs", "0"], "epochs"),
+    ("train-intent", ["--epochs", "-2"], "epochs"),
+    ("train-intent", ["--lr", "nan"], "lr"),
+    ("synth", ["--n-single", "-3"], "n_single"),
+    ("synth", ["--n-multi", "-1"], "n_multi"),
 ])
 def test_exit_3_invalid_training_and_decoding_values(pipeline, tmp_path, capsys,
                                                      command, flags, field):
-    data = ["--dataset", str(pipeline["built"] / "dataset.jsonl"),
-            "--documents", str(pipeline["synth"] / "documents.jsonl")]
     preds = tmp_path / "preds.jsonl"
     earlier = _read(pipeline["preds"])
     preds.write_bytes(earlier)
-    if command == "train-fid":
-        out = ["--out-dir", str(tmp_path / "model")]
+    if command == "generate":
+        args = ["--checkpoint", str(pipeline["model"] / "fid.ckpt"),
+                "--dataset", str(pipeline["built"] / "dataset.jsonl"),
+                "--documents", str(pipeline["synth"] / "documents.jsonl"), "--out", str(preds)]
     else:
-        out = ["--checkpoint", str(pipeline["model"] / "fid.ckpt"), "--out", str(preds)]
-    assert main([command, *data, *out, *flags]) == 3
+        args = _settings_run(pipeline, command, tmp_path / "model")
+    assert main([command, *args, *flags]) == 3
     assert field in capsys.readouterr().err
-    assert not (tmp_path / "model" / "fid.ckpt").exists()
+    assert not (tmp_path / "model").exists()
     assert _read(preds) == earlier  # a failed run leaves earlier predictions as they were
 
 
@@ -394,8 +495,13 @@ def _set_line(lines, k, text):
                  id="bodies-malformed-json"),
     pytest.param("build-corpus", "bodies", 1, lambda lines: _set_line(
         lines, 1, json.dumps({"id": json.loads(lines[0])["id"]})), id="bodies-missing-key"),
+    pytest.param("build-corpus", "bodies", "last", lambda lines: lines.append(lines[0]),
+                 id="bodies-duplicate-id"),
     pytest.param("evaluate", "predictions", 1, lambda lines: _set_line(lines, 1, lines[0][:-3]),
                  id="predictions-malformed-json"),
+    pytest.param("evaluate", "predictions", "last", lambda lines: lines.append(
+        json.dumps({**json.loads(lines[0]), "text": "a different prediction"})),
+        id="predictions-duplicate-id"),
     pytest.param("evaluate", "references", 2, lambda lines: _set_line(
         lines, 2, json.dumps({"instance_id": json.loads(lines[1])["instance_id"]})),
         id="references-missing-key"),
@@ -451,8 +557,8 @@ def test_exit_5_malformed_data_names_path_and_line(pipeline, tmp_path, capsys,
 _FUZZ_TINY = ["--d-model", "16", "--n-heads", "2", "--n-enc-layers", "1", "--n-dec-layers", "1",
               "--block-len", "24", "--target-len", "16", "--epochs", "1", "--batch-size", "8"]
 
-# every text input each command reads (generate, retrieve and evaluate accept
-# --config but never read it)
+# every text input each command reads; only the commands with settings take
+# --config
 _FUZZ_INPUTS = {
     "synth": ["config"],
     "build-corpus": ["config", "documents", "bodies", "key_table"],
@@ -461,6 +567,14 @@ _FUZZ_INPUTS = {
     "generate": ["vocab", "dataset", "documents"],
     "retrieve": ["vocab", "dataset", "documents"],
     "evaluate": ["predictions", "references", "dataset", "without"],
+}
+
+# an undamaged config file per command, from that command's own keys
+_FUZZ_CONFIG = {
+    "synth": "seed = 3\nn-multi = 2\n",
+    "build-corpus": "seed = 3\n",
+    "train-intent": "seed = 3\nlr = 1.0\n",
+    "train-fid": "seed = 3\nmin-freq = 1\n",
 }
 
 
@@ -502,7 +616,7 @@ def test_damaged_text_input_never_exits_1(pipeline, command, target, inject, at)
              "references": pipeline["refs"], "without": pipeline["retrieved"]}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        good = (b"# fuzzed run\nseed = 3\nmin-freq = 1\n" if target == "config"
+        good = (f"# fuzzed run\n{_FUZZ_CONFIG[command]}".encode() if target == "config"
                 else _read(files[target]))
         offset = round(at * len(good))
         bad = good[:offset] + b"\xff" + good[offset:] if inject else good[:offset]

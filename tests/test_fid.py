@@ -78,7 +78,8 @@ def test_config_validation():
         ModelConfig(vocab_size=20, dropout=1.0)
 
 
-@pytest.mark.parametrize("field", ["d_model", "n_heads", "ffn_dim"])
+@pytest.mark.parametrize("field", ["d_model", "n_heads", "ffn_dim", "n_enc_layers",
+                                   "n_dec_layers", "max_blocks"])
 @pytest.mark.parametrize("value", [0, -2])
 def test_config_rejects_non_positive_sizes(field, value):
     with pytest.raises(ConfigError, match=field):

@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse as sp
 
 from citegen.corpus import INTENT_ORDER, IntentLabel
-from citegen.errors import ClassMissing, DataError, EmptyEvalSet
+from citegen.errors import ClassMissing, ConfigError, DataError, EmptyEvalSet
 from citegen.files import write_tensors
 from citegen.intent import (
     IntentModel,
@@ -246,6 +246,15 @@ def test_train_requires_all_classes():
     pairs = [("only one kind", IntentLabel.METHOD)] * 8
     with pytest.raises(ClassMissing):
         train_intent(pairs)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epochs", 0), ("epochs", -2), ("batch_size", 0), ("feature_dim", 0),
+    ("feature_dim", -5), ("lr", 0.0), ("lr", -1.0), ("lr", math.nan),
+])
+def test_train_rejects_invalid_values(field, value):
+    with pytest.raises(ConfigError, match=field):
+        train_intent(_template_pairs(seed=0, n_single=8), **{field: value})
 
 
 # ---------------------------------------------------------------------------

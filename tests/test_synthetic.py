@@ -2,7 +2,10 @@
 
 import re
 
+import pytest
+
 from citegen.corpus import Corpus, IntentLabel, build_dataset
+from citegen.errors import ConfigError
 from citegen.synthetic import SynthSpec, generate_synthetic_corpus
 
 # One word unique to each intent's sentence templates.
@@ -18,6 +21,13 @@ def test_gold_count_by_construction():
     corpus, bodies, gold = generate_synthetic_corpus(SynthSpec(n_single=50, n_multi=10, seed=1))
     assert len(gold) == 60
     assert len(bodies) == 60
+
+
+@pytest.mark.parametrize("field", ["n_single", "n_multi"])
+def test_spec_rejects_negative_counts(field):
+    with pytest.raises(ConfigError, match=field):
+        SynthSpec(**{field: -1})
+    assert getattr(SynthSpec(**{field: 0}), field) == 0
 
 
 def test_generator_deterministic():
