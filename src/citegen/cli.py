@@ -123,6 +123,8 @@ def _load_id_text(path: Path) -> dict[str, str]:
 
     def add(line: str) -> None:
         rec = json.loads(line)
+        if not (isinstance(rec["instance_id"], str) and isinstance(rec["text"], str)):
+            raise TypeError("instance_id and text must be strings")
         if rec["instance_id"] in out:
             raise ValueError(f"duplicate instance id {rec['instance_id']!r}")
         out[rec["instance_id"]] = rec["text"]

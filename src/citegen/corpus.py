@@ -398,6 +398,8 @@ def load_documents(path: str | Path) -> dict[str, Document]:
 
     def add(line: str) -> None:
         rec = json.loads(line)
+        if not all(isinstance(rec[key], str) for key in ("id", "title", "abstract")):
+            raise TypeError("id, title and abstract must be strings")
         doc = Document(id=rec["id"], title=rec["title"], abstract=rec["abstract"])
         if not doc.id or doc.id in docs:
             raise ValueError(f"empty or duplicate document id {doc.id!r}")
@@ -421,6 +423,8 @@ def load_bodies(path: str | Path) -> dict[str, str]:
 
     def add(line: str) -> None:
         rec = json.loads(line)
+        if not (isinstance(rec["id"], str) and isinstance(rec["body"], str)):
+            raise TypeError("id and body must be strings")
         if rec["id"] in bodies:
             raise ValueError(f"duplicate body id {rec['id']!r}")
         bodies[rec["id"]] = rec["body"]
@@ -464,7 +468,8 @@ _INTENT_VALUES = frozenset(label.value for label in IntentLabel)
 def _record_parser() -> Callable[[str], dict]:
     """Parses one dataset line into its record, with an ``instance_id`` field
     derived from the citing id and the records before it. Raises KeyError for
-    a missing key and ValueError for an unknown intent."""
+    a missing key, TypeError for a value of the wrong type and ValueError for
+    an unknown intent."""
     ordinal: dict[str, int] = {}
 
     def parse(line: str) -> dict:
@@ -472,6 +477,14 @@ def _record_parser() -> Callable[[str], dict]:
         missing = _RECORD_KEYS.difference(rec)
         if missing:
             raise KeyError(min(missing))
+        if not (isinstance(rec["citing_id"], str) and isinstance(rec["target"], str)):
+            raise TypeError("citing_id and target must be strings")
+        # their items are checked where they are read: the intents just below,
+        # the cited ids by load_dataset's document lookup
+        if not (isinstance(rec["cited_ids"], list) and isinstance(rec["intents"], list)):
+            raise TypeError("cited_ids and intents must be lists")
+        if not isinstance(rec.get("split"), (str, type(None))):
+            raise TypeError("split must be a string or null")
         if not _INTENT_VALUES.issuperset(rec["intents"]):
             raise ValueError(f"unknown intent in {rec['intents']!r}")
         k = ordinal.get(rec["citing_id"], 0)

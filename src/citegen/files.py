@@ -47,7 +47,8 @@ def read_settings(path: str | Path, error: type[CitegenError] = DataError
                   ) -> dict[str, tuple[str, str]]:
     """``key = value`` lines, where a line starting with ``#`` is a comment, as
     {key: (value, "path:line")}, with ``-`` in keys read as ``_``. Raises
-    ``error`` naming ``path:line`` for a line without ``=``."""
+    ``error`` naming ``path:line`` for a line without ``=``, and both lines
+    for a key set twice."""
     settings: dict[str, tuple[str, str]] = {}
     for lineno, line in _numbered_lines(path, error):
         line = line.strip()
@@ -56,7 +57,10 @@ def read_settings(path: str | Path, error: type[CitegenError] = DataError
         key, eq, value = line.partition("=")
         if not eq:
             raise error(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        settings[key.strip().replace("-", "_")] = (value.strip(), f"{path}:{lineno}")
+        key = key.strip().replace("-", "_")
+        if key in settings:
+            raise error(f"{path}:{lineno}: {key!r} was already set at {settings[key][1]}")
+        settings[key] = (value.strip(), f"{path}:{lineno}")
     return settings
 
 

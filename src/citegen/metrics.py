@@ -27,12 +27,17 @@ def _ngrams(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu(candidates: Sequence[str], references: Sequence[str]) -> float:
-    """Corpus BLEU-4 in [0, 100], add-one smoothed for n ≥ 2, with brevity penalty."""
+def _check_aligned(metric: str, candidates: Sequence[str], references: Sequence[str]) -> None:
+    """Raise EmptyEvalSet for no candidates, AlignmentError for unequal lengths."""
     if not candidates:
-        raise EmptyEvalSet("bleu needs at least one candidate")
+        raise EmptyEvalSet(f"{metric} needs at least one candidate")
     if len(candidates) != len(references):
         raise AlignmentError(f"{len(candidates)} candidates vs {len(references)} references")
+
+
+def bleu(candidates: Sequence[str], references: Sequence[str]) -> float:
+    """Corpus BLEU-4 in [0, 100], add-one smoothed for n ≥ 2, with brevity penalty."""
+    _check_aligned("bleu", candidates, references)
     cand_toks = [tokenize(c) for c in candidates]
     ref_toks = [tokenize(r) for r in references]
     cand_len = sum(len(t) for t in cand_toks)
@@ -94,10 +99,7 @@ def rouge_l(candidate: str, reference: str) -> tuple[float, float, float]:
 
 def corpus_rouge(candidates: Sequence[str], references: Sequence[str], kind: str) -> float:
     """Mean per-example F in [0, 1]; empty references are skipped with a warning."""
-    if not candidates:
-        raise EmptyEvalSet("corpus_rouge needs at least one candidate")
-    if len(candidates) != len(references):
-        raise AlignmentError(f"{len(candidates)} candidates vs {len(references)} references")
+    _check_aligned("corpus_rouge", candidates, references)
     scores: list[float] = []
     skipped = 0
     for c, r in zip(candidates, references):
@@ -146,8 +148,7 @@ def meteor_simplified(candidate: str, reference: str) -> float:
 
 
 def corpus_meteor(candidates: Sequence[str], references: Sequence[str]) -> float:
-    if not candidates:
-        raise EmptyEvalSet("corpus_meteor needs at least one candidate")
+    _check_aligned("corpus_meteor", candidates, references)
     return sum(meteor_simplified(c, r) for c, r in zip(candidates, references)) / len(candidates)
 
 

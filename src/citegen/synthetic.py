@@ -55,7 +55,26 @@ _BRIDGE = "This direction matured quickly afterwards."
 _CLOSER = "We build on these insights."
 _STRAY_MARKER = "Legacy et al. (1900)"  # never entered into the key table
 
-_MULTI_VARIETIES = ("two_narrative", "with_bridge", "paren_double", "bracket_double", "three_narrative")
+# Marker styles: a cited document's segment; the separator between the
+# segments of one sentence and the brackets around them; the templates.
+_STYLES = {
+    "a": ("{name} et al. ({year})", "", "", "", _NARRATIVE),
+    "b": ("{name} ({year})", "", "", "", _NARRATIVE),
+    "c": ("{name} et al., {year}", "; ", "(", ")", _TRAILING),
+    "d": ("{num}", ", ", "[", "]", _TRAILING),
+}
+
+# Body shapes: a body's citation sentences as (marker style, number of cited
+# documents), with the bridging sentence where it stands. Single-citation
+# bodies cycle through the first table, multi-citation bodies the second.
+_SINGLE_SHAPES = tuple(((style, 1),) for style in "abcd")
+_MULTI_SHAPES = (
+    (("a", 1), ("b", 1)),  # two narrative sentences
+    (("a", 1), _BRIDGE, ("b", 1)),  # a bridged pair
+    (("c", 2),),  # a shared parenthetical
+    (("d", 2),),  # a shared bracket
+    (("a", 1), ("b", 1), ("a", 1)),  # three narrative sentences
+)
 
 
 @dataclass(frozen=True)
@@ -70,189 +89,87 @@ class SynthSpec:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
-class _Factory:
-    """Stateful counters keeping every generated identity unique."""
-
-    def __init__(self, seed: int):
-        self.rng = substream(seed, "synth")
-        self.n_cited = 0
-        self.n_bracket = 0
-        self.intent_cursor = 0
-
-    def next_intent(self) -> IntentLabel:
-        intent = INTENT_ORDER[self.intent_cursor % len(INTENT_ORDER)]
-        self.intent_cursor += 1
-        return intent
-
-    def topic(self) -> str:
-        return _TOPICS[int(self.rng.integers(len(_TOPICS)))]
-
-    def keyword(self) -> str:
-        return _KEYWORDS[int(self.rng.integers(len(_KEYWORDS)))]
-
-    def new_cited(self) -> tuple[Document, str, int]:
-        """Fresh cited document with a unique (name, year) identity."""
-        k = self.n_cited
-        self.n_cited += 1
-        name = _NAMES[k % len(_NAMES)].lower()  # lookup keys are lowercased
-        year = 1950 + k // len(_NAMES)
-        topic = self.topic()
-        doc = Document(
-            id=f"C{k:04d}",
-            title=f"A Study of {topic}",
-            abstract=(
-                f"This paper studies {topic}. The method relies on {self.keyword()} "
-                f"to handle {topic}. Benchmarks show consistent gains."
-            ),
-        )
-        return doc, f"{name} {year}", year
-
-    def next_bracket(self) -> int:
-        self.n_bracket += 1
-        return self.n_bracket
-
-
-def _render_marker(style: str, key: str, year: int, bracket_num: int | None) -> tuple[str, str]:
-    """Return (surface form for the body, placeholder context for the gold).
-
-    The gold context is whatever surrounds the replaced span after the
-    pipeline's rewrite, with ``{B}`` standing for the placeholder itself.
-    """
-    name = key.split()[0].capitalize()
-    if style == "a":
-        return f"{name} et al. ({year})", "{B}"
-    if style == "b":
-        return f"{name} ({year})", "{B}"
-    if style == "c":
-        return f"({name} et al., {year})", "({B})"
-    if style == "d":
-        return f"[{bracket_num}]", "[{B}]"
-    raise ValueError(f"unknown marker style {style!r}")
-
-
-@dataclass
-class _Slot:
-    """One citation occurrence: a cited doc rendered in one marker style."""
-
-    doc: Document
-    key: str
-    surface: str
-    gold_context: str
-
-
-def _make_slot(factory: _Factory, style: str, key_table: dict[str, str]) -> _Slot:
-    doc, key, year = factory.new_cited()
-    bracket = factory.next_bracket() if style == "d" else None
-    surface, gold_ctx = _render_marker(style, key, year, bracket)
-    key_table[key] = doc.id
-    if bracket is not None:
-        key_table[f"[{bracket}]"] = doc.id
-    return _Slot(doc=doc, key=key, surface=surface, gold_context=gold_ctx)
-
-
-def _sentence_pair(
-    template: str, topic: str, slots: list[_Slot], first_b: int, stray: bool = False
-) -> tuple[str, str]:
-    """Render one citation sentence for the body and its gold counterpart."""
-    if len(slots) == 1:
-        body_m = slots[0].surface
-        gold_m = slots[0].gold_context.format(B=f"<B{first_b}>")
-    else:  # shared parenthetical/bracket marker, segments joined in place
-        seg_body = [s.surface.strip("()[]") for s in slots]
-        opener, closer = slots[0].surface[0], slots[0].surface[-1]
-        sep = "; " if opener == "(" else ", "
-        body_m = opener + sep.join(seg_body) + closer
-        gold_m = opener + sep.join(f"<B{first_b + i}>" for i in range(len(slots))) + closer
-    body = template.format(M=body_m, topic=topic)
-    gold = template.format(M=gold_m, topic=topic)
-    if stray:
-        body = body[:-1] + f", extending {_STRAY_MARKER}."
-        gold = gold[:-1] + ", extending <REF>."
-    return body, gold
-
-
 def generate_synthetic_corpus(spec: SynthSpec) -> tuple[Corpus, dict[str, str], list[CitationInstance]]:
     """Build (corpus, bodies, gold instances) from counts and a seed.
 
-    Single-citation bodies carry one templated citation sentence; multi
-    bodies cycle through five shapes (adjacent narrative sentences, a bridged
-    pair, shared parenthetical, shared bracket, three narrative sentences).
-    Intents round-robin so their frequencies stay balanced; every 7th single
-    also carries a stray marker absent from the key table.
+    Bodies take their shapes from ``_SINGLE_SHAPES`` and ``_MULTI_SHAPES`` in
+    turn. Each cited document gets a fresh (name, year), in style d a fresh
+    bracket number, and draws a topic then a keyword from the ``synth``
+    substream; the citing document draws after them. Intents round-robin over
+    citation sentences to stay balanced; every 7th single also carries a
+    stray marker absent from the key table.
     """
-    factory = _Factory(spec.seed)
+    rng = substream(spec.seed, "synth")
+
+    def draw(words: tuple[str, ...]) -> str:
+        return words[int(rng.integers(len(words)))]
+
     documents: dict[str, Document] = {}
     key_table: dict[str, str] = {}
     bodies: dict[str, str] = {}
     gold: list[CitationInstance] = []
-
-    def emit(citing_topic: str, sentences: list[str], gold_sents: list[str],
-             cited: list[_Slot], intents: list[IntentLabel], idx: int) -> None:
+    n_cited = n_bracket = n_sentences = 0
+    shapes = ([_SINGLE_SHAPES[i % len(_SINGLE_SHAPES)] for i in range(spec.n_single)]
+              + [_MULTI_SHAPES[j % len(_MULTI_SHAPES)] for j in range(spec.n_multi)])
+    for idx, shape in enumerate(shapes):
+        stray = idx < spec.n_single and idx % 7 == 6
+        body_sents: list[str] = []
+        gold_sents: list[str] = []
+        cited: list[Document] = []
+        intents: list[IntentLabel] = []
+        for part in shape:
+            if isinstance(part, str):  # the bridging sentence
+                body_sents.append(part)
+                gold_sents.append(part)
+                continue
+            style, n_docs = part
+            segment, sep, opener, closer, templates = _STYLES[style]
+            intent = INTENT_ORDER[n_sentences % len(INTENT_ORDER)]
+            n_sentences += 1
+            segments: list[str] = []
+            placeholders: list[str] = []
+            for k in range(n_docs):
+                name = _NAMES[n_cited % len(_NAMES)]
+                year = 1950 + n_cited // len(_NAMES)
+                topic = draw(_TOPICS)
+                if k == 0:
+                    sentence_topic = topic
+                doc = Document(
+                    id=f"C{n_cited:04d}",
+                    title=f"A Study of {topic}",
+                    abstract=(
+                        f"This paper studies {topic}. The method relies on {draw(_KEYWORDS)} "
+                        f"to handle {topic}. Benchmarks show consistent gains."
+                    ),
+                )
+                n_cited += 1
+                key_table[f"{name.lower()} {year}"] = doc.id  # lookup keys are lowercased
+                if style == "d":
+                    n_bracket += 1
+                    key_table[f"[{n_bracket}]"] = doc.id
+                segments.append(segment.format(name=name, year=year, num=n_bracket))
+                cited.append(doc)
+                placeholders.append(f"<B{len(cited)}>")
+                intents.append(intent)
+            for sents, marks, stray_mark in ((body_sents, segments, _STRAY_MARKER),
+                                             (gold_sents, placeholders, "<REF>")):
+                sentence = templates[intent].format(M=opener + sep.join(marks) + closer,
+                                                    topic=sentence_topic)
+                sents.append(sentence[:-1] + f", extending {stray_mark}." if stray else sentence)
+        citing_topic = draw(_TOPICS)
         citing = Document(
             id=f"P{idx:04d}",
             title=f"Advances in {citing_topic}",
             abstract=(
                 f"We study {citing_topic} in this paper. Our approach builds on "
-                f"{factory.keyword()} and residual updates. Extensive experiments "
+                f"{draw(_KEYWORDS)} and residual updates. Extensive experiments "
                 f"validate the design."
             ),
         )
         documents[citing.id] = citing
-        for slot in cited:
-            documents[slot.doc.id] = slot.doc
-        bodies[citing.id] = " ".join([_OPENER] + sentences + [_CLOSER])
-        gold.append(
-            CitationInstance(
-                instance_id=f"{citing.id}#0",
-                citing=citing,
-                cited=[slot.doc for slot in cited],
-                intents=intents,
-                target=" ".join(gold_sents),
-            )
-        )
-
-    idx = 0
-    for i in range(spec.n_single):
-        style = "abcd"[i % 4]
-        family = _NARRATIVE if style in "ab" else _TRAILING
-        intent = factory.next_intent()
-        slot = _make_slot(factory, style, key_table)
-        topic = slot.doc.title.removeprefix("A Study of ")
-        body_s, gold_s = _sentence_pair(family[intent], topic, [slot], 1, stray=(i % 7 == 6))
-        emit(factory.topic(), [body_s], [gold_s], [slot], [intent], idx)
-        idx += 1
-
-    for j in range(spec.n_multi):
-        variety = _MULTI_VARIETIES[j % len(_MULTI_VARIETIES)]
-        sentences: list[str] = []
-        gold_sents: list[str] = []
-        cited: list[_Slot] = []
-        intents: list[IntentLabel] = []
-        if variety in ("two_narrative", "with_bridge", "three_narrative"):
-            n = 3 if variety == "three_narrative" else 2
-            for k in range(n):
-                intent = factory.next_intent()
-                slot = _make_slot(factory, "ab"[k % 2], key_table)
-                topic = slot.doc.title.removeprefix("A Study of ")
-                body_s, gold_s = _sentence_pair(_NARRATIVE[intent], topic, [slot], len(cited) + 1)
-                if variety == "with_bridge" and k == 1:
-                    sentences.append(_BRIDGE)
-                    gold_sents.append(_BRIDGE)
-                sentences.append(body_s)
-                gold_sents.append(gold_s)
-                cited.append(slot)
-                intents.append(intent)
-        else:  # one sentence, two citations sharing a single intent
-            style = "c" if variety == "paren_double" else "d"
-            intent = factory.next_intent()
-            slots = [_make_slot(factory, style, key_table) for _ in range(2)]
-            topic = slots[0].doc.title.removeprefix("A Study of ")
-            body_s, gold_s = _sentence_pair(_TRAILING[intent], topic, slots, 1)
-            sentences.append(body_s)
-            gold_sents.append(gold_s)
-            cited.extend(slots)
-            intents.extend([intent, intent])
-        emit(factory.topic(), sentences, gold_sents, cited, intents, idx)
-        idx += 1
+        documents.update((doc.id, doc) for doc in cited)
+        bodies[citing.id] = " ".join([_OPENER, *body_sents, _CLOSER])
+        gold.append(CitationInstance(instance_id=f"{citing.id}#0", citing=citing, cited=cited,
+                                     intents=intents, target=" ".join(gold_sents)))
 
     return Corpus(documents=documents, key_table=key_table), bodies, gold

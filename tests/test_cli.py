@@ -275,6 +275,7 @@ def test_config_file_and_flags_give_same_outputs(pipeline, tmp_path, command):
     ("build-corpus", "n-single = 3", "n_single"),
     ("train-intent", "epoch = 1", "epoch"),
     ("train-fid", "feature-dim = 64", "feature_dim"),
+    ("train-intent", "seed = 2", "seed"),  # a repeated key names both lines
 ])
 def test_exit_3_unknown_config_key(pipeline, tmp_path, capsys, command, line, key):
     cfg = tmp_path / "run.cfg"
@@ -475,6 +476,8 @@ def _set_line(lines, k, text):
                  id="documents-duplicate-id"),
     pytest.param("retrieve", "documents", 1, lambda lines: _set_line(
         lines, 1, json.dumps({**json.loads(lines[0]), "id": ""})), id="documents-empty-id"),
+    pytest.param("train-fid", "documents", 2, lambda lines: _set_line(
+        lines, 2, json.dumps({**json.loads(lines[1]), "title": 5})), id="documents-wrong-type"),
     pytest.param("train-fid", "dataset", 2, lambda lines: _set_line(lines, 2, lines[1][:-2]),
                  id="dataset-malformed-json"),
     pytest.param("train-intent", "dataset", 4, lambda lines: _set_line(
@@ -491,20 +494,29 @@ def _set_line(lines, k, text):
     pytest.param("train-intent", "dataset", 2, lambda lines: _set_line(
         lines, 2, json.dumps({**json.loads(lines[1]), "intents": ["method", "bogus"]})),
         id="dataset-unknown-intent-train"),
+    pytest.param("train-intent", "dataset", 3, lambda lines: _set_line(
+        lines, 3, json.dumps({**json.loads(lines[2]), "target": 7})), id="dataset-wrong-type"),
     pytest.param("build-corpus", "bodies", 2, lambda lines: _set_line(lines, 2, "{broken"),
                  id="bodies-malformed-json"),
     pytest.param("build-corpus", "bodies", 1, lambda lines: _set_line(
         lines, 1, json.dumps({"id": json.loads(lines[0])["id"]})), id="bodies-missing-key"),
     pytest.param("build-corpus", "bodies", "last", lambda lines: lines.append(lines[0]),
                  id="bodies-duplicate-id"),
+    pytest.param("build-corpus", "bodies", 2, lambda lines: _set_line(
+        lines, 2, json.dumps({**json.loads(lines[1]), "body": 5})), id="bodies-wrong-type"),
     pytest.param("evaluate", "predictions", 1, lambda lines: _set_line(lines, 1, lines[0][:-3]),
                  id="predictions-malformed-json"),
     pytest.param("evaluate", "predictions", "last", lambda lines: lines.append(
         json.dumps({**json.loads(lines[0]), "text": "a different prediction"})),
         id="predictions-duplicate-id"),
+    pytest.param("evaluate", "predictions", 1, lambda lines: _set_line(
+        lines, 1, json.dumps({**json.loads(lines[0]), "text": 5})), id="predictions-wrong-type"),
     pytest.param("evaluate", "references", 2, lambda lines: _set_line(
         lines, 2, json.dumps({"instance_id": json.loads(lines[1])["instance_id"]})),
         id="references-missing-key"),
+    pytest.param("evaluate", "references", 2, lambda lines: _set_line(
+        lines, 2, json.dumps({**json.loads(lines[1]), "text": ["a", "list"]})),
+        id="references-wrong-type"),
     pytest.param("build-corpus", "key_table", 2,
                  lambda lines: _set_line(lines, 2, "broken line without tab"),
                  id="key_table-missing-tab"),

@@ -1,6 +1,7 @@
 """Sentence splitting, marker detection, grouping, rewriting, dataset assembly."""
 
 import logging
+import re
 
 import pytest
 from hypothesis import given
@@ -21,6 +22,7 @@ from citegen.corpus import (
     find_markers,
     group_consecutive,
     load_bodies,
+    load_dataset,
     load_dataset_records,
     load_documents,
     load_key_table,
@@ -517,3 +519,25 @@ def test_dataset_record_fields(tmp_path):
     assert rec["cited_ids"] == ["D1", "D2"]
     assert rec["intents"] == ["supportive", "supportive"]
     assert rec["instance_id"] == "P1#0"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("citing_id", 1, "citing_id and target must be strings"),
+    ("target", 7, "citing_id and target must be strings"),
+    ("cited_ids", "D1", "cited_ids and intents must be lists"),
+    ("cited_ids", ["D1", 2], "unknown document id 2"),
+    ("intents", "method", "cited_ids and intents must be lists"),
+    ("intents", [1], "unknown intent"),
+    ("split", 3, "split must be a string or null"),
+])
+def test_dataset_value_of_wrong_type_names_path_and_line(tmp_path, field, value, message):
+    import json
+
+    documents = {"P1": Document("P1", "A title", "An abstract."),
+                 "D1": Document("D1", "Other", "Text.")}
+    good = {"citing_id": "P1", "cited_ids": ["D1"], "intents": ["method"],
+            "target": "<B1> works.", "split": None}
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}:2: {message}")):
+        load_dataset(path, documents)

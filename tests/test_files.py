@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from citegen.corpus import load_key_table, save_key_table
 from citegen.errors import ConfigError, DataError
-from citegen.files import _numbered_lines, read_lines
+from citegen.files import _numbered_lines, read_lines, read_settings
 from citegen.tokenizer import build_vocab, load_vocab, save_vocab
 
 
@@ -52,3 +52,11 @@ def test_parse_errors_name_their_line(tmp_path):
     path.write_text("1\n\n  \n2\nthree\n")
     with pytest.raises(DataError, match=re.escape(f"{path}:5: invalid literal")):
         read_lines(path, int)
+
+
+def test_repeated_setting_names_both_lines(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("# run\nn-single = 12\nseed = 1\nn_single = 14\n")
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{path}:4: 'n_single' was already set at {path}:2")):
+        read_settings(path, ConfigError)

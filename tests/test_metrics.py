@@ -140,6 +140,11 @@ def test_bleu_rejects_empty_and_misaligned():
         bleu([], [])
     with pytest.raises(AlignmentError):
         bleu(["a"], ["a", "b"])
+    for score in (corpus_meteor, lambda c, r: corpus_rouge(c, r, "l")):
+        with pytest.raises(EmptyEvalSet):
+            score([], [])
+        with pytest.raises(AlignmentError):
+            score(["a b c", "x y z"], ["a b c"])
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +336,11 @@ def test_report_omits_missing_optional_field(tmp_path):
 
 @pytest.mark.parametrize("line, reason", [
     ("bleu 12.5", "expected 'key = value'"),
-    ("bleu = abc", "is not a literal"),
-    ("bleu = 1 +", "is not a literal"),
+    ("rouge2_f = abc", "is not a literal"),
+    ("rouge2_f = 1 +", "is not a literal"),
     ("precision = 0.5", "unknown report field"),
-], ids=["no-equals", "not-a-literal", "syntax-error", "unknown-field"])
+    ("bleu = 12.5", "'bleu' was already set at"),
+], ids=["no-equals", "not-a-literal", "syntax-error", "unknown-field", "repeated-field"])
 def test_malformed_report_line_names_path_and_line(tmp_path, line, reason):
     path = tmp_path / "r.txt"
     save_report(EvalReport(1.0, 2.0, 3.0, 4.0, 5.0, 0.9, None, 7), path)

@@ -1,10 +1,21 @@
-"""Synthetic corpus generator: counts, determinism, and pipeline round-trip."""
+"""Synthetic corpus generator: counts, determinism, pinned bytes, and pipeline round-trip."""
 
+import hashlib
 import re
 
+import numpy as np
 import pytest
 
-from citegen.corpus import Corpus, IntentLabel, build_dataset
+from citegen.corpus import (
+    Corpus,
+    IntentLabel,
+    build_dataset,
+    save_bodies,
+    save_dataset,
+    save_documents,
+    save_key_table,
+    split_dataset,
+)
 from citegen.errors import ConfigError
 from citegen.synthetic import SynthSpec, generate_synthetic_corpus
 
@@ -125,3 +136,36 @@ def test_pipeline_round_trip_reproduces_gold():
         assert [d.id for d in inst.cited] == [d.id for d in g.cited]
         assert inst.intents == g.intents
         assert inst.citing.id == g.citing.id
+
+
+# sha256 of each corpus as ``citegen synth`` writes it (documents, bodies, key
+# table, split gold), recorded under numpy 2.4.6: the corpus draws from numpy's
+# generator, which another numpy may change.
+_PINNED_NUMPY = "2.4.6"
+
+
+@pytest.mark.parametrize("n_single,n_multi,seed,digest", [
+    (50, 10, 0,
+     "805de3749c7561d888726474f198e41462559d9ed18d8ff29473b8f3fde542e5"),
+    (160, 20, 5,
+     "a5c17329083aba3a8f864c25a2123b66ce1bf45af59226a92cb6f26504b6c3f0"),
+    (440, 60, 0,
+     "b1924c2197ca5f01bd58d6f4ac3259394418c785559d22287a0ffd8872ebd5eb"),
+    (2640, 360, 0,
+     "95d2bed5a68d534c91b5fd6a63165c051bc0c0e22946eb8d5277fbd77b07213c"),
+    (7, 13, 5,
+     "de294fd1bd866718c56031eddcfd8a5f8830927723e6bfc51e0056a6ebfca157"),
+])
+def test_corpus_bytes_are_pinned(tmp_path, n_single, n_multi, seed, digest):
+    if np.__version__ != _PINNED_NUMPY:
+        pytest.skip("digest recorded under another numpy, whose generator may differ")
+    corpus, bodies, gold = generate_synthetic_corpus(SynthSpec(n_single, n_multi, seed))
+    split_dataset(gold, seed)
+    save_documents(corpus.documents.values(), tmp_path / "documents.jsonl")
+    save_bodies(bodies, tmp_path / "bodies.jsonl")
+    save_key_table(corpus.key_table, tmp_path / "key_table.tsv")
+    save_dataset(gold, tmp_path / "gold.jsonl")
+    h = hashlib.sha256()
+    for name in ("documents.jsonl", "bodies.jsonl", "key_table.tsv", "gold.jsonl"):
+        h.update((tmp_path / name).read_bytes())
+    assert h.hexdigest() == digest
