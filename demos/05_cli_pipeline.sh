@@ -48,24 +48,11 @@ citegen retrieve --baseline \
     --documents "$WORK/synth/documents.jsonl" \
     --split test --out "$WORK/retrieved.jsonl"
 
-# references for the test split come straight from the built targets
-python3 - "$WORK" <<'PY'
-import json, sys
-work = sys.argv[1]
-test_ids = {json.loads(l)["instance_id"]
-            for l in open(f"{work}/preds_with.jsonl") if l.strip()}
-rows = [json.loads(l) for l in open(f"{work}/built/targets.jsonl") if l.strip()]
-with open(f"{work}/refs.jsonl", "w") as f:
-    for r in rows:
-        if r["instance_id"] in test_ids:
-            f.write(json.dumps(r) + "\n")
-PY
-
 echo
 echo "=== trained model, intent codes on (plus ablation column) ==="
 citegen evaluate \
     --predictions "$WORK/preds_with.jsonl" \
-    --references "$WORK/refs.jsonl" \
+    --references "$WORK/built/targets.test.jsonl" \
     --predictions-without-intent "$WORK/preds_without.jsonl" \
     --intent-model "$WORK/intent/intent.bin" \
     --dataset "$WORK/built/dataset.jsonl" \
@@ -75,7 +62,7 @@ echo
 echo "=== retrieval baseline ==="
 citegen evaluate \
     --predictions "$WORK/retrieved.jsonl" \
-    --references "$WORK/refs.jsonl" \
+    --references "$WORK/built/targets.test.jsonl" \
     --intent-model "$WORK/intent/intent.bin" \
     --dataset "$WORK/built/dataset.jsonl" \
     --report "$WORK/report_retrieval.txt"

@@ -5,7 +5,8 @@ Every command reads and writes only the files named by its flags, writes a
 manifest (config hash, seed, input digests) next to its outputs, and exits
 with a per-error-class code: 2 missing file (or a directory in its place),
 3 config validation, 4 numerical divergence, 5 data errors, 1 anything
-unexpected.
+unexpected. A command whose stdout is closed before its closing summary
+line has written every output, so it exits 0.
 
 ``SETTINGS`` lists the settings a flag or a ``--config`` file may set, for
 the four commands that have any; every other option is a flag only.
@@ -18,15 +19,16 @@ import dataclasses
 import hashlib
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import fid as fid_mod
 from . import metrics as metrics_mod
-from .corpus import Corpus, IntentLabel, load_dataset, split_dataset
-from .errors import AlignmentError, CitegenError, ConfigError, DataError, NumericalError
-from .files import read_lines, read_settings, write_lines
+from .corpus import SPLITS, TEXTS, Corpus, load_dataset, split_dataset
+from .errors import CitegenError, ConfigError, DataError, NumericalError
+from .files import read_records, read_settings, write_records
 from .intent import (
     load_intent_model,
     make_intent_fn,
@@ -39,8 +41,6 @@ from .synthetic import SynthSpec, generate_synthetic_corpus
 from .tokenizer import build_vocab, decode, load_vocab, save_vocab
 
 logger = logging.getLogger(__name__)
-
-SPLIT_RATIOS = (0.8, 0.1, 0.1)  # fixed; split_dataset implements them
 
 
 # ---------------------------------------------------------------------------
@@ -114,29 +114,20 @@ def _write_manifest(out_dir: Path, command: str, options: dict, inputs: list[Pat
 
 
 def _save_targets(instances, path: Path) -> None:
-    write_lines(path, (json.dumps({"instance_id": inst.instance_id, "text": inst.target})
-                       for inst in instances))
+    write_records(path, TEXTS, ((inst.instance_id, inst.target) for inst in instances))
 
 
-def _load_id_text(path: Path) -> dict[str, str]:
-    out: dict[str, str] = {}
-
-    def add(line: str) -> None:
-        rec = json.loads(line)
-        if not (isinstance(rec["instance_id"], str) and isinstance(rec["text"], str)):
-            raise TypeError("instance_id and text must be strings")
-        if rec["instance_id"] in out:
-            raise ValueError(f"duplicate instance id {rec['instance_id']!r}")
-        out[rec["instance_id"]] = rec["text"]
-
-    read_lines(path, add)
-    return out
+def _load_texts(path: Path) -> dict[str, str]:
+    return dict(read_records(path, TEXTS, lambda *pair: pair))
 
 
-def _select_split(instances, split: str | None):
-    if split is None or split == "all":
-        return list(instances)
-    return [inst for inst in instances if inst.split == split]
+def _select_split(records: list, split: str, dataset: str) -> list:
+    """The records in ``split``, or all of them for ``all``. Raises DataError
+    naming the ``dataset`` file when that selects none."""
+    chosen = records if split == "all" else [r for r in records if r.split == split]
+    if not chosen:
+        raise DataError(f"{dataset}: no records in split {split!r}")
+    return chosen
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +164,8 @@ def _cmd_build_corpus(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus_mod.save_dataset(result.instances, out_dir / "dataset.jsonl")
     _save_targets(result.instances, out_dir / "targets.jsonl")
-    for split in corpus_mod.SPLITS:
-        _save_targets(_select_split(result.instances, split),
+    for split in SPLITS:
+        _save_targets([inst for inst in result.instances if inst.split == split],
                       out_dir / f"targets.{split}.jsonl")
     _write_manifest(out_dir, "build-corpus", {**settings, "skipped": result.skipped},
                     [Path(args.documents), Path(args.bodies), Path(args.key_table),
@@ -183,21 +174,12 @@ def _cmd_build_corpus(args) -> int:
     return 0
 
 
-def _train_pairs(records) -> list[tuple[str, IntentLabel]]:
-    pairs: list[tuple[str, IntentLabel]] = []
-    for rec in records:
-        labels = [IntentLabel(v) for v in rec["intents"]]
-        for label, window in zip(labels, placeholder_windows(rec["target"], len(labels))):
-            pairs.append((window, label))
-    return pairs
-
-
 def _cmd_train_intent(args) -> int:
     settings = _settings(args)
-    records = corpus_mod.load_dataset_records(Path(args.dataset))
-    if args.split != "all":
-        records = [r for r in records if r.get("split") == args.split]
-    pairs = _train_pairs(records)
+    records = _select_split(corpus_mod.load_dataset_records(Path(args.dataset)), args.split,
+                            args.dataset)
+    pairs = [pair for rec in records
+             for pair in zip(placeholder_windows(rec.target, len(rec.intents)), rec.intents)]
     model = train_intent(pairs, **settings)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -224,10 +206,8 @@ def _cmd_train_fid(args) -> int:
     with_intent = args.with_intent
     documents = corpus_mod.load_documents(Path(args.documents))
     instances = load_dataset(Path(args.dataset), documents)
-    train_set = _select_split(instances, "train")
-    valid_set = _select_split(instances, "valid")
-    if not train_set:
-        raise ConfigError("dataset has no train split")
+    train_set = _select_split(instances, "train", args.dataset)
+    valid_set = [inst for inst in instances if inst.split == "valid"]
     vocab = build_vocab(_instances_text(train_set), min_freq=settings["min_freq"],
                         max_size=settings["max_vocab"])
     config = fid_mod.ModelConfig(vocab_size=len(vocab.id_to_token),
@@ -254,6 +234,8 @@ def _cmd_train_fid(args) -> int:
 
 
 def _load_model(args):
+    """The checkpoint's config, parameters and metadata, its vocabulary, the
+    dataset's instances in ``args.split``, and the paths of every input."""
     ckpt = Path(args.checkpoint)
     config, params, meta = fid_mod.load_checkpoint(ckpt)
     vocab_path = Path(args.vocab) if args.vocab else ckpt.parent / meta["vocab_file"]
@@ -261,61 +243,55 @@ def _load_model(args):
     if len(vocab.id_to_token) != config.vocab_size:
         raise DataError(f"{vocab_path} holds {len(vocab.id_to_token)} tokens, "
                         f"{ckpt} needs {config.vocab_size}")
-    return config, params, meta, vocab, [ckpt, vocab_path]
+    documents = corpus_mod.load_documents(Path(args.documents))
+    instances = _select_split(load_dataset(Path(args.dataset), documents), args.split,
+                              args.dataset)
+    return (config, params, meta, vocab, instances,
+            [ckpt, vocab_path, Path(args.dataset), Path(args.documents)])
 
 
 def _cmd_generate(args) -> int:
-    config, params, meta, vocab, inputs = _load_model(args)
-    documents = corpus_mod.load_documents(Path(args.documents))
-    instances = _select_split(load_dataset(Path(args.dataset), documents), args.split)
-    lines = []
+    config, params, meta, vocab, instances, inputs = _load_model(args)
+    rows = []
     for inst in instances:
         fid_in = fid_mod.build_fid_input(inst, vocab, config, meta["with_intent"])
         ids = fid_mod.generate(params, config, fid_in, mode=args.mode,
                                beam_size=args.beam_size, max_len=args.max_len)
-        lines.append(json.dumps({"instance_id": inst.instance_id, "text": decode(ids, vocab)}))
+        rows.append((inst.instance_id, decode(ids, vocab)))
     # written only after every instance decoded, so a failed run leaves an
     # earlier predictions file as it was
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_lines(out, lines)
+    write_records(out, TEXTS, rows)
     _write_manifest(out.parent, "generate",
                     {"mode": args.mode, "beam_size": args.beam_size,
                      "max_len": args.max_len, "split": args.split,
-                     "with_intent": meta["with_intent"]},
-                    inputs + [Path(args.dataset), Path(args.documents)])
+                     "with_intent": meta["with_intent"]}, inputs)
     print(f"generated {len(instances)} predictions -> {out}")
     return 0
 
 
 def _cmd_retrieve(args) -> int:
-    config, params, meta, vocab, inputs = _load_model(args)
-    documents = corpus_mod.load_documents(Path(args.documents))
-    instances = _select_split(load_dataset(Path(args.dataset), documents), args.split)
+    config, params, meta, vocab, instances, inputs = _load_model(args)
     retrieve = retrieve_oracle if args.oracle else retrieve_baseline
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_lines(out, (json.dumps({"instance_id": inst.instance_id,
-                                  "text": retrieve(params["emb"], inst, vocab).text})
-                      for inst in instances))
+    write_records(out, TEXTS, ((inst.instance_id, retrieve(params["emb"], inst, vocab).text)
+                               for inst in instances))
     _write_manifest(out.parent, "retrieve",
-                    {"mode": "oracle" if args.oracle else "baseline", "split": args.split},
-                    inputs + [Path(args.dataset), Path(args.documents)])
+                    {"mode": "oracle" if args.oracle else "baseline", "split": args.split}, inputs)
     print(f"retrieved {len(instances)} predictions -> {out}")
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    predictions = _load_id_text(Path(args.predictions))
-    references = _load_id_text(Path(args.references))
+    predictions = _load_texts(Path(args.predictions))
+    references = _load_texts(Path(args.references))
     intent_model = load_intent_model(Path(args.intent_model))
-    records = corpus_mod.load_dataset_records(Path(args.dataset))
-    intended = {r["instance_id"]: [IntentLabel(v) for v in r["intents"]] for r in records}
-    missing = [i for i in predictions if i not in intended]
-    if missing:
-        raise AlignmentError(f"ids missing from dataset: {missing[:5]}")
-    intended = {i: intended[i] for i in predictions}
-    without = _load_id_text(Path(args.predictions_without_intent)) \
+    intended = {r.instance_id: r.intents
+                for r in corpus_mod.load_dataset_records(Path(args.dataset))
+                if r.instance_id in predictions}
+    without = _load_texts(Path(args.predictions_without_intent)) \
         if args.predictions_without_intent else None
     report = metrics_mod.evaluate(predictions, references, intent_model, intended, without)
     out = Path(args.report)
@@ -367,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-intent", help="train the intent classifier")
     _add_settings(p, "train-intent")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--split", default="train", choices=["train", "valid", "test", "all"])
+    p.add_argument("--split", default="train", choices=[*SPLITS, "all"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train_intent)
 
@@ -388,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", help="override the vocabulary path from the checkpoint")
     p.add_argument("--dataset", required=True)
     p.add_argument("--documents", required=True)
-    p.add_argument("--split", default="test", choices=["train", "valid", "test", "all"])
+    p.add_argument("--split", default="test", choices=[*SPLITS, "all"])
     p.add_argument("--mode", default="greedy", choices=["greedy", "beam"])
     p.add_argument("--beam-size", type=int, default=4, dest="beam_size")
     p.add_argument("--max-len", type=int, dest="max_len")
@@ -401,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab")
     p.add_argument("--dataset", required=True)
     p.add_argument("--documents", required=True)
-    p.add_argument("--split", default="test", choices=["train", "valid", "test", "all"])
+    p.add_argument("--split", default="test", choices=[*SPLITS, "all"])
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--oracle", action="store_true",
                    help="rank against the gold target (upper bound)")
@@ -428,7 +404,15 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout shows here, not at shutdown
+        return status
+    except BrokenPipeError:
+        # every command writes its outputs and manifest before its summary
+        # line, so the run is complete; as the ``signal`` docs advise, point
+        # stdout at devnull so that the flush at shutdown does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return 2

@@ -7,16 +7,16 @@ placeholders, and assembles/splits the dataset.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import MaxRefsExceeded, SplitTooSmall
-from .files import read_lines, write_lines
+from .files import Records, read_lines, read_records, write_lines, write_records
 from .seeding import substream
 from .tokenizer import MAX_REFS, REF
 
@@ -35,6 +35,17 @@ class IntentLabel(str, Enum):
 
 
 INTENT_ORDER = tuple(IntentLabel)
+_LABELS = {label.value: label for label in IntentLabel}  # a dict: IntentLabel(v) is slow
+SPLITS = ("train", "valid", "test")
+
+# The JSON-lines files, each kind's fields in write order with the rule its
+# values meet (see ``files.Records``); TEXTS holds predictions, references and
+# targets. A dataset record's cited ids are checked by ``load_dataset``.
+DOCUMENTS = Records({"id": str, "title": str, "abstract": str}, key="id")
+BODIES = Records({"id": str, "body": str}, key="id")
+DATASET = Records({"citing_id": str, "cited_ids": list, "intents": [tuple(_LABELS)],
+                   "target": str, "split": (*SPLITS, None)})
+TEXTS = Records({"instance_id": str, "text": str}, key="instance_id")
 
 
 @dataclass(frozen=True)
@@ -356,9 +367,6 @@ def build_dataset(corpus: Corpus, bodies: Mapping[str, str], intent_fn: IntentFn
     return BuildResult(instances, skipped)
 
 
-SPLITS = ("train", "valid", "test")
-
-
 def split_dataset(instances: Sequence[CitationInstance], seed: int) -> list[CitationInstance]:
     """Assign 80/10/10 splits in place, deterministically.
 
@@ -373,13 +381,9 @@ def split_dataset(instances: Sequence[CitationInstance], seed: int) -> list[Cita
     perm = substream(seed, "split").permutation(n)
     n_train = int(0.8 * n)
     n_valid = int(0.1 * n)
+    bounds = (n_train, n_train + n_valid)
     for rank, idx in enumerate(perm):
-        if rank < n_train:
-            ordered[idx].split = "train"
-        elif rank < n_train + n_valid:
-            ordered[idx].split = "valid"
-        else:
-            ordered[idx].split = "test"
+        ordered[idx].split = SPLITS[sum(rank >= bound for bound in bounds)]
     return list(instances)
 
 
@@ -387,50 +391,30 @@ def split_dataset(instances: Sequence[CitationInstance], seed: int) -> list[Cita
 # File formats (all UTF-8, line-delimited)
 
 def save_documents(documents: Iterable[Document], path: str | Path) -> None:
-    write_lines(path, (json.dumps({"id": d.id, "title": d.title, "abstract": d.abstract})
-                       for d in documents))
+    write_records(path, DOCUMENTS, ((d.id, d.title, d.abstract) for d in documents))
+
+
+def _document(doc_id: str, title: str, abstract: str) -> Document:
+    if not doc_id:
+        raise ValueError("empty document id")
+    if not _normalize_ws(abstract):
+        raise ValueError(f"document {doc_id!r} has an empty abstract")
+    return Document(doc_id, title, abstract)
 
 
 def load_documents(path: str | Path) -> dict[str, Document]:
-    """Documents by id. Raises DataError naming ``path:line`` for a malformed
-    line, a missing key, or an empty or duplicate id or empty abstract."""
-    docs: dict[str, Document] = {}
-
-    def add(line: str) -> None:
-        rec = json.loads(line)
-        if not all(isinstance(rec[key], str) for key in ("id", "title", "abstract")):
-            raise TypeError("id, title and abstract must be strings")
-        doc = Document(id=rec["id"], title=rec["title"], abstract=rec["abstract"])
-        if not doc.id or doc.id in docs:
-            raise ValueError(f"empty or duplicate document id {doc.id!r}")
-        if not _normalize_ws(doc.abstract):
-            raise ValueError(f"document {doc.id!r} has an empty abstract")
-        docs[doc.id] = doc
-
-    read_lines(path, add)
-    return docs
+    """Documents by id. Raises DataError naming ``path:line`` for a record
+    that ``DOCUMENTS`` rejects, or an empty id or abstract."""
+    return {doc.id: doc for doc in read_records(path, DOCUMENTS, _document)}
 
 
 def save_bodies(bodies: Mapping[str, str], path: str | Path) -> None:
-    write_lines(path, (json.dumps({"id": doc_id, "body": body})
-                       for doc_id, body in bodies.items()))
+    write_records(path, BODIES, bodies.items())
 
 
 def load_bodies(path: str | Path) -> dict[str, str]:
-    """Bodies by document id. Raises DataError naming ``path:line`` for a
-    malformed line, a missing key or a duplicate id."""
-    bodies: dict[str, str] = {}
-
-    def add(line: str) -> None:
-        rec = json.loads(line)
-        if not (isinstance(rec["id"], str) and isinstance(rec["body"], str)):
-            raise TypeError("id and body must be strings")
-        if rec["id"] in bodies:
-            raise ValueError(f"duplicate body id {rec['id']!r}")
-        bodies[rec["id"]] = rec["body"]
-
-    read_lines(path, add)
-    return bodies
+    """Bodies by document id; a record ``BODIES`` rejects raises DataError."""
+    return dict(read_records(path, BODIES, lambda *pair: pair))
 
 
 def save_key_table(key_table: Mapping[str, str], path: str | Path) -> None:
@@ -451,75 +435,45 @@ def load_key_table(path: str | Path) -> dict[str, str]:
 
 
 def save_dataset(instances: Iterable[CitationInstance], path: str | Path) -> None:
-    """Write dataset records: {citing_id, cited_ids, intents, target, split}."""
-    write_lines(path, (json.dumps({
-        "citing_id": inst.citing.id,
-        "cited_ids": [d.id for d in inst.cited],
-        "intents": [i.value for i in inst.intents],
-        "target": inst.target,
-        "split": inst.split,
-    }) for inst in instances))
+    """Write one ``DATASET`` record per instance; an ``IntentLabel`` is a str
+    holding its value, so JSON writes it as that value."""
+    write_records(path, DATASET, ((inst.citing.id, [d.id for d in inst.cited], inst.intents,
+                                   inst.target, inst.split) for inst in instances))
 
 
-_RECORD_KEYS = frozenset({"citing_id", "cited_ids", "intents", "target"})
-_INTENT_VALUES = frozenset(label.value for label in IntentLabel)
+# an instance id derived from the citing id, then the fields, intents as labels
+DatasetRecord = namedtuple("DatasetRecord", ["instance_id", *DATASET.fields])
 
 
-def _record_parser() -> Callable[[str], dict]:
-    """Parses one dataset line into its record, with an ``instance_id`` field
-    derived from the citing id and the records before it. Raises KeyError for
-    a missing key, TypeError for a value of the wrong type and ValueError for
-    an unknown intent."""
+def _dataset_rows(path: str | Path, make: Callable) -> list:
+    """``make(*DatasetRecord)`` for each record of the dataset file ``path``."""
     ordinal: dict[str, int] = {}
 
-    def parse(line: str) -> dict:
-        rec = json.loads(line)
-        missing = _RECORD_KEYS.difference(rec)
-        if missing:
-            raise KeyError(min(missing))
-        if not (isinstance(rec["citing_id"], str) and isinstance(rec["target"], str)):
-            raise TypeError("citing_id and target must be strings")
-        # their items are checked where they are read: the intents just below,
-        # the cited ids by load_dataset's document lookup
-        if not (isinstance(rec["cited_ids"], list) and isinstance(rec["intents"], list)):
-            raise TypeError("cited_ids and intents must be lists")
-        if not isinstance(rec.get("split"), (str, type(None))):
-            raise TypeError("split must be a string or null")
-        if not _INTENT_VALUES.issuperset(rec["intents"]):
-            raise ValueError(f"unknown intent in {rec['intents']!r}")
-        k = ordinal.get(rec["citing_id"], 0)
-        ordinal[rec["citing_id"]] = k + 1
-        rec["instance_id"] = f"{rec['citing_id']}#{k}"
-        return rec
+    def row(citing_id, cited_ids, intents, target, split):
+        k = ordinal.get(citing_id, 0)
+        ordinal[citing_id] = k + 1
+        return make(f"{citing_id}#{k}", citing_id, cited_ids,
+                    [_LABELS[v] for v in intents], target, split)
 
-    return parse
+    return read_records(path, DATASET, row)
 
 
-def load_dataset_records(path: str | Path) -> list[dict]:
-    """Raw dataset records with a derived ``instance_id`` field; raises
-    DataError naming ``path:line`` for a malformed record."""
-    return read_lines(path, _record_parser())
+def load_dataset_records(path: str | Path) -> list[DatasetRecord]:
+    """The records of a dataset file, without looking up their documents;
+    raises DataError naming ``path:line`` for a record ``DATASET`` rejects."""
+    return _dataset_rows(path, DatasetRecord)
 
 
 def load_dataset(path: str | Path, documents: Mapping[str, Document]) -> list[CitationInstance]:
-    """Dataset instances; raises DataError naming ``path:line`` for a
-    malformed record or one that names an unknown document."""
-    record = _record_parser()
+    """Dataset instances; raises DataError naming ``path:line`` for a record
+    ``DATASET`` rejects or one that names an unknown document."""
 
-    def instance(line: str) -> CitationInstance:
-        rec = record(line)
+    def instance(instance_id, citing_id, cited_ids, intents, target, split):
         try:
-            citing = documents[rec["citing_id"]]
-            cited = [documents[d] for d in rec["cited_ids"]]
-        except KeyError as exc:  # every record key is present: an id is unknown
+            citing = documents[citing_id]
+            cited = [documents[d] for d in cited_ids]
+        except KeyError as exc:
             raise ValueError(f"unknown document id {exc}") from None
-        return CitationInstance(
-            instance_id=rec["instance_id"],
-            citing=citing,
-            cited=cited,
-            intents=[IntentLabel(v) for v in rec["intents"]],
-            target=rec["target"],
-            split=rec.get("split"),
-        )
+        return CitationInstance(instance_id, citing, cited, intents, target, split)
 
-    return read_lines(path, instance)
+    return _dataset_rows(path, instance)

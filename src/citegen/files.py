@@ -1,8 +1,9 @@
-"""The file layer: one reader and one writer for every text file, one format
-for every trained model.
+"""The file layer: one reader and one writer for every text file, and for
+every JSON-lines file, one format for every trained model.
 
 Text inputs are UTF-8 with one record per line, and every error names
-``path:line``. Tensor files (``fid.ckpt``, ``intent.bin``) hold an 8-byte
+``path:line``; a JSON-lines line is one JSON object with the fields of its
+``Records`` kind. Tensor files (``fid.ckpt``, ``intent.bin``) hold an 8-byte
 magic, the little-endian int64 length of a sorted-key JSON header that lists
 each tensor's name and shape, then the tensors in name order as
 little-endian float64.
@@ -14,7 +15,7 @@ import json
 import math
 import struct
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -91,6 +92,65 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for line in lines:
             f.write(line + "\n")
+
+
+class Records(NamedTuple):
+    """A kind of JSON-lines file. ``fields`` maps each field, in write order,
+    to its rule: a type, a tuple of the values the field may take (with None,
+    it may be absent), or a one-item list of such a tuple for each item of a
+    list. No two records share a value of the field ``key``, unless None."""
+
+    fields: Mapping[str, object]
+    key: str | None = None
+
+
+def _check(rule: object) -> Callable[[object], bool]:
+    """Whether a value meets ``rule``; builtin methods where they serve, as
+    they cost less per record than a Python call."""
+    if isinstance(rule, list):
+        return lambda value: isinstance(value, list) and all(map(rule[0].__contains__, value))
+    return rule.__instancecheck__ if isinstance(rule, type) else rule.__contains__
+
+
+def _rule_text(rule: object) -> str:
+    if isinstance(rule, list):
+        return f"a list whose items are each {_rule_text(rule[0])}"
+    return (f"a {rule.__name__}" if isinstance(rule, type)
+            else "one of " + ", ".join(json.dumps(v) for v in rule))
+
+
+def read_records(path: str | Path, kind: Records, make: Callable[..., T]) -> list[T]:
+    """``make(*values)`` for each record of the JSON-lines file ``path``, the
+    values in ``kind.fields`` order, None for an absent field. As in
+    ``read_lines``, an error, and a record that breaks ``kind``, raises
+    DataError naming ``path:line``."""
+    seen: set = set()
+    checks = [(name, _check(rule)) for name, rule in kind.fields.items()]
+
+    def parse(line: str) -> T:
+        rec = json.loads(line)
+        if not isinstance(rec, dict):
+            raise TypeError(f"expected a JSON object, got {type(rec).__name__}")
+        values = [rec.get(name) for name in kind.fields]
+        for (name, check), value in zip(checks, values):
+            if not check(value):
+                if name not in rec:
+                    raise KeyError(name)
+                raise ValueError(f"{name} must be {_rule_text(kind.fields[name])}, "
+                                 f"got {json.dumps(value)}")
+        if kind.key is not None:
+            if rec[kind.key] in seen:
+                raise ValueError(f"{kind.key} {rec[kind.key]!r} repeats an earlier record's")
+            seen.add(rec[kind.key])
+        return make(*values)
+
+    return read_lines(path, parse)
+
+
+def write_records(path: str | Path, kind: Records, rows: Iterable[Sequence]) -> None:
+    """Write each of ``rows``, its values in ``kind.fields`` order, as one
+    JSON object per line."""
+    write_lines(path, (json.dumps(dict(zip(kind.fields, row))) for row in rows))
 
 
 def write_tensors(path: str | Path, magic: bytes, header: Mapping,

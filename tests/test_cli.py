@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -466,6 +469,13 @@ def _set_line(lines, k, text):
     lines[k - 1] = text
 
 
+def _resplit(lines, old, new):
+    for k, line in enumerate(lines):
+        rec = json.loads(line)
+        if rec["split"] == old:
+            lines[k] = json.dumps({**rec, "split": new})
+
+
 @pytest.mark.parametrize("command, target, line, damage", [
     pytest.param("train-fid", "documents", 3, lambda lines: _set_line(lines, 3, "{not json"),
                  id="documents-malformed-json"),
@@ -496,6 +506,30 @@ def _set_line(lines, k, text):
         id="dataset-unknown-intent-train"),
     pytest.param("train-intent", "dataset", 3, lambda lines: _set_line(
         lines, 3, json.dumps({**json.loads(lines[2]), "target": 7})), id="dataset-wrong-type"),
+    pytest.param("train-fid", "dataset", 2, lambda lines: _set_line(
+        lines, 2, json.dumps({**json.loads(lines[1]), "split": "trian"})),
+        id="dataset-unknown-split-train-fid"),
+    pytest.param("train-intent", "dataset", 3, lambda lines: _set_line(
+        lines, 3, json.dumps({**json.loads(lines[2]), "split": "Train"})),
+        id="dataset-unknown-split-train-intent"),
+    pytest.param("generate", "dataset", 4, lambda lines: _set_line(
+        lines, 4, json.dumps({**json.loads(lines[3]), "split": "tset"})),
+        id="dataset-unknown-split-generate"),
+    pytest.param("retrieve", "dataset", 1, lambda lines: _set_line(
+        lines, 1, json.dumps({**json.loads(lines[0]), "split": ""})),
+        id="dataset-unknown-split-retrieve"),
+    pytest.param("evaluate", "dataset", 2, lambda lines: _set_line(
+        lines, 2, json.dumps({**json.loads(lines[1]), "split": "validation"})),
+        id="dataset-unknown-split-evaluate"),
+    # a split the command needs that selects no record names the file
+    pytest.param("train-fid", "dataset", None, lambda lines: _resplit(lines, "train", "valid"),
+                 id="dataset-empty-split-train-fid"),
+    pytest.param("train-intent", "dataset", None, lambda lines: _resplit(lines, "train", "test"),
+                 id="dataset-empty-split-train-intent"),
+    pytest.param("generate", "dataset", None, lambda lines: _resplit(lines, "test", "train"),
+                 id="dataset-empty-split-generate"),
+    pytest.param("retrieve", "dataset", None, lambda lines: _resplit(lines, "test", "valid"),
+                 id="dataset-empty-split-retrieve"),
     pytest.param("build-corpus", "bodies", 2, lambda lines: _set_line(lines, 2, "{broken"),
                  id="bodies-malformed-json"),
     pytest.param("build-corpus", "bodies", 1, lambda lines: _set_line(
@@ -559,8 +593,27 @@ def test_exit_5_malformed_data_names_path_and_line(pipeline, tmp_path, capsys,
                          str(pipeline["intent_model"]), "--out-dir", str(tmp_path / "built")],
     }[command]
     assert main([command, *args]) == 5
-    where = f"{bad}:{len(lines) if line == 'last' else line}:"
+    where = {None: f"{bad}:", "last": f"{bad}:{len(lines)}:"}.get(line, f"{bad}:{line}:")
     assert where in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [bad]  # the failed run wrote nothing
+
+
+def test_closed_stdout_exits_0_with_outputs_written(tmp_path):
+    # stdout is a pipe whose reading end is closed before the command starts
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "citegen.cli", "synth", "--n-single", "12",
+                               "--n-multi", "2", "--out-dir", str(tmp_path / "synth")],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr == b""
+    assert (tmp_path / "synth" / "manifest-synth.json").exists()
 
 
 # ---------------------------------------------------------------------------

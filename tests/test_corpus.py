@@ -8,6 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from citegen.corpus import (
+    BODIES,
+    DATASET,
+    DOCUMENTS,
+    TEXTS,
     BuildResult,
     CitationInstance,
     Corpus,
@@ -36,6 +40,7 @@ from citegen.corpus import (
 )
 from citegen.corpus import _ABBREVIATIONS
 from citegen.errors import DataError, MaxRefsExceeded, SplitTooSmall
+from citegen.files import read_records, write_records
 from citegen.intent import placeholder_windows
 from citegen.synthetic import SynthSpec, generate_synthetic_corpus
 
@@ -515,20 +520,42 @@ def test_dataset_record_fields(tmp_path):
 
     records = load_dataset_records(tmp_path / "data.jsonl")
     rec = records[0]
-    assert rec["citing_id"] == "P1"
-    assert rec["cited_ids"] == ["D1", "D2"]
-    assert rec["intents"] == ["supportive", "supportive"]
-    assert rec["instance_id"] == "P1#0"
+    assert rec.citing_id == "P1"
+    assert rec.cited_ids == ["D1", "D2"]
+    assert rec.intents == ["supportive", "supportive"]
+    assert rec.instance_id == "P1#0"
+
+
+@pytest.mark.parametrize("kind, rows", [
+    (DOCUMENTS, [("P1", "A title", "An abstract."), ("D1", "", "Ünïcode \"quoted\".")]),
+    (BODIES, [("P1", "Some body."), ("P2", "")]),
+    (DATASET, [("P1", ["D1", "D2"], ["method", "background"], "<B1> and <B2>.", "train"),
+               ("P2", ["D3"], ["supportive"], "<B1> holds.", None)]),
+    (TEXTS, [("P1#0", "a prediction"), ("P1#1", "")]),
+], ids=["documents", "bodies", "dataset", "texts"])
+def test_records_round_trip(tmp_path, kind, rows):
+    write_records(tmp_path / "f.jsonl", kind, rows)
+    assert read_records(tmp_path / "f.jsonl", kind, lambda *values: values) == rows
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("citing_id", 1, "citing_id and target must be strings"),
-    ("target", 7, "citing_id and target must be strings"),
-    ("cited_ids", "D1", "cited_ids and intents must be lists"),
-    ("cited_ids", ["D1", 2], "unknown document id 2"),
-    ("intents", "method", "cited_ids and intents must be lists"),
-    ("intents", [1], "unknown intent"),
-    ("split", 3, "split must be a string or null"),
+    pytest.param("citing_id", 1, "citing_id must be a str, got 1",
+                 id="citing_id-1-citing_id and target must be strings"),
+    pytest.param("target", 7, "target must be a str, got 7",
+                 id="target-7-citing_id and target must be strings"),
+    pytest.param("cited_ids", "D1", 'cited_ids must be a list, got "D1"',
+                 id="cited_ids-D1-cited_ids and intents must be lists"),
+    pytest.param("cited_ids", ["D1", 2], "unknown document id 2",
+                 id="cited_ids-value3-unknown document id 2"),
+    pytest.param("intents", "method", 'intents must be a list whose items are each one of '
+                 '"background", "method", "supportive", "not_supportive", got "method"',
+                 id="intents-method-cited_ids and intents must be lists"),
+    pytest.param("intents", [1], "intents must be a list whose items are each one of",
+                 id="intents-value5-unknown intent"),
+    pytest.param("split", 3, 'split must be one of "train", "valid", "test", null, got 3',
+                 id="split-3-split must be a string or null"),
+    pytest.param("split", "trian", 'split must be one of "train", "valid", "test", null, '
+                 'got "trian"', id="split-trian-unknown split"),
 ])
 def test_dataset_value_of_wrong_type_names_path_and_line(tmp_path, field, value, message):
     import json
