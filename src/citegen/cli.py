@@ -274,10 +274,11 @@ def _cmd_generate(args) -> int:
 def _cmd_retrieve(args) -> int:
     config, params, meta, vocab, instances, inputs = _load_model(args)
     retrieve = retrieve_oracle if args.oracle else retrieve_baseline
+    # every instance first, so that a DataError leaves no partial output
+    rows = [(inst.instance_id, retrieve(params["emb"], inst, vocab).text) for inst in instances]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_records(out, TEXTS, ((inst.instance_id, retrieve(params["emb"], inst, vocab).text)
-                               for inst in instances))
+    write_records(out, TEXTS, rows)
     _write_manifest(out.parent, "retrieve",
                     {"mode": "oracle" if args.oracle else "baseline", "split": args.split}, inputs)
     print(f"retrieved {len(instances)} predictions -> {out}")

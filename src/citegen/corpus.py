@@ -446,27 +446,37 @@ DatasetRecord = namedtuple("DatasetRecord", ["instance_id", *DATASET.fields])
 
 
 def _dataset_rows(path: str | Path, make: Callable) -> list:
-    """``make(*DatasetRecord)`` for each record of the dataset file ``path``."""
+    """``make(*DatasetRecord)`` for each record of the dataset file ``path``;
+    a record must cite at least one document and give one intent per cited
+    document, as ``build_fid_input`` pairs them."""
     ordinal: dict[str, int] = {}
 
     def row(citing_id, cited_ids, intents, target, split):
         k = ordinal.get(citing_id, 0)
         ordinal[citing_id] = k + 1
-        return make(f"{citing_id}#{k}", citing_id, cited_ids,
+        made = make(f"{citing_id}#{k}", citing_id, cited_ids,
                     [_LABELS[v] for v in intents], target, split)
+        # after ``make``, so that an unknown document id is named first
+        if not cited_ids:
+            raise ValueError("cited_ids must name at least one document, got []")
+        if len(intents) != len(cited_ids):
+            raise ValueError(f"intents must give one label per cited document, got "
+                             f"{len(intents)} for {len(cited_ids)}")
+        return made
 
     return read_records(path, DATASET, row)
 
 
 def load_dataset_records(path: str | Path) -> list[DatasetRecord]:
     """The records of a dataset file, without looking up their documents;
-    raises DataError naming ``path:line`` for a record ``DATASET`` rejects."""
+    raises DataError naming ``path:line`` for a record ``DATASET`` rejects
+    or whose intents do not pair one to one with its cited ids."""
     return _dataset_rows(path, DatasetRecord)
 
 
 def load_dataset(path: str | Path, documents: Mapping[str, Document]) -> list[CitationInstance]:
     """Dataset instances; raises DataError naming ``path:line`` for a record
-    ``DATASET`` rejects or one that names an unknown document."""
+    ``load_dataset_records`` rejects or one that names an unknown document."""
 
     def instance(instance_id, citing_id, cited_ids, intents, target, split):
         try:

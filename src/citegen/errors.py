@@ -41,7 +41,8 @@ class NumericalError(CitegenError):
 
 
 class DataError(CitegenError):
-    """A file's contents are malformed; the message names the file."""
+    """A file's contents are malformed; the message names the file, or the
+    record at fault where the file is not known."""
 
 
 class AlignmentError(CitegenError):

@@ -8,11 +8,12 @@ Hashed features are sparse: a window touches a few dozen of the 2^15
 columns. Prediction and training therefore work on each text's gathered
 columns and values, never on the full weight matrix: logits gather the
 touched weight rows, and each mini-batch accumulates and applies the weight
-gradient only for the columns its rows touch. Every sum runs in the order of
-scipy's CSR and CSC products (sequential over a row's entries, and over a
+gradient only for the columns its rows touch. The reference the tests
+compare against is scipy's CSR and CSC products with a dense update. Every
+sum here runs in their order (sequential over a row's entries, and over a
 column's rows in row order, from zero), so logits, probabilities and trained
-weights are bit-identical to ``x @ w.T`` and ``(x.T @ p).T`` with a dense
-update.
+weights are bit-identical to ``x @ w.T`` and ``(x.T @ p).T``. The features
+themselves are plain numpy arrays in CSR layout (``Features``).
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .corpus import INTENT_ORDER, IntentLabel, _sentences
 from .errors import ClassMissing, ConfigError, EmptyEvalSet
@@ -63,13 +64,24 @@ def _features(text: str, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(cols, dtype=np.int64), vals
 
 
-def featurize_batch(texts: list[str], dim: int = DEFAULT_DIM) -> sp.csr_matrix:
+class Features(NamedTuple):
+    """Rows of hashed features in CSR layout, with the field names of
+    ``scipy.sparse.csr_matrix``: row ``i`` holds columns
+    ``indices[indptr[i]:indptr[i + 1]]`` (ascending) with values ``data[...]``."""
+
+    indptr: np.ndarray  # (rows + 1,) int64
+    indices: np.ndarray  # (nnz,) int64
+    data: np.ndarray  # (nnz,) float64
+    shape: tuple[int, int]
+
+
+def featurize_batch(texts: list[str], dim: int = DEFAULT_DIM) -> Features:
     """One row of hashed unigram+bigram counts per text, L2-normalized."""
     feats = [_features(t, dim) for t in texts]
     indptr = np.concatenate(([0], np.cumsum([len(c) for c, _ in feats], dtype=np.int64)))
     cols = np.concatenate([c for c, _ in feats] + [np.empty(0, np.int64)])
     vals = np.concatenate([v for _, v in feats] + [np.empty(0)])
-    return sp.csr_matrix((vals, cols, indptr), shape=(len(texts), dim))
+    return Features(indptr, cols, vals, (len(texts), dim))
 
 
 def _scatter_rows(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -100,7 +112,7 @@ def _loss_and_grad(
     return loss, touched, grad_w, p.sum(axis=0)
 
 
-def _batch_entries(x: sp.csr_matrix, take: np.ndarray) -> tuple[np.ndarray, ...]:
+def _batch_entries(x: Features, take: np.ndarray) -> tuple[np.ndarray, ...]:
     """Feature entries of rows ``take`` of ``x`` in row order: (batch row,
     column, value)."""
     starts = x.indptr[take]

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import CitationInstance, split_sentences
+from .errors import DataError
 from .tokenizer import Vocabulary, tokenize
 
 
@@ -60,7 +61,7 @@ def _retrieve(emb: np.ndarray, instance: CitationInstance, vocab: Vocabulary,
     for doc in instance.cited:
         sentences = [s.text for s in split_sentences(doc.abstract)]
         if not sentences:
-            raise ValueError(f"cited document {doc.id} has no sentences")
+            raise DataError(f"cited document {doc.id!r} has no sentences in its abstract")
         picks.append(_best_sentence(emb, query, sentences, vocab))
     text = " ".join(f"<B{n}> {sent}" for n, sent in enumerate(picks, start=1))
     return RetrievalResult(sentences=tuple(picks), text=text)
@@ -68,7 +69,8 @@ def _retrieve(emb: np.ndarray, instance: CitationInstance, vocab: Vocabulary,
 
 def retrieve_oracle(emb: np.ndarray, instance: CitationInstance,
                     vocab: Vocabulary) -> RetrievalResult:
-    """Per cited doc, the abstract sentence most similar to the gold target."""
+    """Per cited doc, the abstract sentence most similar to the gold target.
+    Raises DataError naming a cited document whose abstract has no sentences."""
     return _retrieve(emb, instance, vocab, instance.target)
 
 

@@ -465,6 +465,20 @@ def test_exit_5_data_errors(pipeline, tmp_path):
                  "--report", str(tmp_path / "r.txt")]) == 5
 
 
+def test_exit_5_cited_document_without_sentences(pipeline, tmp_path, capsys):
+    # retrieval picks one abstract sentence per cited document
+    test_rec = next(r for r in _jsonl(pipeline["built"] / "dataset.jsonl") if r["split"] == "test")
+    doc_id = test_rec["cited_ids"][0]
+    docs = tmp_path / "documents.jsonl"
+    docs.write_text("".join(json.dumps({**d, "abstract": ""} if d["id"] == doc_id else d) + "\n"
+                            for d in _jsonl(pipeline["synth"] / "documents.jsonl")))
+    assert main(["retrieve", "--checkpoint", str(pipeline["model"] / "fid.ckpt"),
+                 "--dataset", str(pipeline["built"] / "dataset.jsonl"), "--documents", str(docs),
+                 "--split", "test", "--baseline", "--out", str(tmp_path / "out.jsonl")]) == 5
+    assert repr(doc_id) in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [docs]  # the failed run wrote nothing
+
+
 def _set_line(lines, k, text):
     lines[k - 1] = text
 
@@ -530,6 +544,20 @@ def _resplit(lines, old, new):
                  id="dataset-empty-split-generate"),
     pytest.param("retrieve", "dataset", None, lambda lines: _resplit(lines, "test", "valid"),
                  id="dataset-empty-split-retrieve"),
+    # build_fid_input pairs each cited id with one intent
+    pytest.param("generate", "dataset", 3, lambda lines: _set_line(
+        lines, 3, json.dumps({**json.loads(lines[2]),
+                              "intents": json.loads(lines[2])["intents"] * 2})),
+        id="dataset-more-intents-than-cited-generate"),
+    pytest.param("generate", "dataset", 6, lambda lines: _set_line(
+        lines, 6, json.dumps({**json.loads(lines[5]), "intents": []})),
+        id="dataset-no-intents-generate"),
+    pytest.param("train-fid", "dataset", 2, lambda lines: _set_line(
+        lines, 2, json.dumps({**json.loads(lines[1]), "cited_ids": []})),
+        id="dataset-no-cited-ids-train-fid"),
+    pytest.param("train-intent", "dataset", 4, lambda lines: _set_line(
+        lines, 4, json.dumps({**json.loads(lines[3]), "intents": []})),
+        id="dataset-no-intents-train-intent"),
     pytest.param("build-corpus", "bodies", 2, lambda lines: _set_line(lines, 2, "{broken"),
                  id="bodies-malformed-json"),
     pytest.param("build-corpus", "bodies", 1, lambda lines: _set_line(
@@ -614,6 +642,54 @@ def test_closed_stdout_exits_0_with_outputs_written(tmp_path):
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stderr == b""
     assert (tmp_path / "synth" / "manifest-synth.json").exists()
+
+
+# Run in a fresh process: importing citegen loads no scipy module, and with
+# scipy blocked every command of a tiny pipeline still exits 0.
+_NO_SCIPY_PIPELINE = """
+import sys
+from pathlib import Path
+
+import citegen.cli
+
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+assert not loaded, f"importing citegen loaded {loaded}"
+sys.modules["scipy"] = None  # any later import of scipy raises ImportError
+
+w = Path(sys.argv[1])
+synth, built, model = w / "synth", w / "built", w / "model"
+data = ["--dataset", str(built / "dataset.jsonl"), "--documents", str(synth / "documents.jsonl")]
+steps = [
+    ["synth", "--n-single", "12", "--n-multi", "3", "--seed", "1", "--out-dir", str(synth)],
+    ["train-intent", "--dataset", str(synth / "gold.jsonl"), "--split", "all", "--epochs", "3",
+     "--feature-dim", "1024", "--out", str(w / "intent.bin")],
+    ["build-corpus", "--documents", str(synth / "documents.jsonl"),
+     "--bodies", str(synth / "bodies.jsonl"), "--key-table", str(synth / "key_table.tsv"),
+     "--intent-model", str(w / "intent.bin"), "--seed", "1", "--out-dir", str(built)],
+    ["train-fid", *data, "--out-dir", str(model), "--d-model", "8", "--n-heads", "2",
+     "--n-enc-layers", "1", "--n-dec-layers", "1", "--block-len", "16", "--target-len", "12",
+     "--epochs", "1", "--batch-size", "8"],
+    ["generate", "--checkpoint", str(model / "fid.ckpt"), *data, "--split", "all",
+     "--out", str(w / "preds.jsonl")],
+    ["retrieve", "--checkpoint", str(model / "fid.ckpt"), *data, "--split", "all",
+     "--baseline", "--out", str(w / "retrieved.jsonl")],
+    ["evaluate", "--predictions", str(w / "preds.jsonl"),
+     "--references", str(built / "targets.jsonl"), "--intent-model", str(w / "intent.bin"),
+     "--dataset", str(built / "dataset.jsonl"), "--report", str(w / "report.txt")],
+]
+for step in steps:
+    assert citegen.cli.main(step) == 0, step[0]
+"""
+
+
+def test_pipeline_runs_without_scipy(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_PIPELINE, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "report.txt").is_file()
 
 
 # ---------------------------------------------------------------------------

@@ -556,6 +556,12 @@ def test_records_round_trip(tmp_path, kind, rows):
                  id="split-3-split must be a string or null"),
     pytest.param("split", "trian", 'split must be one of "train", "valid", "test", null, '
                  'got "trian"', id="split-trian-unknown split"),
+    pytest.param("cited_ids", [], "cited_ids must name at least one document, got []",
+                 id="cited_ids-empty"),
+    pytest.param("intents", ["method", "method"], "intents must give one label per cited "
+                 "document, got 2 for 1", id="intents-longer-than-cited_ids"),
+    pytest.param("intents", [], "intents must give one label per cited document, got 0 for 1",
+                 id="intents-empty"),
 ])
 def test_dataset_value_of_wrong_type_names_path_and_line(tmp_path, field, value, message):
     import json

@@ -15,6 +15,7 @@ from citegen.corpus import INTENT_ORDER, IntentLabel
 from citegen.errors import ClassMissing, ConfigError, DataError, EmptyEvalSet
 from citegen.files import write_tensors
 from citegen.intent import (
+    Features,
     IntentModel,
     _loss_and_grad,
     featurize_batch,
@@ -84,6 +85,11 @@ def _ref_train(pairs, epochs, lr, seed, batch_size, dim):
     return w, b
 
 
+def _csr(x: Features) -> sp.csr_matrix:
+    """``featurize_batch`` output as the scipy matrix it lays out."""
+    return sp.csr_matrix((x.data, x.indices, x.indptr), shape=x.shape)
+
+
 def _dense_loss_and_grad(w, b, x, y):
     """``_loss_and_grad`` on a CSR batch, its column gradient scattered into
     a dense (4, dim) array."""
@@ -99,7 +105,7 @@ def _dense_loss_and_grad(w, b, x, y):
 
 def test_unigram_counts_pre_normalization():
     dim = 512
-    x = featurize_batch(["a a b"], dim)
+    x = _csr(featurize_batch(["a a b"], dim))
     # counts: a=2, b=1, bigrams "a a"=1, "a b"=1; norm = sqrt(4+1+1+1)
     norm = math.sqrt(7.0)
     assert x[0, _col("1:a", dim)] * norm == pytest.approx(2.0)
@@ -109,26 +115,35 @@ def test_unigram_counts_pre_normalization():
 
 
 def test_feature_vector_unit_norm():
-    x = featurize_batch(["we follow the procedure of <B1> for parsing ."])
+    x = _csr(featurize_batch(["we follow the procedure of <B1> for parsing ."]))
     assert np.linalg.norm(x.toarray()) == pytest.approx(1.0)
 
 
 def test_placeholders_share_one_feature():
-    a = featurize_batch(["<B1> x"])
-    b = featurize_batch(["<B2> x"])
+    a = _csr(featurize_batch(["<B1> x"]))
+    b = _csr(featurize_batch(["<B2> x"]))
     assert (a != b).nnz == 0
 
 
 def test_empty_text_zero_vector():
-    x = featurize_batch([""])
+    x = _csr(featurize_batch([""]))
     assert x.nnz == 0
     assert x.shape == (1, 2 ** 15)
 
 
 def test_featurize_batch_shape():
-    x = featurize_batch(["a b", "c", ""], dim=128)
+    x = _csr(featurize_batch(["a b", "c", ""], dim=128))
     assert x.shape == (3, 128)
     assert x.format == "csr"
+
+
+def test_featurize_batch_returns_numpy_csr_arrays():
+    x = featurize_batch(["a b", "", "c"], dim=128)
+    assert isinstance(x, Features)
+    assert x.shape == (3, 128)
+    assert (x.indptr.dtype, x.indices.dtype, x.data.dtype) == (np.int64, np.int64, np.float64)
+    assert x.indptr[0] == 0 and x.indptr[2] == x.indptr[1]  # the empty text has no entries
+    assert x.indptr[-1] == len(x.indices) == len(x.data)
 
 
 def _texts(seed=6):
@@ -140,9 +155,9 @@ def _texts(seed=6):
 @pytest.mark.parametrize("dim", [64, 2 ** 15])
 def test_featurize_equals_reference_rows(dim):
     texts = _texts()
-    x = featurize_batch(texts, dim)
+    x = _csr(featurize_batch(texts, dim))
     ref = sp.vstack([_ref_featurize(t, dim) for t in texts], format="csr")
-    stacked = sp.vstack([featurize_batch([t], dim) for t in texts], format="csr")
+    stacked = sp.vstack([_csr(featurize_batch([t], dim)) for t in texts], format="csr")
     for other in (ref, stacked):
         assert np.array_equal(x.indptr, other.indptr)
         assert np.array_equal(x.indices, other.indices)
@@ -186,7 +201,7 @@ def test_gradient_matches_finite_differences():
 @pytest.mark.parametrize("dim", [64, 2 ** 12])
 def test_loss_and_grad_equal_scipy_reference(dim):
     texts = _texts()[:40]
-    x = featurize_batch(texts, dim)
+    x = _csr(featurize_batch(texts, dim))
     y = np.arange(len(texts)) % 4
     rng = np.random.default_rng(1)
     w = rng.normal(0, 0.5, size=(4, dim))
@@ -282,7 +297,7 @@ def test_probabilities_equal_scipy_product(dim):
     for m in (model, noisy):
         for text in _texts():
             _, probs = predict_intent(m, text)
-            logits = np.asarray(featurize_batch([text], dim) @ m.weights.T).ravel() + m.bias
+            logits = np.asarray(_csr(featurize_batch([text], dim)) @ m.weights.T).ravel() + m.bias
             assert np.array_equal(probs, _ref_softmax(logits))
 
 

@@ -1,8 +1,10 @@
 """Retrieval baselines against a brute-force similarity scan."""
 
 import numpy as np
+import pytest
 
 from citegen.corpus import CitationInstance, Document, IntentLabel, split_sentences
+from citegen.errors import DataError
 from citegen.retrieval import (
     RetrievalResult,
     embed_sentence,
@@ -131,6 +133,15 @@ def test_multi_cited_order_and_prefixes():
     result = retrieve_oracle(emb, inst, vocab)
     assert isinstance(result, RetrievalResult)
     assert result.text == "<B1> Only sentence a. <B2> Only sentence b."
+
+
+@pytest.mark.parametrize("retrieve", [retrieve_oracle, retrieve_baseline])
+def test_cited_document_without_sentences_is_a_data_error(retrieve):
+    inst = _instance("citing text", ["Only sentence a.", ""], "<B1> x <B2> y")
+    vocab = _vocab_for(inst)
+    emb = np.random.default_rng(7).normal(size=(len(vocab), 8))
+    with pytest.raises(DataError, match="cited document 'C1' has no sentences"):
+        retrieve(emb, inst, vocab)
 
 
 def test_agrees_with_brute_force_on_synthetic_instances():
