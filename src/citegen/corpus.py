@@ -12,13 +12,14 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import MaxRefsExceeded, SplitTooSmall
 from .files import Records, read_lines, read_records, write_lines, write_records
 from .seeding import substream
-from .tokenizer import MAX_REFS, REF
+from .tokenizer import MAX_REFS, REF, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -48,13 +49,42 @@ DATASET = Records({"citing_id": str, "cited_ids": list, "intents": [tuple(_LABEL
 TEXTS = Records({"instance_id": str, "text": str}, key="instance_id")
 
 
+class AbstractParse:
+    """An abstract split into sentences, as ``split_sentences`` gives them,
+    and tokenized. Kept compact: the sentence texts, each sentence's token
+    count, and all tokens in one space-joined string (a token never holds
+    whitespace)."""
+
+    __slots__ = ("sentences", "lengths", "_tokens")
+
+    def __init__(self, abstract: str):
+        self.sentences = tuple(s.text for s in split_sentences(abstract))
+        tokens = [tokenize(s) for s in self.sentences]
+        self.lengths = tuple(len(t) for t in tokens)  # at least 1: no sentence is blank
+        self._tokens = " ".join(t for ts in tokens for t in ts)
+
+    def tokens(self) -> list[str]:
+        """Every sentence's tokens in order, as one list: ``tokenize`` of the
+        whole abstract. ``lengths`` says how many belong to each sentence."""
+        return self._tokens.split()
+
+
 @dataclass(frozen=True)
 class Document:
-    """One paper: citing or cited."""
+    """One paper: citing or cited.
+
+    ``abstract_parse`` splits and tokenizes the abstract on first use and
+    keeps the result with the document, so retrieving for several instances
+    that cite it parses it once; the fields alone make equality, hash, repr
+    and the saved record."""
 
     id: str
     title: str
     abstract: str
+
+    @cached_property
+    def abstract_parse(self) -> AbstractParse:
+        return AbstractParse(self.abstract)
 
 
 @dataclass(frozen=True)
@@ -117,7 +147,8 @@ _ABBREVIATIONS = frozenset(
     "al et e.g i.e cf etc vs fig figs eq eqs sec secs no nos vol vols "
     "dr mr mrs ms prof resp ca approx".split()
 )
-_TERMINALS = ".!?"
+# the characters that change the splitter's state: parentheses and terminals
+_SPLIT_CHARS = re.compile(r"[().!?]")
 
 
 def _is_boundary(text: str, i: int, openers: str, abbreviations: bool) -> bool:
@@ -150,12 +181,14 @@ def _sentences(text: str, openers: str, abbreviations: bool) -> list[str]:
     sentences: list[str] = []
     depth = 0
     start = 0
-    for i, ch in enumerate(text):
+    for m in _SPLIT_CHARS.finditer(text):
+        i = m.start()
+        ch = text[i]
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth = max(0, depth - 1)
-        elif ch in _TERMINALS and depth == 0 and _is_boundary(text, i, openers, abbreviations):
+        elif depth == 0 and _is_boundary(text, i, openers, abbreviations):
             piece = text[start : i + 1].strip()
             if piece:
                 sentences.append(piece)

@@ -2,6 +2,9 @@
 
 All metrics tokenize with the shared word-level tokenizer, so placeholder
 tokens count like ordinary words and every system is scored identically.
+Each public metric tokenizes its strings and calls a core over token lists;
+``evaluate`` tokenizes each prediction and reference once and calls the
+cores directly.
 """
 
 from __future__ import annotations
@@ -35,11 +38,12 @@ def _check_aligned(metric: str, candidates: Sequence[str], references: Sequence[
         raise AlignmentError(f"{len(candidates)} candidates vs {len(references)} references")
 
 
-def bleu(candidates: Sequence[str], references: Sequence[str]) -> float:
-    """Corpus BLEU-4 in [0, 100], add-one smoothed for n ≥ 2, with brevity penalty."""
-    _check_aligned("bleu", candidates, references)
-    cand_toks = [tokenize(c) for c in candidates]
-    ref_toks = [tokenize(r) for r in references]
+def _tokenized(texts: Sequence[str]) -> list[list[str]]:
+    return [tokenize(t) for t in texts]
+
+
+def _bleu(cand_toks: Sequence[Sequence[str]], ref_toks: Sequence[Sequence[str]]) -> float:
+    _check_aligned("bleu", cand_toks, ref_toks)
     cand_len = sum(len(t) for t in cand_toks)
     ref_len = sum(len(t) for t in ref_toks)
     log_p = 0.0
@@ -61,17 +65,26 @@ def bleu(candidates: Sequence[str], references: Sequence[str]) -> float:
     return 100.0 * bp * math.exp(log_p)
 
 
-def rouge_n(candidate: str, reference: str, n: int) -> tuple[float, float, float]:
-    """Clipped n-gram overlap precision/recall/F1 for n in {1, 2}."""
+def bleu(candidates: Sequence[str], references: Sequence[str]) -> float:
+    """Corpus BLEU-4 in [0, 100], add-one smoothed for n ≥ 2, with brevity penalty."""
+    return _bleu(_tokenized(candidates), _tokenized(references))
+
+
+def _rouge_n(c: Sequence[str], r: Sequence[str], n: int) -> tuple[float, float, float]:
     if n not in (1, 2):
         raise ValueError(f"rouge_n supports n in {{1, 2}}, got {n}")
-    cn = _ngrams(tokenize(candidate), n)
-    rn = _ngrams(tokenize(reference), n)
+    cn = _ngrams(c, n)
+    rn = _ngrams(r, n)
     overlap = sum(min(v, rn[k]) for k, v in cn.items())
     p = overlap / max(sum(cn.values()), 1) if cn else 0.0
-    r = overlap / max(sum(rn.values()), 1) if rn else 0.0
-    f = 2 * p * r / (p + r) if p + r > 0 else 0.0
-    return p, r, f
+    rec = overlap / max(sum(rn.values()), 1) if rn else 0.0
+    f = 2 * p * rec / (p + rec) if p + rec > 0 else 0.0
+    return p, rec, f
+
+
+def rouge_n(candidate: str, reference: str, n: int) -> tuple[float, float, float]:
+    """Clipped n-gram overlap precision/recall/F1 for n in {1, 2}."""
+    return _rouge_n(tokenize(candidate), tokenize(reference), n)
 
 
 def _lcs_len(a: Sequence[str], b: Sequence[str]) -> int:
@@ -86,10 +99,7 @@ def _lcs_len(a: Sequence[str], b: Sequence[str]) -> int:
     return prev[-1]
 
 
-def rouge_l(candidate: str, reference: str) -> tuple[float, float, float]:
-    """Longest-common-subsequence precision/recall/F1."""
-    c = tokenize(candidate)
-    r = tokenize(reference)
+def _rouge_l(c: Sequence[str], r: Sequence[str]) -> tuple[float, float, float]:
     lcs = _lcs_len(c, r)
     p = lcs / len(c) if c else 0.0
     rec = lcs / len(r) if r else 0.0
@@ -97,19 +107,24 @@ def rouge_l(candidate: str, reference: str) -> tuple[float, float, float]:
     return p, rec, f
 
 
-def corpus_rouge(candidates: Sequence[str], references: Sequence[str], kind: str) -> float:
-    """Mean per-example F in [0, 1]; empty references are skipped with a warning."""
-    _check_aligned("corpus_rouge", candidates, references)
+def rouge_l(candidate: str, reference: str) -> tuple[float, float, float]:
+    """Longest-common-subsequence precision/recall/F1."""
+    return _rouge_l(tokenize(candidate), tokenize(reference))
+
+
+def _corpus_rouge(cand_toks: Sequence[Sequence[str]], ref_toks: Sequence[Sequence[str]],
+                  kind: str) -> float:
+    _check_aligned("corpus_rouge", cand_toks, ref_toks)
     scores: list[float] = []
     skipped = 0
-    for c, r in zip(candidates, references):
-        if not tokenize(r):
+    for c, r in zip(cand_toks, ref_toks):
+        if not r:
             skipped += 1
             continue
         if kind == "l":
-            scores.append(rouge_l(c, r)[2])
+            scores.append(_rouge_l(c, r)[2])
         else:
-            scores.append(rouge_n(c, r, int(kind))[2])
+            scores.append(_rouge_n(c, r, int(kind))[2])
     if skipped:
         logger.warning("corpus_rouge: skipped %d pair(s) with empty references", skipped)
     if not scores:
@@ -117,14 +132,12 @@ def corpus_rouge(candidates: Sequence[str], references: Sequence[str], kind: str
     return sum(scores) / len(scores)
 
 
-def meteor_simplified(candidate: str, reference: str) -> float:
-    """Exact-match METEOR core in [0, 1].
+def corpus_rouge(candidates: Sequence[str], references: Sequence[str], kind: str) -> float:
+    """Mean per-example F in [0, 1]; empty references are skipped with a warning."""
+    return _corpus_rouge(_tokenized(candidates), _tokenized(references), kind)
 
-    Leftmost-greedy unigram alignment, F_mean with recall weighted 0.9,
-    fragmentation penalty 0.5 * (chunks / matches)^3.
-    """
-    c = tokenize(candidate)
-    r = tokenize(reference)
+
+def _meteor(c: Sequence[str], r: Sequence[str]) -> float:
     used: set[int] = set()
     align: list[tuple[int, int]] = []
     for i, tok in enumerate(c):
@@ -147,9 +160,22 @@ def meteor_simplified(candidate: str, reference: str) -> float:
     return f_mean * (1.0 - penalty)
 
 
+def meteor_simplified(candidate: str, reference: str) -> float:
+    """Exact-match METEOR core in [0, 1].
+
+    Leftmost-greedy unigram alignment, F_mean with recall weighted 0.9,
+    fragmentation penalty 0.5 * (chunks / matches)^3.
+    """
+    return _meteor(tokenize(candidate), tokenize(reference))
+
+
+def _corpus_meteor(cand_toks: Sequence[Sequence[str]], ref_toks: Sequence[Sequence[str]]) -> float:
+    _check_aligned("corpus_meteor", cand_toks, ref_toks)
+    return sum(_meteor(c, r) for c, r in zip(cand_toks, ref_toks)) / len(cand_toks)
+
+
 def corpus_meteor(candidates: Sequence[str], references: Sequence[str]) -> float:
-    _check_aligned("corpus_meteor", candidates, references)
-    return sum(meteor_simplified(c, r) for c, r in zip(candidates, references)) / len(candidates)
+    return _corpus_meteor(_tokenized(candidates), _tokenized(references))
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +229,8 @@ def evaluate(
             missing = sorted(set(predictions) ^ set(other))[:5]
             raise AlignmentError(f"instance ids disagree with {name} (e.g. {missing})")
     ids = sorted(predictions)
-    cands = [predictions[i] for i in ids]
-    refs = [references[i] for i in ids]
+    cands = [tokenize(predictions[i]) for i in ids]
+    refs = [tokenize(references[i]) for i in ids]
     rt_with = round_trip_accuracy(intent_model, _round_trip_pairs(predictions, intended))
     rt_without = None
     if predictions_without_intent is not None:
@@ -212,11 +238,11 @@ def evaluate(
             intent_model, _round_trip_pairs(predictions_without_intent, intended)
         )
     return EvalReport(
-        bleu=bleu(cands, refs),
-        rouge1_f=100.0 * corpus_rouge(cands, refs, "1"),
-        rouge2_f=100.0 * corpus_rouge(cands, refs, "2"),
-        rougeL_f=100.0 * corpus_rouge(cands, refs, "l"),
-        meteor=100.0 * corpus_meteor(cands, refs),
+        bleu=_bleu(cands, refs),
+        rouge1_f=100.0 * _corpus_rouge(cands, refs, "1"),
+        rouge2_f=100.0 * _corpus_rouge(cands, refs, "2"),
+        rougeL_f=100.0 * _corpus_rouge(cands, refs, "l"),
+        meteor=100.0 * _corpus_meteor(cands, refs),
         round_trip_acc_with_intent=rt_with,
         round_trip_acc_without_intent=rt_without,
         n_examples=len(ids),

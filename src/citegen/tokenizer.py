@@ -129,20 +129,25 @@ def save_vocab(vocab: Vocabulary, path: str | Path) -> None:
 
 def load_vocab(path: str | Path) -> Vocabulary:
     """Read a vocabulary written by save_vocab. Raises DataError naming
-    ``path:line`` for a line without a tab or whose id is not the next
-    integer, and naming ``path`` when the reserved prefix is missing."""
-    tokens: list[str] = []
+    ``path:line`` for a line without a tab, whose id is not the next integer
+    or whose token an earlier line holds (named by that line's id), and
+    naming ``path`` when the reserved prefix is missing."""
+    token_to_id: dict[str, int] = {}
 
     def add(line: str) -> None:
         token, tab, idx = line.rpartition("\t")
         if not tab:
             raise ValueError(f"expected 'token<TAB>id', got {line!r}")
         n = int(idx)
-        if n != len(tokens):
-            raise ValueError(f"non-contiguous id {n}, expected {len(tokens)}")
-        tokens.append(token)
+        if n != len(token_to_id):
+            raise ValueError(f"non-contiguous id {n}, expected {len(token_to_id)}")
+        if token in token_to_id:
+            raise ValueError(f"token {token!r} already has id {token_to_id[token]} "
+                             "on an earlier line")
+        token_to_id[token] = n
 
     read_lines(path, add)
-    if tuple(tokens[: len(RESERVED)]) != RESERVED:
+    tokens = tuple(token_to_id)
+    if tokens[: len(RESERVED)] != RESERVED:
         raise DataError(f"{path} does not start with the reserved token prefix")
-    return Vocabulary({t: i for i, t in enumerate(tokens)}, tuple(tokens))
+    return Vocabulary(token_to_id, tokens)

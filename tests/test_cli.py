@@ -483,6 +483,10 @@ def _set_line(lines, k, text):
     lines[k - 1] = text
 
 
+def _repeat_token(lines):
+    lines[-1] = f"{lines[-3].partition(chr(9))[0]}\t{len(lines) - 1}"
+
+
 def _resplit(lines, old, new):
     for k, line in enumerate(lines):
         rec = json.loads(line)
@@ -591,6 +595,12 @@ def _resplit(lines, old, new):
     pytest.param("generate", "vocab", "last",
                  lambda lines: _set_line(lines, len(lines), lines[-1].partition("\t")[0]),
                  id="vocab-truncated"),
+    # the last token repeats an earlier one, so the vocabulary keeps the
+    # checkpoint's size but maps that token to a different id
+    pytest.param("generate", "vocab", "last", _repeat_token,
+                 id="vocab-repeated-token-generate"),
+    pytest.param("retrieve", "vocab", "last", _repeat_token,
+                 id="vocab-repeated-token-retrieve"),
 ])
 def test_exit_5_malformed_data_names_path_and_line(pipeline, tmp_path, capsys,
                                                    command, target, line, damage):

@@ -4,7 +4,7 @@ import logging
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citegen.corpus import (
@@ -43,6 +43,7 @@ from citegen.errors import DataError, MaxRefsExceeded, SplitTooSmall
 from citegen.files import read_records, write_records
 from citegen.intent import placeholder_windows
 from citegen.synthetic import SynthSpec, generate_synthetic_corpus
+from citegen.tokenizer import tokenize
 
 
 def _texts(spans):
@@ -195,6 +196,34 @@ def test_splitters_match_reference_on_synthetic_corpus(seed):
     for g in gold:
         assert (placeholder_windows(g.target, len(g.cited))
                 == _ref_placeholder_windows(g.target, len(g.cited)))
+
+
+# Pieces dense in what the splitters decide on: terminals, brackets,
+# placeholders, whitespace runs, capitals, abbreviations, single initials and
+# non-ASCII letters (upper- and lowercase).
+_SPLIT_PIECES = [".", "!", "?", "(", ")", "[", "]", "<B1>", "<B2>", "<B3>", " ", "   ", "\t",
+                 "\n", " \n\t ", "A", "Q", "a", "word", "Word", "al", "et", "e.g", "i.e",
+                 "Fig", "fig", "J", "É", "é", "Ω", "ß", "ǅ", "7"]
+
+
+_BOUNDARY_DENSE = st.lists(st.sampled_from(_SPLIT_PIECES), max_size=40).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_BOUNDARY_DENSE)
+def test_splitters_match_reference_on_boundary_dense_text(text):
+    assert _texts(split_sentences(text)) == _ref_split_sentences(text)
+    for n_refs in (1, 3):
+        assert placeholder_windows(text, n_refs) == _ref_placeholder_windows(text, n_refs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_BOUNDARY_DENSE)
+def test_abstract_parse_matches_splitter_and_tokenizer(text):
+    parse = Document("D", "title", text).abstract_parse
+    assert list(parse.sentences) == _ref_split_sentences(text)
+    assert parse.lengths == tuple(len(tokenize(s)) for s in parse.sentences)
+    assert parse.tokens() == tokenize(text)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citegen.corpus import IntentLabel
@@ -318,6 +318,29 @@ def test_evaluate_field_ranges_on_random_inputs():
     assert 0.0 <= report.round_trip_acc_with_intent <= 1.0
     assert 0.0 <= report.round_trip_acc_without_intent <= 1.0
     assert report.n_examples == 12
+
+
+# words, placeholders and punctuation, so n-grams repeat and tokens split
+_EVAL_PIECES = st.sampled_from(["<B1>", "<B2>", "the", "model", "gains", "Uses", "of", ".",
+                                ",", "(", ")", "é", "x"])
+
+
+_TEXT_PAIRS = st.tuples(st.lists(_EVAL_PIECES, max_size=12), st.lists(_EVAL_PIECES, max_size=12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_TEXT_PAIRS, min_size=1, max_size=6).filter(lambda pairs: any(r for _, r in pairs)))
+def test_evaluate_equals_public_metric_functions(pairs):
+    cands = [" ".join(c) for c, _ in pairs]
+    refs = [" ".join(r) for _, r in pairs]
+    ids = [f"P{k:02d}#0" for k in range(len(pairs))]  # sorted as evaluate sorts
+    report = evaluate(dict(zip(ids, cands)), dict(zip(ids, refs)), _const_model(),
+                      {i: [IntentLabel.BACKGROUND] for i in ids})
+    assert report.bleu == bleu(cands, refs)
+    assert report.rouge1_f == 100.0 * corpus_rouge(cands, refs, "1")
+    assert report.rouge2_f == 100.0 * corpus_rouge(cands, refs, "2")
+    assert report.rougeL_f == 100.0 * corpus_rouge(cands, refs, "l")
+    assert report.meteor == 100.0 * corpus_meteor(cands, refs)
 
 
 def test_report_save_load_round_trip(tmp_path):

@@ -1,8 +1,11 @@
 """Retrieval baselines against a brute-force similarity scan."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from citegen import corpus
 from citegen.corpus import CitationInstance, Document, IntentLabel, split_sentences
 from citegen.errors import DataError
 from citegen.retrieval import (
@@ -158,3 +161,82 @@ def test_agrees_with_brute_force_on_synthetic_instances():
             for pick, doc in zip(got.sentences, g.cited):
                 sents = [s.text for s in split_sentences(doc.abstract)]
                 assert pick == _brute_force_pick(emb, query, sents, vocab)
+
+
+# ---------------------------------------------------------------------------
+# The parse cached on each document, and one-pass scoring
+
+def test_baseline_then_oracle_split_each_abstract_once(monkeypatch):
+    split = []
+    sentences = corpus._sentences
+
+    def counted(text, *args, **kwargs):
+        split.append(text)
+        return sentences(text, *args, **kwargs)
+
+    monkeypatch.setattr(corpus, "_sentences", counted)
+    abstracts = ["Alpha one here. Alpha two there.", "Beta one. Beta two.", "Gamma only."]
+    citing = "Citing abstract text. Second sentence."
+    inst = _instance(citing, abstracts, "Alpha two there.")
+    vocab = _vocab_for(inst)
+    emb = np.random.default_rng(8).normal(size=(len(vocab), 8))
+    for _ in range(2):
+        retrieve_baseline(emb, inst, vocab)
+        retrieve_oracle(emb, inst, vocab)
+    # the baseline tokenizes the citing abstract as its query, unsplit
+    assert sorted(split) == sorted(abstracts)
+
+
+def test_replaced_document_gets_its_own_parse():
+    doc = Document("C0", "title", "First old sentence. Second old sentence.")
+    assert doc.abstract_parse.sentences == ("First old sentence.", "Second old sentence.")
+    new = dataclasses.replace(doc, abstract="Only new sentence.")
+    assert new.abstract_parse.sentences == ("Only new sentence.",)
+    assert doc.abstract_parse.sentences == ("First old sentence.", "Second old sentence.")
+    assert new != doc and new == Document("C0", "title", "Only new sentence.")
+
+
+def test_parse_matches_split_sentences_and_tokenize():
+    _, _, gold = generate_synthetic_corpus(SynthSpec(n_single=20, n_multi=5, seed=3))
+    for doc in {d.id: d for g in gold for d in (g.citing, *g.cited)}.values():
+        sentences = [s.text for s in split_sentences(doc.abstract)]
+        parse = doc.abstract_parse
+        assert list(parse.sentences) == sentences
+        assert parse.lengths == tuple(len(tokenize(s)) for s in sentences)
+        assert parse.tokens() == tokenize(doc.abstract)
+        assert all(parse.lengths)
+
+
+def test_picks_repeated_and_permuted_sentences_as_brute_force():
+    abstracts = [
+        "Red green blue. Blue green red. Red green blue. Green red blue here.",
+        "Blue blue red. Red blue blue. Blue red blue. Green.",
+        "Green blue red. Green blue red. Green blue red.",
+    ]
+    queries = ["red green", "blue red red", "green blue red", "here green"]
+    vocab = build_vocab(abstracts + queries)
+    for seed in range(50):
+        emb = np.random.default_rng(seed).normal(size=(len(vocab), 4))
+        for query in queries:
+            inst = _instance(query, abstracts, query)
+            for retrieve in (retrieve_oracle, retrieve_baseline):
+                got = retrieve(emb, inst, vocab).sentences
+                want = tuple(_brute_force_pick(emb, query,
+                                               [s.text for s in split_sentences(a)], vocab)
+                             for a in abstracts)
+                assert got == want, (seed, query)
+
+
+def test_zero_sentence_embedding_scores_zero():
+    # every other sentence points away from the query; the sentence whose
+    # tokens all have zero embeddings scores 0.0 and so wins
+    inst = _instance("q", ["Away there. Zed. There away."], "q")
+    vocab = _vocab_for(inst)
+    emb = np.zeros((len(vocab), 2))
+    emb[vocab.id("q")] = [1.0, 0.0]
+    emb[vocab.id("away")] = [-1.0, 0.1]
+    emb[vocab.id("there")] = [-1.0, -0.2]
+    assert retrieve_oracle(emb, inst, vocab).sentences == ("Zed.",)
+    # a query whose embedding is zero picks the first sentence
+    zero = _instance("zed", ["There away. Away there."], "zed")
+    assert retrieve_oracle(emb, zero, vocab).sentences == ("There away.",)

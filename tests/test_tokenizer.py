@@ -146,6 +146,21 @@ def test_load_names_path_and_line_of_a_malformed_row(tmp_path, line, text):
         load_vocab(path)
 
 
+def test_load_rejects_a_repeated_token(tmp_path):
+    # the last line repeats an earlier token under the next id: without the
+    # check it loaded as a vocabulary one id longer than its token map
+    vocab = build_vocab(["alpha beta gamma alpha delta"])
+    path = tmp_path / "vocab.tsv"
+    save_vocab(vocab, path)
+    lines = path.read_text().splitlines()
+    lines.append(f"gamma\t{len(lines)}")
+    path.write_text("\n".join(lines) + "\n")
+    earlier = vocab.id("gamma")
+    with pytest.raises(DataError, match=f"{path}:{len(lines)}: token 'gamma' already has "
+                                        f"id {earlier} on an earlier line"):
+        load_vocab(path)
+
+
 _WORDS = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=8)
 
 
