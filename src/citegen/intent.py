@@ -14,10 +14,19 @@ sum here runs in their order (sequential over a row's entries, and over a
 column's rows in row order, from zero), so logits, probabilities and trained
 weights are bit-identical to ``x @ w.T`` and ``(x.T @ p).T``. The features
 themselves are plain numpy arrays in CSR layout (``Features``).
+
+Training and ``round_trip_accuracy`` compute a batch's logits with one
+scatter (``_logits``); training takes only the gradients from them, never
+the loss. ``round_trip_accuracy`` classifies all its texts in one batch, and
+since the scatter adds each row's entries in order from zero, its
+probabilities equal ``predict_intent``'s one-text sums bit for bit.
+``predict_intent`` stays per text: corpus building classifies the one to
+three windows of each target, too few for a batch to pay.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
 from collections import Counter
 from dataclasses import dataclass
@@ -27,8 +36,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import INTENT_ORDER, IntentLabel, _sentences
-from .errors import ClassMissing, ConfigError, EmptyEvalSet
-from .fid import _logsumexp, _softmax
+from .errors import ClassMissing, ConfigError, DataError, EmptyEvalSet
+from .fid import _softmax
 from .files import read_tensors, write_tensors
 from .seeding import substream
 from .tokenizer import B_TOKENS, tokenize
@@ -93,23 +102,28 @@ def _scatter_rows(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(flat, weights=values.ravel(), minlength=n * k).reshape(n, k)
 
 
-def _loss_and_grad(
+def _logits(w: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+            vals: np.ndarray, n: int) -> np.ndarray:
+    """(n, 4) logits of ``n`` texts given by their feature entries in row
+    order (text row, column, value). A text without entries gets the bias."""
+    return _scatter_rows(rows, vals[:, None] * w.T[cols], n) + b
+
+
+def _grad(
     w: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     y: np.ndarray,
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Mean cross-entropy over a batch given by its feature entries in row
-    order (batch row, column, value), plus analytic gradients. The weight
-    gradient covers only the batch's columns: returns (loss, columns,
-    grad_w[:, columns], grad_b); every other column's gradient is zero."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Analytic gradients of the mean cross-entropy over a batch given by its
+    feature entries in row order. The weight gradient covers only the
+    batch's columns: returns (columns, grad_w[:, columns], grad_b); every
+    other column's gradient is zero."""
     n = len(y)
-    logits = _scatter_rows(rows, vals[:, None] * w.T[cols], n) + b
-    loss = float((_logsumexp(logits)[:, 0] - logits[np.arange(n), y]).mean())
-    p = _softmax(logits)
+    p = _softmax(_logits(w, b, rows, cols, vals, n))
     p[np.arange(n), y] -= 1.0
     p /= n
     touched, at = np.unique(cols, return_inverse=True)
     grad_w = _scatter_rows(at, vals[:, None] * p[rows], len(touched)).T
-    return loss, touched, grad_w, p.sum(axis=0)
+    return touched, grad_w, p.sum(axis=0)
 
 
 def _batch_entries(x: Features, take: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -132,13 +146,13 @@ def train_intent(
 ) -> IntentModel:
     """Mini-batch gradient descent on cross-entropy. Deterministic by seed.
     Raises ConfigError for ``epochs``, ``batch_size`` or ``feature_dim`` below
-    1, or an ``lr`` that is not > 0."""
+    1, or an ``lr`` that is not finite and > 0."""
     for name, value in (("epochs", epochs), ("batch_size", batch_size),
                         ("feature_dim", feature_dim)):
         if value < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}")
-    if not lr > 0:
-        raise ConfigError(f"lr must be > 0, got {lr}")
+    if not (math.isfinite(lr) and lr > 0):
+        raise ConfigError(f"lr must be finite and > 0, got {lr}")
     labels = {label for _, label in pairs}
     missing = [lab.value for lab in INTENT_ORDER if lab not in labels]
     if missing:
@@ -153,7 +167,7 @@ def train_intent(
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             take = order[start : start + batch_size]
-            _, touched, gw, gb = _loss_and_grad(w, b, *_batch_entries(x, take), y[take])
+            touched, gw, gb = _grad(w, b, *_batch_entries(x, take), y[take])
             w[:, touched] -= lr * gw
             b -= lr * gb
     return IntentModel(weights=w, bias=b, feature_dim=feature_dim)
@@ -168,11 +182,18 @@ def predict_intent(model: IntentModel, text: str) -> tuple[IntentLabel, np.ndarr
 
 
 def round_trip_accuracy(model: IntentModel, generations: list[tuple[IntentLabel, str]]) -> float:
-    """Fraction of (intended label, text) pairs the classifier recovers."""
+    """Fraction of (intended label, text) pairs the classifier recovers.
+    Classifies all texts in one batch, with probabilities equal to
+    ``predict_intent``'s bit for bit."""
     if not generations:
         raise EmptyEvalSet("round_trip_accuracy needs at least one generation")
-    hits = sum(1 for label, text in generations if predict_intent(model, text)[0] == label)
-    return hits / len(generations)
+    n = len(generations)
+    x = featurize_batch([text for _, text in generations], model.feature_dim)
+    entries = _batch_entries(x, np.arange(n))
+    probs = _softmax(_logits(model.weights, model.bias, *entries, n))
+    want = [INTENT_ORDER.index(label) for label, _ in generations]
+    hits = int((probs.argmax(axis=1) == want).sum())
+    return hits / n
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +246,9 @@ def _intent_header(_header: dict, shapes: dict) -> tuple[int, dict]:
 def load_intent_model(path: str | Path) -> IntentModel:
     """Read a checkpoint written by ``save_intent_model``. Raises DataError
     naming the file unless it is a tensor file holding a bias of 4 classes
-    and their weights over a feature dimension of at least 1."""
+    and their weights over a feature dimension of at least 1, all finite."""
     dim, tensors = read_tensors(path, _MAGIC, _intent_header)
+    for name in ("bias", "weights"):
+        if not np.isfinite(tensors[name]).all():
+            raise DataError(f"{path}: {name} holds a non-finite value")
     return IntentModel(weights=tensors["weights"], bias=tensors["bias"], feature_dim=dim)

@@ -2,9 +2,23 @@
 
 All metrics tokenize with the shared word-level tokenizer, so placeholder
 tokens count like ordinary words and every system is scored identically.
-Each public metric tokenizes its strings and calls a core over token lists;
-``evaluate`` tokenizes each prediction and reference once and calls the
-cores directly.
+Each public metric tokenizes its strings and calls a core; ``evaluate``
+tokenizes each prediction and reference once and calls the cores directly.
+
+Each piece of work is done once per text, in passes linear in its length:
+
+- the 1- to 4-gram counts of a text (``_Text.grams``) are built once and
+  shared: BLEU reads all four orders, ROUGE-1/2 the first two, and clipped
+  overlap visits only the n-grams both texts hold;
+- the ROUGE-L LCS length is computed bit-parallel (Allison & Dix 1986,
+  Hyyrö 2004): one arbitrary-width integer per reference, updated once per
+  candidate token;
+- the METEOR alignment pops, for each candidate token, the leftmost free
+  position of that token in the reference from a queue, which is exactly
+  the leftmost-greedy alignment.
+
+Every count is an integer and every float expression is unchanged, so the
+scores are bit-identical to the direct definitions the tests keep.
 """
 
 from __future__ import annotations
@@ -12,10 +26,10 @@ from __future__ import annotations
 import ast
 import logging
 import math
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .corpus import IntentLabel
 from .errors import AlignmentError, DataError, EmptyEvalSet
@@ -26,11 +40,31 @@ from .tokenizer import tokenize
 logger = logging.getLogger(__name__)
 
 
-def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+class _Text(NamedTuple):
+    """A tokenized text and the counts of its 1- to 4-grams, keyed by token
+    tuples (``grams[n - 1]`` holds the n-grams)."""
+
+    tokens: list[str]
+    grams: tuple[Counter, Counter, Counter, Counter]
 
 
-def _check_aligned(metric: str, candidates: Sequence[str], references: Sequence[str]) -> None:
+def _text(text: str) -> _Text:
+    t = tokenize(text)
+    return _Text(t, (Counter(zip(t)), Counter(zip(t, t[1:])), Counter(zip(t, t[1:], t[2:])),
+                     Counter(zip(t, t[1:], t[2:], t[3:]))))
+
+
+def _texts(texts: Sequence[str]) -> list[_Text]:
+    return [_text(t) for t in texts]
+
+
+def _clipped(cn: Counter, rn: Counter) -> int:
+    """Candidate n-grams matched in the reference, each at most as often as
+    the reference holds it."""
+    return sum(min(cn[k], rn[k]) for k in cn.keys() & rn.keys())
+
+
+def _check_aligned(metric: str, candidates: Sequence, references: Sequence) -> None:
     """Raise EmptyEvalSet for no candidates, AlignmentError for unequal lengths."""
     if not candidates:
         raise EmptyEvalSet(f"{metric} needs at least one candidate")
@@ -38,23 +72,17 @@ def _check_aligned(metric: str, candidates: Sequence[str], references: Sequence[
         raise AlignmentError(f"{len(candidates)} candidates vs {len(references)} references")
 
 
-def _tokenized(texts: Sequence[str]) -> list[list[str]]:
-    return [tokenize(t) for t in texts]
-
-
-def _bleu(cand_toks: Sequence[Sequence[str]], ref_toks: Sequence[Sequence[str]]) -> float:
-    _check_aligned("bleu", cand_toks, ref_toks)
-    cand_len = sum(len(t) for t in cand_toks)
-    ref_len = sum(len(t) for t in ref_toks)
+def _bleu(cands: Sequence[_Text], refs: Sequence[_Text]) -> float:
+    _check_aligned("bleu", cands, refs)
+    cand_len = sum(len(c.tokens) for c in cands)
+    ref_len = sum(len(r.tokens) for r in refs)
     log_p = 0.0
     for n in range(1, 5):
         matched = 0
         total = 0
-        for c, r in zip(cand_toks, ref_toks):
-            cn = _ngrams(c, n)
-            rn = _ngrams(r, n)
-            matched += sum(min(v, rn[k]) for k, v in cn.items())
-            total += sum(cn.values())
+        for c, r in zip(cands, refs):
+            matched += _clipped(c.grams[n - 1], r.grams[n - 1])
+            total += max(len(c.tokens) - n + 1, 0)
         if n >= 2:
             matched += 1
             total += 1
@@ -67,15 +95,15 @@ def _bleu(cand_toks: Sequence[Sequence[str]], ref_toks: Sequence[Sequence[str]])
 
 def bleu(candidates: Sequence[str], references: Sequence[str]) -> float:
     """Corpus BLEU-4 in [0, 100], add-one smoothed for n ≥ 2, with brevity penalty."""
-    return _bleu(_tokenized(candidates), _tokenized(references))
+    return _bleu(_texts(candidates), _texts(references))
 
 
-def _rouge_n(c: Sequence[str], r: Sequence[str], n: int) -> tuple[float, float, float]:
+def _rouge_n(c: _Text, r: _Text, n: int) -> tuple[float, float, float]:
     if n not in (1, 2):
         raise ValueError(f"rouge_n supports n in {{1, 2}}, got {n}")
-    cn = _ngrams(c, n)
-    rn = _ngrams(r, n)
-    overlap = sum(min(v, rn[k]) for k, v in cn.items())
+    cn = c.grams[n - 1]
+    rn = r.grams[n - 1]
+    overlap = _clipped(cn, rn)
     p = overlap / max(sum(cn.values()), 1) if cn else 0.0
     rec = overlap / max(sum(rn.values()), 1) if rn else 0.0
     f = 2 * p * rec / (p + rec) if p + rec > 0 else 0.0
@@ -84,19 +112,24 @@ def _rouge_n(c: Sequence[str], r: Sequence[str], n: int) -> tuple[float, float, 
 
 def rouge_n(candidate: str, reference: str, n: int) -> tuple[float, float, float]:
     """Clipped n-gram overlap precision/recall/F1 for n in {1, 2}."""
-    return _rouge_n(tokenize(candidate), tokenize(reference), n)
+    return _rouge_n(_text(candidate), _text(reference), n)
 
 
 def _lcs_len(a: Sequence[str], b: Sequence[str]) -> int:
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        for j, y in enumerate(b, 1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
+    """Bit-parallel LCS length. After each token of ``a``, the zero bits of
+    ``v`` mark the positions j where the dynamic-programming row steps up
+    (``L[j + 1] == L[j] + 1``), so they count the row's last value."""
+    masks: dict[str, int] = {}
+    for j, tok in enumerate(b):
+        masks[tok] = masks.get(tok, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
+    for tok in a:
+        mask = masks.get(tok)
+        if mask:
+            u = v & mask
+            v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def _rouge_l(c: Sequence[str], r: Sequence[str]) -> tuple[float, float, float]:
@@ -112,17 +145,16 @@ def rouge_l(candidate: str, reference: str) -> tuple[float, float, float]:
     return _rouge_l(tokenize(candidate), tokenize(reference))
 
 
-def _corpus_rouge(cand_toks: Sequence[Sequence[str]], ref_toks: Sequence[Sequence[str]],
-                  kind: str) -> float:
-    _check_aligned("corpus_rouge", cand_toks, ref_toks)
+def _corpus_rouge(cands: Sequence[_Text], refs: Sequence[_Text], kind: str) -> float:
+    _check_aligned("corpus_rouge", cands, refs)
     scores: list[float] = []
     skipped = 0
-    for c, r in zip(cand_toks, ref_toks):
-        if not r:
+    for c, r in zip(cands, refs):
+        if not r.tokens:
             skipped += 1
             continue
         if kind == "l":
-            scores.append(_rouge_l(c, r)[2])
+            scores.append(_rouge_l(c.tokens, r.tokens)[2])
         else:
             scores.append(_rouge_n(c, r, int(kind))[2])
     if skipped:
@@ -134,18 +166,27 @@ def _corpus_rouge(cand_toks: Sequence[Sequence[str]], ref_toks: Sequence[Sequenc
 
 def corpus_rouge(candidates: Sequence[str], references: Sequence[str], kind: str) -> float:
     """Mean per-example F in [0, 1]; empty references are skipped with a warning."""
-    return _corpus_rouge(_tokenized(candidates), _tokenized(references), kind)
+    return _corpus_rouge(_texts(candidates), _texts(references), kind)
+
+
+def _align(c: Sequence[str], r: Sequence[str]) -> list[tuple[int, int]]:
+    """Leftmost-greedy alignment: each candidate token in turn takes the
+    leftmost reference position holding an equal token that no earlier one
+    took. Only equal tokens take a position, so that is the front of the
+    token's queue of free positions."""
+    free: dict[str, deque[int]] = {}
+    for j, ref_tok in enumerate(r):
+        free.setdefault(ref_tok, deque()).append(j)
+    align: list[tuple[int, int]] = []
+    for i, tok in enumerate(c):
+        queue = free.get(tok)
+        if queue:
+            align.append((i, queue.popleft()))
+    return align
 
 
 def _meteor(c: Sequence[str], r: Sequence[str]) -> float:
-    used: set[int] = set()
-    align: list[tuple[int, int]] = []
-    for i, tok in enumerate(c):
-        for j, ref_tok in enumerate(r):
-            if j not in used and ref_tok == tok:
-                used.add(j)
-                align.append((i, j))
-                break
+    align = _align(c, r)
     m = len(align)
     if m == 0:
         return 0.0
@@ -175,7 +216,7 @@ def _corpus_meteor(cand_toks: Sequence[Sequence[str]], ref_toks: Sequence[Sequen
 
 
 def corpus_meteor(candidates: Sequence[str], references: Sequence[str]) -> float:
-    return _corpus_meteor(_tokenized(candidates), _tokenized(references))
+    return _corpus_meteor([tokenize(t) for t in candidates], [tokenize(t) for t in references])
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +270,8 @@ def evaluate(
             missing = sorted(set(predictions) ^ set(other))[:5]
             raise AlignmentError(f"instance ids disagree with {name} (e.g. {missing})")
     ids = sorted(predictions)
-    cands = [tokenize(predictions[i]) for i in ids]
-    refs = [tokenize(references[i]) for i in ids]
+    cands = [_text(predictions[i]) for i in ids]
+    refs = [_text(references[i]) for i in ids]
     rt_with = round_trip_accuracy(intent_model, _round_trip_pairs(predictions, intended))
     rt_without = None
     if predictions_without_intent is not None:
@@ -242,7 +283,7 @@ def evaluate(
         rouge1_f=100.0 * _corpus_rouge(cands, refs, "1"),
         rouge2_f=100.0 * _corpus_rouge(cands, refs, "2"),
         rougeL_f=100.0 * _corpus_rouge(cands, refs, "l"),
-        meteor=100.0 * _corpus_meteor(cands, refs),
+        meteor=100.0 * _corpus_meteor([c.tokens for c in cands], [r.tokens for r in refs]),
         round_trip_acc_with_intent=rt_with,
         round_trip_acc_without_intent=rt_without,
         n_examples=len(ids),

@@ -350,6 +350,7 @@ def test_exit_3_config_validation(pipeline, tmp_path):
     ("train-intent", ["--lr", "nan"], "lr"),
     ("synth", ["--n-single", "-3"], "n_single"),
     ("synth", ["--n-multi", "-1"], "n_multi"),
+    ("train-intent", ["--lr", "inf"], "lr"),
 ])
 def test_exit_3_invalid_training_and_decoding_values(pipeline, tmp_path, capsys,
                                                      command, flags, field):
@@ -430,13 +431,16 @@ def test_exit_5_vocab_size_differs_from_checkpoint(pipeline, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["build-corpus", "evaluate"])
 @pytest.mark.parametrize("damage", ["truncated", "extended", "short-header", "zero-dim",
-                                    "fid-checkpoint"])
+                                    "fid-checkpoint", "non-finite"])
 def test_exit_5_malformed_intent_model(pipeline, tmp_path, capsys, command, damage):
     good = _read(pipeline["intent_model"])
     model = tmp_path / "intent.bin"
     save_intent_model(IntentModel(np.zeros((4, 0)), np.zeros(4), 0), model)
+    zero_dim = _read(model)
+    save_intent_model(IntentModel(np.full((4, 16), np.nan), np.zeros(4), 16), model)
     bad = {"truncated": good[:-5], "extended": good + bytes(8), "short-header": good[:12],
-           "zero-dim": _read(model), "fid-checkpoint": _read(pipeline["model"] / "fid.ckpt")}[damage]
+           "zero-dim": zero_dim, "fid-checkpoint": _read(pipeline["model"] / "fid.ckpt"),
+           "non-finite": _read(model)}[damage]
     model.write_bytes(bad)
     args = {
         "build-corpus": ["--documents", str(pipeline["synth"] / "documents.jsonl"),

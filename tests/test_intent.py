@@ -14,10 +14,12 @@ import scipy.sparse as sp
 from citegen.corpus import INTENT_ORDER, IntentLabel
 from citegen.errors import ClassMissing, ConfigError, DataError, EmptyEvalSet
 from citegen.files import write_tensors
+from citegen.fid import _logsumexp, _softmax
 from citegen.intent import (
     Features,
     IntentModel,
-    _loss_and_grad,
+    _grad,
+    _logits,
     featurize_batch,
     load_intent_model,
     make_intent_fn,
@@ -91,10 +93,13 @@ def _csr(x: Features) -> sp.csr_matrix:
 
 
 def _dense_loss_and_grad(w, b, x, y):
-    """``_loss_and_grad`` on a CSR batch, its column gradient scattered into
-    a dense (4, dim) array."""
-    rows = np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))
-    loss, touched, gw, gb = _loss_and_grad(w, b, rows, x.indices, x.data, y)
+    """Mean cross-entropy over ``_logits`` of a CSR batch, and ``_grad``'s
+    column gradient scattered into a dense (4, dim) array."""
+    n = x.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(x.indptr))
+    logits = _logits(w, b, rows, x.indices, x.data, n)
+    loss = float((_logsumexp(logits)[:, 0] - logits[np.arange(n), y]).mean())
+    touched, gw, gb = _grad(w, b, rows, x.indices, x.data, y)
     full = np.zeros_like(w)
     full[:, touched] = gw
     return loss, full, gb
@@ -265,7 +270,7 @@ def test_train_requires_all_classes():
 
 @pytest.mark.parametrize("field, value", [
     ("epochs", 0), ("epochs", -2), ("batch_size", 0), ("feature_dim", 0),
-    ("feature_dim", -5), ("lr", 0.0), ("lr", -1.0), ("lr", math.nan),
+    ("feature_dim", -5), ("lr", 0.0), ("lr", -1.0), ("lr", math.nan), ("lr", math.inf),
 ])
 def test_train_rejects_invalid_values(field, value):
     with pytest.raises(ConfigError, match=field):
@@ -338,6 +343,30 @@ def test_round_trip_rejects_empty():
     model = IntentModel(np.zeros((4, 8)), np.zeros(4), 8)
     with pytest.raises(EmptyEvalSet):
         round_trip_accuracy(model, [])
+
+
+@pytest.mark.parametrize("dim", [64, 2 ** 12])
+def test_round_trip_equals_per_text_predictions(dim):
+    model = train_intent(_template_pairs(seed=1, n_single=16), epochs=5, feature_dim=dim)
+    rng = np.random.default_rng(4)
+    noisy = IntentModel(rng.normal(size=(4, dim)), rng.normal(size=4), dim)
+    texts = _texts()
+    texts.insert(5, "")  # an empty window: its logits are the bias alone
+    for m in (model, noisy):
+        predicted = [predict_intent(m, text) for text in texts]
+        # the batch's probabilities are the per-text ones, bit for bit
+        x = featurize_batch(texts, dim)
+        rows = np.repeat(np.arange(len(texts)), np.diff(x.indptr))
+        batch = _softmax(_logits(m.weights, m.bias, rows, x.indices, x.data, len(texts)))
+        assert np.array_equal(batch, np.array([probs for _, probs in predicted]))
+        # every third intended label disagrees with the prediction
+        gens = [(label if k % 3 else INTENT_ORDER[(INTENT_ORDER.index(label) + 1) % 4], text)
+                for k, ((label, _), text) in enumerate(zip(predicted, texts))]
+        hits = sum(1 for (label, text) in gens if predict_intent(m, text)[0] == label)
+        assert round_trip_accuracy(m, gens) == hits / len(gens)
+        by_bias = INTENT_ORDER[int(np.argmax(m.bias))]
+        assert predicted[5][0] == by_bias
+        assert round_trip_accuracy(m, [(by_bias, "")]) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -451,4 +480,15 @@ def test_checkpoint_rejects_damaged_file(tmp_path, damage):
     save_intent_model(IntentModel(np.ones((4, 16)), np.zeros(4), 16), path)
     path.write_bytes(damage(path.read_bytes()))
     with pytest.raises(DataError, match=re.escape(str(path))):
+        load_intent_model(path)
+
+
+@pytest.mark.parametrize("name", ["bias", "weights"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_checkpoint_rejects_non_finite_values(tmp_path, name, value):
+    model = IntentModel(np.ones((4, 16)), np.zeros(4), 16)
+    getattr(model, name).flat[-1] = value
+    path = tmp_path / "intent.bin"
+    save_intent_model(model, path)
+    with pytest.raises(DataError, match=re.escape(f"{path}: {name}") + ".*non-finite"):
         load_intent_model(path)
