@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -584,10 +585,11 @@ class TrainConfig:
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError(f"epochs and batch_size must be >= 1, got "
                               f"{self.epochs} and {self.batch_size}")
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
-        if not self.grad_clip >= 0:
-            raise ConfigError(f"grad_clip must be >= 0, got {self.grad_clip}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        if not (math.isfinite(self.grad_clip) and self.grad_clip >= 0):
+            raise ConfigError(f"grad_clip must be finite and >= 0 (0 turns clipping off), "
+                              f"got {self.grad_clip}")
 
 
 def _pad_batch(items: Sequence[tuple[np.ndarray, np.ndarray]]):
@@ -971,6 +973,6 @@ def _checkpoint_header(header: dict, _shapes) -> tuple[tuple[ModelConfig, dict],
 def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray], dict]:
     """Read a checkpoint written by save_checkpoint. Raises DataError, naming
     the path, unless the file holds exactly the header and the tensors that
-    its config requires."""
+    its config requires, all finite."""
     (config, meta), params = read_tensors(path, _MAGIC, _checkpoint_header)
     return config, params, meta

@@ -6,7 +6,7 @@ Text inputs are UTF-8 with one record per line, and every error names
 ``Records`` kind. Tensor files (``fid.ckpt``, ``intent.bin``) hold an 8-byte
 magic, the little-endian int64 length of a sorted-key JSON header that lists
 each tensor's name and shape, then the tensors in name order as
-little-endian float64.
+little-endian float64, every value finite.
 """
 
 from __future__ import annotations
@@ -175,7 +175,8 @@ def read_tensors(path: str | Path, magic: bytes,
     ``magic``, where ``parse_header(header, listed shapes)`` returns ``value``
     and the shapes the file must hold; an error it raises marks the header
     malformed. Raises DataError naming the path for a wrong magic, a
-    malformed header, other tensor names or shapes, or a wrong byte length."""
+    malformed header, other tensor names or shapes, a wrong byte length, or
+    a value that is not finite (no trained model holds one)."""
     data = Path(path).read_bytes()
     if data[: len(magic)] != magic:
         raise DataError(f"{path} is not a {magic.decode('ascii')} file")
@@ -204,4 +205,6 @@ def read_tensors(path: str | Path, magic: bytes,
         tensors[name] = np.frombuffer(data, dtype="<f8", count=n_items,
                                       offset=offset).reshape(shape).copy()
         offset += 8 * n_items
+        if not np.isfinite(tensors[name]).all():
+            raise DataError(f"{path}: {name} holds a non-finite value")
     return value, tensors

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citegen.cli import SETTINGS, main
-from citegen.fid import load_checkpoint
+from citegen.fid import load_checkpoint, save_checkpoint
 from citegen.intent import IntentModel, save_intent_model
 from citegen.metrics import load_report
 
@@ -351,6 +351,7 @@ def test_exit_3_config_validation(pipeline, tmp_path):
     ("synth", ["--n-single", "-3"], "n_single"),
     ("synth", ["--n-multi", "-1"], "n_multi"),
     ("train-intent", ["--lr", "inf"], "lr"),
+    ("train-fid", ["--lr", "inf"], "lr"),
 ])
 def test_exit_3_invalid_training_and_decoding_values(pipeline, tmp_path, capsys,
                                                      command, flags, field):
@@ -402,20 +403,25 @@ def test_exit_4_numerical_divergence(pipeline, tmp_path):
                  "--lr", "50000", "--grad-clip", "0"]) == 4
 
 
-@pytest.mark.parametrize("damage", ["truncated", "truncated-header", "extended", "wrong-magic"])
+@pytest.mark.parametrize("damage", ["truncated", "truncated-header", "extended", "wrong-magic",
+                                    "non-finite"])
 def test_exit_5_malformed_checkpoint(pipeline, tmp_path, capsys, damage):
     good = _read(pipeline["model"] / "fid.ckpt")
-    bad = {"truncated": good[:-3], "truncated-header": good[:40],
-           "extended": good + bytes(16), "wrong-magic": b"CGFID999" + good[8:]}[damage]
     ckpt = tmp_path / "fid.ckpt"
+    config, params, meta = load_checkpoint(pipeline["model"] / "fid.ckpt")
+    save_checkpoint(ckpt, config, {k: np.full_like(v, np.nan) for k, v in params.items()},
+                    meta["vocab_file"], meta["with_intent"])
+    bad = {"truncated": good[:-3], "truncated-header": good[:40],
+           "extended": good + bytes(16), "wrong-magic": b"CGFID999" + good[8:],
+           "non-finite": _read(ckpt)}[damage]
     ckpt.write_bytes(bad)
-    assert main(["generate", "--checkpoint", str(ckpt),
-                 "--vocab", str(pipeline["model"] / "vocab.tsv"),
-                 "--dataset", str(pipeline["built"] / "dataset.jsonl"),
-                 "--documents", str(pipeline["synth"] / "documents.jsonl"),
-                 "--out", str(tmp_path / "preds.jsonl")]) == 5
-    assert str(ckpt) in capsys.readouterr().err
-    assert not (tmp_path / "preds.jsonl").exists()
+    model = ["--checkpoint", str(ckpt), "--vocab", str(pipeline["model"] / "vocab.tsv"),
+             "--dataset", str(pipeline["built"] / "dataset.jsonl"),
+             "--documents", str(pipeline["synth"] / "documents.jsonl")]
+    for command in (["generate"], ["retrieve", "--oracle"]):
+        assert main([*command, *model, "--out", str(tmp_path / "preds.jsonl")]) == 5
+        assert str(ckpt) in capsys.readouterr().err
+        assert not (tmp_path / "preds.jsonl").exists()
 
 
 def test_exit_5_vocab_size_differs_from_checkpoint(pipeline, tmp_path, capsys):

@@ -958,7 +958,7 @@ def test_train_divergence_aborts():
 
 @pytest.mark.parametrize("field, value", [
     ("epochs", 0), ("batch_size", 0), ("lr", 0.0), ("lr", -1e-3), ("lr", float("nan")),
-    ("grad_clip", -0.5),
+    ("grad_clip", -0.5), ("lr", float("inf")), ("grad_clip", float("inf")),
 ])
 def test_train_config_validation(field, value):
     with pytest.raises(ConfigError, match=field):

@@ -10,6 +10,8 @@ import zlib
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citegen.corpus import INTENT_ORDER, IntentLabel
 from citegen.errors import ClassMissing, ConfigError, DataError, EmptyEvalSet
@@ -168,6 +170,29 @@ def test_featurize_equals_reference_rows(dim):
         assert np.array_equal(x.indices, other.indices)
         assert np.array_equal(x.data, other.data)
     assert featurize_batch([], dim).shape == (0, dim)
+
+
+# Words with repeats, every placeholder, non-ASCII letters (one whose
+# lowercase is two characters) and punctuation; also arbitrary text.
+_WORDS = ["we", "use", "the", "The", "of", "method", ".", ",", "(", ")", "naïve", "Straße",
+          "İstanbul", "日本語", "é"] + list(B_TOKENS)
+_TEXT = st.one_of(st.lists(st.sampled_from(_WORDS), max_size=14).map(" ".join),
+                  st.text(max_size=24))
+
+
+@pytest.mark.parametrize("dim", [1, 3, 64, 2 ** 15])
+@settings(max_examples=60, deadline=None)
+@given(texts=st.lists(_TEXT, min_size=1, max_size=6),
+       repeats=st.lists(st.integers(0, 5), max_size=4))
+def test_featurize_batch_equals_reference_on_generated_texts(dim, texts, repeats):
+    # small dimensions make distinct features collide in one column
+    batch = texts + [texts[k % len(texts)] for k in repeats] + [""]
+    x = featurize_batch(batch, dim)
+    ref = sp.vstack([_ref_featurize(t, dim) for t in batch], format="csr")
+    assert x.shape == ref.shape
+    assert np.array_equal(x.indptr, ref.indptr)
+    assert np.array_equal(x.indices, ref.indices)
+    assert np.array_equal(x.data, ref.data)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +392,15 @@ def test_round_trip_equals_per_text_predictions(dim):
         by_bias = INTENT_ORDER[int(np.argmax(m.bias))]
         assert predicted[5][0] == by_bias
         assert round_trip_accuracy(m, [(by_bias, "")]) == 1.0
+        # repeated windows: one text under its predicted label and under
+        # another, and one (label, text) pair recurring as in several
+        # instances; each pair counts as if it were alone
+        label = predicted[7][0]
+        other = INTENT_ORDER[(INTENT_ORDER.index(label) + 1) % 4]
+        repeated = [(label, texts[7]), (other, texts[7])] + gens + [(label, texts[7])] + gens[:9]
+        hits = sum(1 for (want, text) in repeated if predict_intent(m, text)[0] == want)
+        assert round_trip_accuracy(m, repeated) == hits / len(repeated)
+        assert round_trip_accuracy(m, [(label, texts[7]), (other, texts[7])]) == 0.5
 
 
 # ---------------------------------------------------------------------------
