@@ -16,8 +16,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import MaxRefsExceeded, SplitTooSmall
-from .files import Records, read_lines, read_records, write_lines, write_records
+from .errors import DataError, MaxRefsExceeded, SplitTooSmall
+from .files import Records, numbered_lines, read_records, write_lines, write_records
 from .seeding import substream
 from .tokenizer import MAX_REFS, REF, tokenize
 
@@ -454,17 +454,28 @@ def save_key_table(key_table: Mapping[str, str], path: str | Path) -> None:
     write_lines(path, (f"{marker}\t{doc_id}" for marker, doc_id in key_table.items()))
 
 
-def _key_entry(line: str) -> tuple[str, str]:
-    marker, tab, doc_id = line.partition("\t")
-    if not tab:
-        raise ValueError(f"expected 'marker<TAB>document id', got {line!r}")
-    return marker, doc_id
-
-
 def load_key_table(path: str | Path) -> dict[str, str]:
-    """Document ids by citation marker. Raises DataError naming ``path:line``
-    for a non-blank line without a tab."""
-    return dict(read_lines(path, _key_entry))
+    """Document ids by citation marker, one ``marker<TAB>document id`` per
+    non-blank line. Raises DataError naming ``path:line`` for a line without
+    exactly one tab, an empty marker or document id, and naming both lines
+    for a marker given twice."""
+    table: dict[str, str] = {}
+    line_of: dict[str, int] = {}
+    for lineno, line in numbered_lines(path):
+        marker, *rest = line.split("\t")
+        if len(rest) != 1:
+            problem = "expected 'marker<TAB>document id'"
+        elif not marker.strip():
+            problem = "empty marker"
+        elif not rest[0].strip():
+            problem = "empty document id"
+        elif marker in line_of:
+            problem = f"marker was already given at {path}:{line_of[marker]}"
+        else:
+            table[marker], line_of[marker] = rest[0], lineno
+            continue
+        raise DataError(f"{path}:{lineno}: {problem}, got {line!r}")
+    return table
 
 
 def save_dataset(instances: Iterable[CitationInstance], path: str | Path) -> None:

@@ -24,7 +24,7 @@ from .errors import CitegenError, ConfigError, DataError
 T = TypeVar("T")
 
 
-def _numbered_lines(path: str | Path, error: type[CitegenError] = DataError
+def numbered_lines(path: str | Path, error: type[CitegenError] = DataError
                    ) -> Iterator[tuple[int, str]]:
     """(line number, line) for each non-blank line of the UTF-8 file ``path``,
     the line without its ending. As in a text-mode read, ``\\n``, ``\\r\\n``
@@ -51,7 +51,7 @@ def read_settings(path: str | Path, error: type[CitegenError] = DataError
     ``error`` naming ``path:line`` for a line without ``=``, and both lines
     for a key set twice."""
     settings: dict[str, tuple[str, str]] = {}
-    for lineno, line in _numbered_lines(path, error):
+    for lineno, line in numbered_lines(path, error):
         line = line.strip()
         if line.startswith("#"):
             continue
@@ -67,14 +67,14 @@ def read_settings(path: str | Path, error: type[CitegenError] = DataError
 
 def read_lines(path: str | Path, parse: Callable[[str], T],
                error: type[CitegenError] = DataError) -> list[T]:
-    """``parse(line)`` for each line ``_numbered_lines`` yields. A ValueError,
+    """``parse(line)`` for each line ``numbered_lines`` yields. A ValueError,
     KeyError, TypeError or AttributeError that ``parse`` raises becomes
     ``error`` naming ``path:line``; loaders raise ValueError for their own
     checks."""
     out: list[T] = []
     lineno = 0
     try:
-        for lineno, line in _numbered_lines(path, error):
+        for lineno, line in numbered_lines(path, error):
             out.append(parse(line))
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         if isinstance(exc, json.JSONDecodeError):

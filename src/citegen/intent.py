@@ -5,14 +5,18 @@ regression. Used to label corpora when gold intents are absent and to score
 round-trip intent accuracy of generated citation text.
 
 Hashed features are sparse: a window touches a few dozen of the 2^15
-columns. Prediction and training therefore work on each text's gathered
-columns and values, never on the full weight matrix: logits gather the
-touched weight rows, and each mini-batch accumulates and applies the weight
-gradient only for the columns its rows touch. The reference the tests
-compare against is scipy's CSR and CSC products with a dense update. Every
-sum here runs in their order (sequential over a row's entries, and over a
-column's rows in row order, from zero), so logits, probabilities and trained
-weights are bit-identical to ``x @ w.T`` and ``(x.T @ p).T``. The features
+columns, and a training set of a few hundred windows uses a few hundred.
+Prediction works on each text's gathered columns and values, never on the
+full weight matrix. Training maps the columns its windows use onto
+``0..u-1`` once and trains a column-major ``(u, 4)`` table: each mini-batch
+takes the gradient over all ``u`` columns, an exact 0.0 for each column it
+does not touch, and applies it in one dense update; the table is scattered
+into the ``(4, dim)`` weights once, at the end. The reference the tests
+compare against is scipy's CSR and CSC products with a dense update over
+every column. Subtracting 0.0 leaves a weight as it was, and every sum here
+runs in scipy's order (sequential over a row's entries, and over a column's
+rows in row order, from zero), so logits, probabilities and trained weights
+are bit-identical to ``x @ w.T`` and ``(x.T @ p).T``. The features
 themselves are plain numpy arrays in CSR layout (``Features``).
 
 One rule (``_columns``) hashes a text's features. ``featurize_batch``
@@ -23,8 +27,9 @@ The counts are small integers, so that sum is exact in any order and the
 rows equal the per-text ``_features`` bit for bit.
 
 Training and ``round_trip_accuracy`` compute a batch's logits with one
-scatter (``_logits``); training takes only the gradients from them, never
-the loss. ``round_trip_accuracy`` featurizes and classifies each distinct
+scatter (``_logits``, over column-major weights: the table, or the
+transposed weights); training takes only the gradients from them, never the
+loss. ``round_trip_accuracy`` featurizes and classifies each distinct
 window once, in one batch, and since the scatter adds each row's entries in
 order from zero, its probabilities equal ``predict_intent``'s one-text sums
 bit for bit. ``predict_intent`` stays per text: corpus building classifies
@@ -115,36 +120,37 @@ def featurize_batch(texts: list[str], dim: int = DEFAULT_DIM) -> Features:
 
 
 def _scatter_rows(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """(n, k) sums of the rows of ``values`` by ``index``, each accumulated
-    from zero in input order. ``np.bincount`` adds in the same order as
-    ``np.add.at`` and takes a third of its time on batch-sized inputs."""
+    """(n, k) float64 sums of the rows of ``values`` by ``index``, each
+    accumulated from zero in input order. ``np.bincount`` adds in the same
+    order as ``np.add.at`` and takes a third of its time on batch-sized
+    inputs; given no entries it returns integer zeros, hence the cast."""
     k = values.shape[1]
     flat = (index[:, None] * k + np.arange(k)).ravel()
-    return np.bincount(flat, weights=values.ravel(), minlength=n * k).reshape(n, k)
+    sums = np.bincount(flat, weights=values.ravel(), minlength=n * k)
+    return sums.astype(np.float64, copy=False).reshape(n, k)
 
 
-def _logits(w: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+def _logits(table: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray,
             vals: np.ndarray, n: int) -> np.ndarray:
     """(n, 4) logits of ``n`` texts given by their feature entries in row
-    order (text row, column, value). A text without entries gets the bias."""
-    return _scatter_rows(rows, vals[:, None] * w.T[cols], n) + b
+    order (text row, column, value), with the weights column-major: row ``c``
+    of ``table`` holds column ``c``'s four class weights. A text without
+    entries gets the bias."""
+    return _scatter_rows(rows, vals[:, None] * table[cols], n) + b
 
 
 def _grad(
-    w: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+    table: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     y: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradients of the mean cross-entropy over a batch given by its
-    feature entries in row order. The weight gradient covers only the
-    batch's columns: returns (columns, grad_w[:, columns], grad_b); every
-    other column's gradient is zero."""
+    feature entries in row order: (grad of ``table``, same shape; grad_b).
+    A column the batch does not touch gets an exact 0.0."""
     n = len(y)
-    p = _softmax(_logits(w, b, rows, cols, vals, n))
+    p = _softmax(_logits(table, b, rows, cols, vals, n))
     p[np.arange(n), y] -= 1.0
     p /= n
-    touched, at = np.unique(cols, return_inverse=True)
-    grad_w = _scatter_rows(at, vals[:, None] * p[rows], len(touched)).T
-    return touched, grad_w, p.sum(axis=0)
+    return _scatter_rows(cols, vals[:, None] * p[rows], len(table)), p.sum(axis=0)
 
 
 def _batch_entries(x: Features, take: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -178,19 +184,25 @@ def train_intent(
     missing = [lab.value for lab in INTENT_ORDER if lab not in labels]
     if missing:
         raise ClassMissing(f"no training examples for class(es): {missing}")
+    n = len(pairs)
     x = featurize_batch([text for text, _ in pairs], feature_dim)
+    # train in the columns the windows use, 0..u-1, and scatter them once
+    used, local = np.unique(x.indices, return_inverse=True)
+    x = x._replace(indices=local, shape=(n, len(used)))
     y = np.array([INTENT_ORDER.index(label) for _, label in pairs], dtype=np.int64)
-    w = np.zeros((N_CLASSES, feature_dim))
+    table = np.zeros((len(used), N_CLASSES))
     b = np.zeros(N_CLASSES)
     rng = substream(seed, "intent-train")
-    n = len(pairs)
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             take = order[start : start + batch_size]
-            touched, gw, gb = _grad(w, b, *_batch_entries(x, take), y[take])
-            w[:, touched] -= lr * gw
+            g, gb = _grad(table, b, *_batch_entries(x, take), y[take])
+            g *= lr
+            table -= g
             b -= lr * gb
+    w = np.zeros((N_CLASSES, feature_dim))
+    w[:, used] = table.T
     return IntentModel(weights=w, bias=b, feature_dim=feature_dim)
 
 
@@ -212,7 +224,7 @@ def round_trip_accuracy(model: IntentModel, generations: list[tuple[IntentLabel,
     rows = np.array([row_of.setdefault(text, len(row_of)) for _, text in generations])
     x = featurize_batch(list(row_of), model.feature_dim)
     entries = _batch_entries(x, np.arange(len(row_of)))
-    probs = _softmax(_logits(model.weights, model.bias, *entries, len(row_of)))
+    probs = _softmax(_logits(model.weights.T, model.bias, *entries, len(row_of)))
     want = [INTENT_ORDER.index(label) for label, _ in generations]
     hits = int((probs.argmax(axis=1)[rows] == want).sum())
     return hits / len(generations)

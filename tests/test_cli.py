@@ -596,6 +596,10 @@ def _resplit(lines, old, new):
     pytest.param("build-corpus", "key_table", 2,
                  lambda lines: _set_line(lines, 2, "broken line without tab"),
                  id="key_table-missing-tab"),
+    pytest.param("build-corpus", "key_table", "last", lambda lines: lines.append(
+        lines[0].partition("\t")[0] + "\tC9999"), id="key_table-repeated-marker"),
+    pytest.param("build-corpus", "key_table", 3, lambda lines: _set_line(lines, 3, "\tC0000"),
+                 id="key_table-empty-marker"),
     pytest.param("generate", "vocab", 10, lambda lines: _set_line(lines, 10, "garbage"),
                  id="vocab-missing-tab"),
     pytest.param("retrieve", "vocab", 7, lambda lines: _set_line(lines, 7, "token\tseven"),

@@ -535,6 +535,21 @@ def test_key_table_line_without_tab_names_path_and_line(tmp_path):
         load_key_table(path)
 
 
+@pytest.mark.parametrize("line, problem", [
+    ("Smith et al. (2019)\tP0009", "marker was already given at {path}:1"),
+    ("\tP0009", "empty marker"),
+    (" \tP0009", "empty marker"),
+    ("Jones (2020)\t", "empty document id"),
+    ("Jones (2020)\tP0002\tP0003", "expected 'marker<TAB>document id'"),
+], ids=["repeated-marker", "empty-marker", "blank-marker", "empty-document-id", "second-tab"])
+def test_key_table_malformed_line_names_path_and_line(tmp_path, line, problem):
+    # a repeated marker names the earlier line too, rather than replacing it
+    path = tmp_path / "keys.tsv"
+    path.write_text(f"Smith et al. (2019)\tP0001\n\n{line}\nJones (2020)\tP0002\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}:3: {problem.format(path=path)}, ")):
+        load_key_table(path)
+
+
 def test_dataset_record_fields(tmp_path):
     import json
 

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from citegen.corpus import load_key_table, save_key_table
 from citegen.errors import ConfigError, DataError
-from citegen.files import _numbered_lines, read_lines, read_settings
+from citegen.files import numbered_lines, read_lines, read_settings
 from citegen.tokenizer import build_vocab, load_vocab, save_vocab
 
 
 def _text_mode_lines(path):
     """Numbered non-blank lines as a text-mode read yields them: the reference
-    for ``_numbered_lines``."""
+    for ``numbered_lines``."""
     with open(path, encoding="utf-8") as f:
         return [(n, line.rstrip("\n")) for n, line in enumerate(f, 1) if line.strip()]
 
@@ -24,7 +24,7 @@ def _text_mode_lines(path):
 def test_lines_and_numbers_match_a_text_mode_read(tmp_path_factory, parts):
     path = tmp_path_factory.mktemp("lines") / "f.txt"
     path.write_bytes("".join(parts).encode("utf-8"))
-    assert list(_numbered_lines(path)) == _text_mode_lines(path)
+    assert list(numbered_lines(path)) == _text_mode_lines(path)
 
 
 def test_crlf_key_table_and_vocab_read_as_lf(tmp_path):

@@ -96,15 +96,13 @@ def _csr(x: Features) -> sp.csr_matrix:
 
 def _dense_loss_and_grad(w, b, x, y):
     """Mean cross-entropy over ``_logits`` of a CSR batch, and ``_grad``'s
-    column gradient scattered into a dense (4, dim) array."""
+    gradient with every column of ``w`` as the table, as a (4, dim) array."""
     n = x.shape[0]
     rows = np.repeat(np.arange(n), np.diff(x.indptr))
-    logits = _logits(w, b, rows, x.indices, x.data, n)
+    logits = _logits(w.T, b, rows, x.indices, x.data, n)
     loss = float((_logsumexp(logits)[:, 0] - logits[np.arange(n), y]).mean())
-    touched, gw, gb = _grad(w, b, rows, x.indices, x.data, y)
-    full = np.zeros_like(w)
-    full[:, touched] = gw
-    return loss, full, gb
+    gw, gb = _grad(w.T, b, rows, x.indices, x.data, y)
+    return loss, gw.T, gb
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +275,31 @@ def test_train_deterministic():
     assert np.array_equal(a.bias, b.bias)
 
 
-@pytest.mark.parametrize("dim, batch_size, lr", [(64, 32, 1.0), (2 ** 12, 7, 0.5)])
-def test_train_equals_scipy_reference_trainer(dim, batch_size, lr):
+def _reference_pairs(windows):
+    """Training pairs: template windows, the same with an empty window of
+    each class after every fourth one, or empty windows only (no column)."""
     pairs = _template_pairs(seed=5, n_single=30)
+    if windows == "some_empty":
+        return [p for k, pair in enumerate(pairs)
+                for p in [pair] + ([("", INTENT_ORDER[k // 4 % 4])] if k % 4 == 3 else [])]
+    if windows == "all_empty":
+        return [("", label) for label in INTENT_ORDER * 5]
+    return pairs
+
+
+@pytest.mark.parametrize("dim, batch_size, lr, windows", [
+    pytest.param(64, 32, 1.0, "templates", id="64-32-1.0"),
+    pytest.param(2 ** 12, 7, 0.5, "templates", id="4096-7-0.5"),
+    (2 ** 12, 6, 1.0, "some_empty"), (64, 4, 1.0, "all_empty"),
+    (2 ** 12, 1, 0.5, "templates"), (64, 10 ** 4, 1.0, "templates"),
+    (2 ** 12, 41, 1.0, "some_empty"),  # one batch of all the windows
+    (8, 5, 1.0, "templates"),  # the windows use every column
+])
+def test_train_equals_scipy_reference_trainer(dim, batch_size, lr, windows):
+    pairs = _reference_pairs(windows)
+    used = len(np.unique(featurize_batch([text for text, _ in pairs], dim).indices))
+    assert (used == 0) == (windows == "all_empty")
+    assert (used == dim) == (dim == 8)
     model = train_intent(pairs, epochs=6, lr=lr, seed=4, batch_size=batch_size,
                          feature_dim=dim)
     w, b = _ref_train(pairs, epochs=6, lr=lr, seed=4, batch_size=batch_size, dim=dim)
@@ -382,7 +402,7 @@ def test_round_trip_equals_per_text_predictions(dim):
         # the batch's probabilities are the per-text ones, bit for bit
         x = featurize_batch(texts, dim)
         rows = np.repeat(np.arange(len(texts)), np.diff(x.indptr))
-        batch = _softmax(_logits(m.weights, m.bias, rows, x.indices, x.data, len(texts)))
+        batch = _softmax(_logits(m.weights.T, m.bias, rows, x.indices, x.data, len(texts)))
         assert np.array_equal(batch, np.array([probs for _, probs in predicted]))
         # every third intended label disagrees with the prediction
         gens = [(label if k % 3 else INTENT_ORDER[(INTENT_ORDER.index(label) + 1) % 4], text)
@@ -490,6 +510,18 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
                         np.arange(4, dtype=np.float64), 16)
     save_intent_model(model, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == "305ea84b061dd4dc7ab6b35ac23f6ed65742073d8a5257cf8888055230641de0"
+
+
+def test_trained_model_bytes_are_pinned(tmp_path):
+    # default settings on every gold window of a fixed synthetic corpus: any
+    # change to featurizing, batching, summation order or the update shows
+    _, _, gold = generate_synthetic_corpus(SynthSpec(n_single=40, n_multi=10, seed=0))
+    pairs = [pair for g in gold
+             for pair in zip(placeholder_windows(g.target, len(g.cited)), g.intents)]
+    assert len(pairs) == 62
+    path = tmp_path / "intent.bin"
+    save_intent_model(train_intent(pairs), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == "36fb1509d7c48e55afb23c84a2eb372812149c77f255e645ec192c54d954a850"
 
 
 def test_checkpoint_rejects_wrong_class_count(tmp_path):
