@@ -64,7 +64,7 @@ print("\n=== 5. full build ===")
 result = build_dataset(
     Corpus(documents, key_table),
     {"P1": body},
-    lambda target: [IntentLabel.BACKGROUND] * target.count("<B"),
+    lambda targets: [[IntentLabel.BACKGROUND] * t.count("<B") for t in targets],
 )
 for inst in result.instances:
     print(f"  {inst.instance_id}: intents={[i.value for i in inst.intents]}")

@@ -349,7 +349,8 @@ def rewrite_target(
 # ---------------------------------------------------------------------------
 # Dataset assembly and splitting
 
-IntentFn = Callable[[str], list[IntentLabel]]
+# targets → one label list per target, in order: one call labels a whole build
+IntentFn = Callable[[list[str]], list[list[IntentLabel]]]
 
 
 def build_dataset(corpus: Corpus, bodies: Mapping[str, str], intent_fn: IntentFn) -> BuildResult:
@@ -357,17 +358,18 @@ def build_dataset(corpus: Corpus, bodies: Mapping[str, str], intent_fn: IntentFn
 
     Groups whose cited ids do not all resolve to known documents are skipped
     with a logged warning; the skip count is returned alongside the instances.
+    One ``intent_fn`` call labels every kept target (none if none is kept).
     """
     instances: list[CitationInstance] = []
     skipped = 0
     for citing_id, body in bodies.items():
         citing = corpus.documents.get(citing_id)
+        spans = annotate(split_sentences(body), corpus.key_table)
         if citing is None:
-            n = len(group_consecutive(annotate(split_sentences(body), corpus.key_table)))
+            n = len(group_consecutive(spans))
             logger.warning("citing document %r unknown; dropping %d group(s)", citing_id, n)
             skipped += n
             continue
-        spans = annotate(split_sentences(body), corpus.key_table)
         ordinal = 0
         for group in group_consecutive(spans):
             try:
@@ -382,21 +384,16 @@ def build_dataset(corpus: Corpus, bodies: Mapping[str, str], intent_fn: IntentFn
                 logger.warning("%s: unresolvable cited id(s) %s; skipping group", citing_id, missing)
                 skipped += 1
                 continue
-            intents = intent_fn(target)
-            if len(intents) != len(cited_ids):
-                raise ValueError(
-                    f"intent_fn returned {len(intents)} labels for {len(cited_ids)} cited docs"
-                )
-            instances.append(
-                CitationInstance(
-                    instance_id=f"{citing_id}#{ordinal}",
-                    citing=citing,
-                    cited=docs,  # type: ignore[arg-type]
-                    intents=intents,
-                    target=target,
-                )
-            )
+            instances.append(CitationInstance(
+                f"{citing_id}#{ordinal}", citing, docs, [], target))  # type: ignore[arg-type]
             ordinal += 1
+    if instances:
+        labels = intent_fn([inst.target for inst in instances])
+        for inst, intents in zip(instances, labels, strict=True):
+            if len(intents) != len(inst.cited):
+                raise ValueError(f"intent_fn returned {len(intents)} labels "
+                                 f"for {len(inst.cited)} cited docs")
+            inst.intents = intents
     return BuildResult(instances, skipped)
 
 

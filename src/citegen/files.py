@@ -65,9 +65,10 @@ def read_settings(path: str | Path, error: type[CitegenError] = DataError
     return settings
 
 
-def read_lines(path: str | Path, parse: Callable[[str], T],
+def read_lines(path: str | Path, parse: Callable[[int, str], T],
                error: type[CitegenError] = DataError) -> list[T]:
-    """``parse(line)`` for each line ``numbered_lines`` yields. A ValueError,
+    """``parse(line number, line)`` for each line ``numbered_lines`` yields,
+    so that a loader can name an earlier line too. A ValueError,
     KeyError, TypeError or AttributeError that ``parse`` raises becomes
     ``error`` naming ``path:line``; loaders raise ValueError for their own
     checks."""
@@ -75,7 +76,7 @@ def read_lines(path: str | Path, parse: Callable[[str], T],
     lineno = 0
     try:
         for lineno, line in numbered_lines(path, error):
-            out.append(parse(line))
+            out.append(parse(lineno, line))
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         if isinstance(exc, json.JSONDecodeError):
             what = f"malformed JSON: {exc.msg}"
@@ -123,11 +124,11 @@ def read_records(path: str | Path, kind: Records, make: Callable[..., T]) -> lis
     """``make(*values)`` for each record of the JSON-lines file ``path``, the
     values in ``kind.fields`` order, None for an absent field. As in
     ``read_lines``, an error, and a record that breaks ``kind``, raises
-    DataError naming ``path:line``."""
-    seen: set = set()
+    DataError naming ``path:line``, and a repeated key names both lines."""
+    line_of: dict = {}  # key value → the line that gave it
     checks = [(name, _check(rule)) for name, rule in kind.fields.items()]
 
-    def parse(line: str) -> T:
+    def parse(lineno: int, line: str) -> T:
         rec = json.loads(line)
         if not isinstance(rec, dict):
             raise TypeError(f"expected a JSON object, got {type(rec).__name__}")
@@ -139,9 +140,10 @@ def read_records(path: str | Path, kind: Records, make: Callable[..., T]) -> lis
                 raise ValueError(f"{name} must be {_rule_text(kind.fields[name])}, "
                                  f"got {json.dumps(value)}")
         if kind.key is not None:
-            if rec[kind.key] in seen:
-                raise ValueError(f"{kind.key} {rec[kind.key]!r} repeats an earlier record's")
-            seen.add(rec[kind.key])
+            key = rec[kind.key]
+            if key in line_of:
+                raise ValueError(f"{kind.key} {key!r} repeats the record at {path}:{line_of[key]}")
+            line_of[key] = lineno
         return make(*values)
 
     return read_lines(path, parse)

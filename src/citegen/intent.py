@@ -23,26 +23,25 @@ One rule (``_columns``) hashes a text's features. ``featurize_batch``
 counts and normalizes a whole batch in one vectorized pass: it sorts the
 ``row * dim + column`` keys of all texts, counts runs of equal keys, and
 divides each count by the square root of its row's sum of squared counts.
-The counts are small integers, so that sum is exact in any order and the
-rows equal the per-text ``_features`` bit for bit.
+The counts are small integers, so that sum is exact in any order and a row
+does not depend on the other texts of its batch.
 
-Training and ``round_trip_accuracy`` compute a batch's logits with one
-scatter (``_logits``, over column-major weights: the table, or the
-transposed weights); training takes only the gradients from them, never the
-loss. ``round_trip_accuracy`` featurizes and classifies each distinct
-window once, in one batch, and since the scatter adds each row's entries in
-order from zero, its probabilities equal ``predict_intent``'s one-text sums
-bit for bit. ``predict_intent`` stays per text: corpus building classifies
-the one to three windows of each target, too few for a batch to pay.
+Every classification computes a batch's logits with one scatter
+(``_logits``, over column-major weights: the table, or the transposed
+weights); training takes only the gradients from them, never the loss.
+``_probs`` featurizes texts in one batch and returns their probabilities.
+The scatter adds each row's entries in order from zero, so a text gets the
+same probabilities bit for bit whatever batch it is in: alone in
+``predict_intent``, once per distinct window in ``round_trip_accuracy``, or
+with every window of a corpus build in the callback of ``make_intent_fn``.
 """
 
 from __future__ import annotations
 
 import math
 import zlib
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count, islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -78,17 +77,6 @@ def _columns(text: str, dim: int) -> list[int]:
     return [zlib.crc32(f.encode("utf-8")) % dim for f in feats]
 
 
-def _features(text: str, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted hashed columns of the text's unigrams and bigrams, and their
-    L2-normalized counts. Empty text → no columns."""
-    counts = Counter(_columns(text, dim))
-    cols = sorted(counts)
-    vals = np.array([counts[c] for c in cols], dtype=np.float64)
-    if vals.size:
-        vals /= np.linalg.norm(vals)
-    return np.array(cols, dtype=np.int64), vals
-
-
 class Features(NamedTuple):
     """Rows of hashed features in CSR layout, with the field names of
     ``scipy.sparse.csr_matrix``: row ``i`` holds columns
@@ -101,8 +89,7 @@ class Features(NamedTuple):
 
 
 def featurize_batch(texts: list[str], dim: int = DEFAULT_DIM) -> Features:
-    """One row of hashed unigram+bigram counts per text, L2-normalized: row
-    ``i`` equals ``_features(texts[i], dim)`` bit for bit."""
+    """One row of hashed unigram+bigram counts per text, L2-normalized."""
     n = len(texts)
     columns = [_columns(t, dim) for t in texts]
     lens = np.fromiter(map(len, columns), np.int64, n)
@@ -206,27 +193,28 @@ def train_intent(
     return IntentModel(weights=w, bias=b, feature_dim=feature_dim)
 
 
+def _probs(model: IntentModel, texts: list[str]) -> np.ndarray:
+    """(len(texts), 4) softmax probabilities of one or more texts, classified
+    in one batch."""
+    entries = _batch_entries(featurize_batch(texts, model.feature_dim), np.arange(len(texts)))
+    return _softmax(_logits(model.weights.T, model.bias, *entries, len(texts)))
+
+
 def predict_intent(model: IntentModel, text: str) -> tuple[IntentLabel, np.ndarray]:
     """Argmax class and its softmax probabilities; ties go to label order."""
-    cols, vals = _features(text, model.feature_dim)
-    logits = np.add.reduce(vals[:, None] * model.weights.T[cols], axis=0) + model.bias
-    probs = _softmax(logits)
+    probs = _probs(model, [text])[0]
     return INTENT_ORDER[int(np.argmax(probs))], probs
 
 
 def round_trip_accuracy(model: IntentModel, generations: list[tuple[IntentLabel, str]]) -> float:
     """Fraction of (intended label, text) pairs the classifier recovers.
-    Classifies each distinct text once, all in one batch, with probabilities
-    equal to ``predict_intent``'s bit for bit."""
+    Classifies each distinct text once, all in one batch."""
     if not generations:
         raise EmptyEvalSet("round_trip_accuracy needs at least one generation")
     row_of: dict[str, int] = {}
     rows = np.array([row_of.setdefault(text, len(row_of)) for _, text in generations])
-    x = featurize_batch(list(row_of), model.feature_dim)
-    entries = _batch_entries(x, np.arange(len(row_of)))
-    probs = _softmax(_logits(model.weights.T, model.bias, *entries, len(row_of)))
     want = [INTENT_ORDER.index(label) for label, _ in generations]
-    hits = int((probs.argmax(axis=1)[rows] == want).sum())
+    hits = int((_probs(model, list(row_of)).argmax(axis=1)[rows] == want).sum())
     return hits / len(generations)
 
 
@@ -248,13 +236,20 @@ def placeholder_windows(text: str, n_refs: int) -> list[str]:
 
 
 def make_intent_fn(model: IntentModel):
-    """Adapter for corpus building: target text → one label per placeholder."""
+    """``corpus.IntentFn`` for corpus building: targets → per target, one label
+    per placeholder (one if it has none), all windows classified in one
+    batch. A bare ``str`` raises TypeError: it is not a list of targets."""
 
-    def intent_fn(target: str) -> list[IntentLabel]:
-        n_refs = 0
-        while f"<B{n_refs + 1}>" in target:
-            n_refs += 1
-        return [predict_intent(model, w)[0] for w in placeholder_windows(target, max(n_refs, 1))]
+    def intent_fn(targets: list[str]) -> list[list[IntentLabel]]:
+        if isinstance(targets, str):
+            raise TypeError("intent_fn takes a list of targets, not a str")
+        # rewrite_target numbers placeholders from <B1> on, with no gaps
+        n_refs = [next(n for n in count(1) if f"<B{n}>" not in t) - 1 for t in targets]
+        windows = [placeholder_windows(t, max(n, 1)) for t, n in zip(targets, n_refs)]
+        if not windows:
+            return []
+        labels = iter(_probs(model, list(chain.from_iterable(windows))).argmax(axis=1))
+        return [[INTENT_ORDER[k] for k in islice(labels, len(w))] for w in windows]
 
     return intent_fn
 

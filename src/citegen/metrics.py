@@ -145,28 +145,30 @@ def rouge_l(candidate: str, reference: str) -> tuple[float, float, float]:
     return _rouge_l(tokenize(candidate), tokenize(reference))
 
 
-def _corpus_rouge(cands: Sequence[_Text], refs: Sequence[_Text], kind: str) -> float:
+_ROUGE_KINDS = ("1", "2", "l")
+
+
+def _corpus_rouge(cands: Sequence[_Text], refs: Sequence[_Text]) -> tuple[float, float, float]:
+    """Mean per-example F of each of ``_ROUGE_KINDS``, over the pairs whose
+    reference is not empty; the skipped pairs are counted in one warning."""
     _check_aligned("corpus_rouge", cands, refs)
-    scores: list[float] = []
-    skipped = 0
-    for c, r in zip(cands, refs):
-        if not r.tokens:
-            skipped += 1
-            continue
-        if kind == "l":
-            scores.append(_rouge_l(c.tokens, r.tokens)[2])
-        else:
-            scores.append(_rouge_n(c, r, int(kind))[2])
-    if skipped:
-        logger.warning("corpus_rouge: skipped %d pair(s) with empty references", skipped)
-    if not scores:
+    kept = [(c, r) for c, r in zip(cands, refs) if r.tokens]
+    if len(kept) < len(cands):
+        logger.warning("corpus_rouge: skipped %d pair(s) with empty references",
+                       len(cands) - len(kept))
+    if not kept:
         raise EmptyEvalSet("all references were empty")
-    return sum(scores) / len(scores)
+    return (sum(_rouge_n(c, r, 1)[2] for c, r in kept) / len(kept),
+            sum(_rouge_n(c, r, 2)[2] for c, r in kept) / len(kept),
+            sum(_rouge_l(c.tokens, r.tokens)[2] for c, r in kept) / len(kept))
 
 
 def corpus_rouge(candidates: Sequence[str], references: Sequence[str], kind: str) -> float:
-    """Mean per-example F in [0, 1]; empty references are skipped with a warning."""
-    return _corpus_rouge(_texts(candidates), _texts(references), kind)
+    """Mean per-example F in [0, 1] of ROUGE-``kind`` ("1", "2" or "l");
+    empty references are skipped with a warning."""
+    if kind not in _ROUGE_KINDS:
+        raise ValueError(f"corpus_rouge kind must be one of {_ROUGE_KINDS}, got {kind!r}")
+    return _corpus_rouge(_texts(candidates), _texts(references))[_ROUGE_KINDS.index(kind)]
 
 
 def _align(c: Sequence[str], r: Sequence[str]) -> list[tuple[int, int]]:
@@ -278,11 +280,9 @@ def evaluate(
         rt_without = round_trip_accuracy(
             intent_model, _round_trip_pairs(predictions_without_intent, intended)
         )
+    rouge1, rouge2, rouge_lcs = (100.0 * f for f in _corpus_rouge(cands, refs))
     return EvalReport(
-        bleu=_bleu(cands, refs),
-        rouge1_f=100.0 * _corpus_rouge(cands, refs, "1"),
-        rouge2_f=100.0 * _corpus_rouge(cands, refs, "2"),
-        rougeL_f=100.0 * _corpus_rouge(cands, refs, "l"),
+        bleu=_bleu(cands, refs), rouge1_f=rouge1, rouge2_f=rouge2, rougeL_f=rouge_lcs,
         meteor=100.0 * _corpus_meteor([c.tokens for c in cands], [r.tokens for r in refs]),
         round_trip_acc_with_intent=rt_with,
         round_trip_acc_without_intent=rt_without,

@@ -130,11 +130,12 @@ def save_vocab(vocab: Vocabulary, path: str | Path) -> None:
 def load_vocab(path: str | Path) -> Vocabulary:
     """Read a vocabulary written by save_vocab. Raises DataError naming
     ``path:line`` for a line without a tab, whose id is not the next integer
-    or whose token an earlier line holds (named by that line's id), and
-    naming ``path`` when the reserved prefix is missing."""
+    or whose token an earlier line holds (naming that line and its id too),
+    and naming ``path`` when the reserved prefix is missing."""
     token_to_id: dict[str, int] = {}
+    line_of: list[int] = []  # by id
 
-    def add(line: str) -> None:
+    def add(lineno: int, line: str) -> None:
         token, tab, idx = line.rpartition("\t")
         if not tab:
             raise ValueError(f"expected 'token<TAB>id', got {line!r}")
@@ -142,9 +143,11 @@ def load_vocab(path: str | Path) -> Vocabulary:
         if n != len(token_to_id):
             raise ValueError(f"non-contiguous id {n}, expected {len(token_to_id)}")
         if token in token_to_id:
-            raise ValueError(f"token {token!r} already has id {token_to_id[token]} "
-                             "on an earlier line")
+            earlier = token_to_id[token]
+            raise ValueError(f"token {token!r} already has id {earlier} "
+                             f"at {path}:{line_of[earlier]}")
         token_to_id[token] = n
+        line_of.append(lineno)
 
     read_lines(path, add)
     tokens = tuple(token_to_id)

@@ -340,7 +340,7 @@ def test_8_corpus_round_trip():
     for citing_id, body in bodies.items():
         intents = by_id[f"{citing_id}#0"].intents
         result = build_dataset(Corpus(corpus.documents, corpus.key_table),
-                               {citing_id: body}, lambda _t, _i=intents: list(_i))
+                               {citing_id: body}, lambda ts, _i=intents: [list(_i) for _ in ts])
         rebuilt.extend(result.instances)
         skipped += result.skipped
 

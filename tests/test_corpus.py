@@ -404,8 +404,8 @@ def test_rewrite_too_many_refs():
 # Dataset assembly
 
 def _intent_fn(label=IntentLabel.BACKGROUND):
-    def fn(target):
-        return [label] * target.count("<B")
+    def fn(targets):
+        return [[label] * target.count("<B") for target in targets]
     return fn
 
 
@@ -446,7 +446,14 @@ def test_build_rejects_wrong_intent_count():
     corpus = _two_doc_corpus()
     bodies = {"P1": "Smith et al. (2019) started."}
     with pytest.raises(ValueError):
-        build_dataset(corpus, bodies, lambda target: [])
+        build_dataset(corpus, bodies, lambda targets: [[] for _ in targets])
+
+
+def test_build_rejects_too_few_label_lists():
+    corpus = _two_doc_corpus()
+    bodies = {"P1": "Smith et al. (2019) started. Filler one. Filler two. Jones (2020) finished."}
+    with pytest.raises(ValueError):
+        build_dataset(corpus, bodies, lambda targets: [[IntentLabel.METHOD]])
 
 
 def test_build_multiple_groups_one_body():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from citegen.corpus import load_key_table, save_key_table
+from citegen.corpus import load_bodies, load_documents, load_key_table, save_key_table
 from citegen.errors import ConfigError, DataError
 from citegen.files import numbered_lines, read_lines, read_settings
 from citegen.tokenizer import build_vocab, load_vocab, save_vocab
@@ -42,16 +42,17 @@ def test_invalid_utf8_names_its_line(tmp_path, error):
     path = tmp_path / "f.txt"
     path.write_bytes(b"one\r\ntwo\rthree\n\nfour \xff five\nsix\n")
     with pytest.raises(error, match=re.escape(f"{path}:5: not valid UTF-8")):
-        read_lines(path, str, error)
+        read_lines(path, lambda _, line: line, error)
 
 
 def test_parse_errors_name_their_line(tmp_path):
     path = tmp_path / "f.txt"
     path.write_text("1\n\n  \n2\n")
-    assert read_lines(path, int) == [1, 2]
+    assert read_lines(path, lambda _, line: int(line)) == [1, 2]
+    assert read_lines(path, lambda lineno, _: lineno) == [1, 4]
     path.write_text("1\n\n  \n2\nthree\n")
     with pytest.raises(DataError, match=re.escape(f"{path}:5: invalid literal")):
-        read_lines(path, int)
+        read_lines(path, lambda _, line: int(line))
 
 
 def test_repeated_setting_names_both_lines(tmp_path):
@@ -60,3 +61,17 @@ def test_repeated_setting_names_both_lines(tmp_path):
     with pytest.raises(ConfigError, match=re.escape(
             f"{path}:4: 'n_single' was already set at {path}:2")):
         read_settings(path, ConfigError)
+
+
+@pytest.mark.parametrize("load, key, first, other", [
+    (load_bodies, "id", '{"id": "P1", "body": "One."}', '{"id": "P2", "body": "Two."}'),
+    (load_documents, "id", '{"id": "D1", "title": "t", "abstract": "a."}',
+     '{"id": "D2", "title": "t", "abstract": "b."}'),
+], ids=["bodies", "documents"])
+def test_repeated_record_key_names_both_lines(tmp_path, load, key, first, other):
+    path = tmp_path / "records.jsonl"
+    path.write_text(f"\n{first}\n{other}\n\n{first}\n")
+    value = first.split('"')[3]
+    with pytest.raises(DataError, match=re.escape(
+            f"{path}:5: {key} '{value}' repeats the record at {path}:2")):
+        load(path)

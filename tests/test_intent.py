@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citegen.corpus import INTENT_ORDER, IntentLabel
+from citegen.corpus import INTENT_ORDER, IntentLabel, build_dataset, save_dataset, split_dataset
 from citegen.errors import ClassMissing, ConfigError, DataError, EmptyEvalSet
 from citegen.files import write_tensors
 from citegen.fid import _logsumexp, _softmax
@@ -452,11 +452,50 @@ def test_window_fallback_whole_text():
 def test_make_intent_fn_one_label_per_placeholder():
     model = train_intent(_template_pairs(seed=0, n_single=16), epochs=10, feature_dim=2 ** 10)
     fn = make_intent_fn(model)
-    labels = fn("<B1> introduced the idea of parsing. We follow the procedure of <B2> for parsing.")
+    [labels] = fn(["<B1> introduced the idea of parsing. We follow the procedure of <B2> for parsing."])
     assert len(labels) == 2
     assert labels[0] == IntentLabel.BACKGROUND
     assert labels[1] == IntentLabel.METHOD
-    assert len(fn("no placeholder here.")) == 1
+    assert len(fn(["no placeholder here."])[0]) == 1
+
+
+def test_make_intent_fn_labels_many_targets_in_one_call():
+    model = train_intent(_template_pairs(seed=2, n_single=16), epochs=3, feature_dim=2 ** 10)
+    _, _, gold = generate_synthetic_corpus(SynthSpec(n_single=12, n_multi=8, seed=5))
+    # no placeholder, empty, and a gap after <B1>: one label each
+    targets = [g.target for g in gold] + ["no placeholder here.", "", "<B1> and <B3> only."]
+    n_refs = [len(g.cited) for g in gold] + [1, 1, 1]
+    labels = make_intent_fn(model)(targets)
+    assert len(labels) == len(targets)
+    assert [len(got) for got in labels] == n_refs
+    for target, n, got in zip(targets, n_refs, labels):
+        assert got == [predict_intent(model, w)[0] for w in placeholder_windows(target, n)]
+
+
+def test_make_intent_fn_takes_a_list_of_targets():
+    fn = make_intent_fn(IntentModel(np.zeros((4, 8)), np.zeros(4), 8))
+    assert fn([]) == []
+    with pytest.raises(TypeError, match="not a str"):
+        fn("<B1> introduced the idea of parsing.")
+
+
+def test_build_dataset_calls_the_intent_fn_once_per_build():
+    corpus, bodies, gold = generate_synthetic_corpus(SynthSpec(n_single=12, n_multi=8, seed=5))
+    model = train_intent(_template_pairs(seed=2, n_single=16), epochs=3, feature_dim=2 ** 10)
+    calls = []
+
+    def counted(targets):
+        calls.append(list(targets))
+        return make_intent_fn(model)(targets)
+
+    result = build_dataset(corpus, bodies, counted)
+    assert calls == [[g.target for g in gold]]
+    assert len(result.instances) == len(gold)
+    calls.clear()
+    # no surviving group: no bodies, or a body whose citing document is unknown
+    for none_kept in ({}, {"UNKNOWN": next(iter(bodies.values()))}):
+        assert build_dataset(corpus, none_kept, counted).instances == []
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +561,26 @@ def test_trained_model_bytes_are_pinned(tmp_path):
     path = tmp_path / "intent.bin"
     save_intent_model(train_intent(pairs), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == "36fb1509d7c48e55afb23c84a2eb372812149c77f255e645ec192c54d954a850"
+
+
+@pytest.mark.parametrize("train_kw, wrong, digest", [
+    ({}, 0, "1eadb2bd4c2e913009d869055b1a669d8c9f0b9bbc9ba82e5b3c198b0ee6662c"),
+    ({"epochs": 1, "feature_dim": 64}, 15,
+     "ebd35edacf88e41f283e6e732bbd9c28ba70214bb99910d183406c905e13177e"),
+], ids=["default-model", "one-epoch-64-dims"])
+def test_built_dataset_bytes_are_pinned(tmp_path, train_kw, wrong, digest):
+    # a corpus built and split with a trained classifier: any change to
+    # extraction, windowing, intent labelling or splitting shows. The second
+    # model mislabels windows, so its labels come from the classifier alone.
+    corpus, bodies, gold = generate_synthetic_corpus(SynthSpec(n_single=40, n_multi=10, seed=0))
+    pairs = [pair for g in gold
+             for pair in zip(placeholder_windows(g.target, len(g.intents)), g.intents)]
+    model = train_intent(pairs, **train_kw)
+    assert sum(predict_intent(model, text)[0] != label for text, label in pairs) == wrong
+    instances = build_dataset(corpus, bodies, make_intent_fn(model)).instances
+    path = tmp_path / "dataset.jsonl"
+    save_dataset(split_dataset(instances, 0), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_checkpoint_rejects_wrong_class_count(tmp_path):

@@ -211,6 +211,26 @@ def test_corpus_rouge_all_empty_refs():
         corpus_rouge(["a"], [""], "l")
 
 
+@pytest.mark.parametrize("kind", ["3", "L", 1, ""])
+def test_corpus_rouge_checks_the_kind_first(kind):
+    # an unknown kind is named even where the texts would raise otherwise
+    for cands, refs in ((["a b"], ["a c"]), ([], []), (["a"], [""])):
+        with pytest.raises(ValueError, match="kind must be one of"):
+            corpus_rouge(cands, refs, kind)
+
+
+def test_evaluate_warns_once_about_empty_references(caplog):
+    import logging
+
+    ids = ["P1#0", "P2#0"]
+    with caplog.at_level(logging.WARNING):
+        report = evaluate(dict(zip(ids, ["a b", "c"])), dict(zip(ids, ["a b", ""])),
+                          _const_model(), {i: [IntentLabel.BACKGROUND] for i in ids})
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "corpus_rouge: skipped 1 pair(s) with empty references"]
+    assert (report.rouge1_f, report.rouge2_f, report.rougeL_f) == (100.0, 100.0, 100.0)
+
+
 # ---------------------------------------------------------------------------
 # METEOR
 

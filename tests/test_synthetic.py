@@ -116,8 +116,8 @@ def test_pipeline_round_trip_reproduces_gold():
 
     # feed gold intents back in; everything else must be rediscovered from text
     def make_fn(citing_id):
-        def fn(target):
-            return list(intent_fn_from_gold(citing_id))
+        def fn(targets):
+            return [list(intent_fn_from_gold(citing_id)) for _ in targets]
         return fn
 
     rebuilt = []

@@ -157,7 +157,23 @@ def test_load_rejects_a_repeated_token(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     earlier = vocab.id("gamma")
     with pytest.raises(DataError, match=f"{path}:{len(lines)}: token 'gamma' already has "
-                                        f"id {earlier} on an earlier line"):
+                                        f"id {earlier} at {path}:{earlier + 1}$"):
+        load_vocab(path)
+
+
+def test_repeated_token_names_the_earlier_line_past_blank_lines(tmp_path):
+    vocab = build_vocab(["alpha beta gamma"])
+    path = tmp_path / "vocab.tsv"
+    save_vocab(vocab, path)
+    lines = path.read_text().splitlines()
+    n = len(lines)
+    lines = ["", *lines[:-1], "  ", lines[-1], "", f"beta\t{n}"]
+    path.write_text("\n".join(lines) + "\n")
+    beta = vocab.id("beta")
+    line = lines.index(f"beta\t{beta}") + 1  # blank lines count, as in an editor
+    assert line != beta + 1
+    with pytest.raises(DataError, match=f"{path}:{len(lines)}: token 'beta' already has "
+                                        f"id {beta} at {path}:{line}$"):
         load_vocab(path)
 
 
