@@ -43,9 +43,8 @@ print(f"\ntrained {len(history['train_loss'])} epochs in {time.monotonic() - t0:
 
 print("\n=== greedy vs beam decoding ===")
 for inst, (x, _) in list(zip(gold, data))[:4]:
-    greedy = decode(fid.generate(params, config, fid.FidInput(ids=x), mode="greedy"), vocab)
-    beam = decode(fid.generate(params, config, fid.FidInput(ids=x), mode="beam",
-                               beam_size=4), vocab)
+    greedy = decode(fid.generate(params, config, x, mode="greedy"), vocab)
+    beam = decode(fid.generate(params, config, x, mode="beam", beam_size=4), vocab)
     print(f"  target: {inst.target}")
     print(f"  greedy: {greedy}")
     if beam != greedy:

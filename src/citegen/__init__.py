@@ -35,13 +35,11 @@ from .errors import (
 )
 from .fid import (
     AttentionCounter,
-    FidInput,
     ModelConfig,
     TrainConfig,
     attention_cost,
     backward,
     build_fid_input,
-    encode_block,
     forward_loss,
     generate,
     init_params,
@@ -74,13 +72,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AlignmentError", "AttentionCounter", "BuildResult", "CitationInstance",
     "CitegenError", "ClassMissing", "ConfigError", "Corpus", "Document",
-    "EmptyEvalSet", "EvalReport", "FidInput", "IntentLabel", "IntentModel",
+    "EmptyEvalSet", "EvalReport", "IntentLabel", "IntentModel",
     "Marker", "MaxRefsExceeded", "ModelConfig", "NumericalError",
     "RetrievalResult", "SentenceSpan", "ShapeError", "SplitTooSmall",
     "SynthSpec", "TrainConfig", "Vocabulary", "VocabTooSmall",
     "attention_cost", "backward", "bleu", "build_dataset", "build_fid_input",
     "build_vocab", "decode", "detect_citations", "embed_sentence", "encode",
-    "encode_block", "evaluate", "forward_loss", "generate",
+    "evaluate", "forward_loss", "generate",
     "generate_synthetic_corpus", "group_consecutive", "init_params",
     "load_checkpoint", "load_intent_model", "load_vocab", "meteor_simplified",
     "predict_intent", "retrieve_baseline", "retrieve_oracle", "rewrite_target",

@@ -308,7 +308,7 @@ def group_consecutive(spans: Sequence[SentenceSpan]) -> list[list[SentenceSpan]]
 
 def rewrite_target(
     group: Sequence[SentenceSpan],
-    context: Sequence[SentenceSpan] | None = None,
+    context: Sequence[SentenceSpan],
 ) -> tuple[str, list[str]]:
     """Rewrite a group's sentences with <Bn> placeholders.
 
@@ -318,7 +318,7 @@ def rewrite_target(
     sentence list the group came from; it supplies the at-most-one bridging
     non-explicit sentence kept inside the target.
     """
-    by_index = {s.index: s for s in context} if context else {}
+    by_index = {s.index: s for s in context}
     sentences: list[SentenceSpan] = []
     for a, b in zip(group, group[1:]):
         sentences.append(a)
@@ -488,8 +488,9 @@ DatasetRecord = namedtuple("DatasetRecord", ["instance_id", *DATASET.fields])
 
 def _dataset_rows(path: str | Path, make: Callable) -> list:
     """``make(*DatasetRecord)`` for each record of the dataset file ``path``;
-    a record must cite at least one document and give one intent per cited
-    document, as ``build_fid_input`` pairs them."""
+    a record must cite 1 to ``MAX_REFS`` documents, as ``rewrite_target``
+    allows, and give one intent per cited document, as ``build_fid_input``
+    pairs them."""
     ordinal: dict[str, int] = {}
 
     def row(citing_id, cited_ids, intents, target, split):
@@ -500,6 +501,9 @@ def _dataset_rows(path: str | Path, make: Callable) -> list:
         # after ``make``, so that an unknown document id is named first
         if not cited_ids:
             raise ValueError("cited_ids must name at least one document, got []")
+        if len(cited_ids) > MAX_REFS:
+            raise ValueError(f"cited_ids may name at most {MAX_REFS} documents, "
+                             f"got {len(cited_ids)}")
         if len(intents) != len(cited_ids):
             raise ValueError(f"intents must give one label per cited document, got "
                              f"{len(intents)} for {len(cited_ids)}")
@@ -510,8 +514,9 @@ def _dataset_rows(path: str | Path, make: Callable) -> list:
 
 def load_dataset_records(path: str | Path) -> list[DatasetRecord]:
     """The records of a dataset file, without looking up their documents;
-    raises DataError naming ``path:line`` for a record ``DATASET`` rejects
-    or whose intents do not pair one to one with its cited ids."""
+    raises DataError naming ``path:line`` for a record ``DATASET`` rejects,
+    that cites more than ``MAX_REFS`` documents, or whose intents do not
+    pair one to one with its cited ids."""
     return _dataset_rows(path, DatasetRecord)
 
 

@@ -41,11 +41,11 @@ difference checks and bit-level invariants are meaningful.
 from __future__ import annotations
 
 import ctypes
+import dataclasses
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -58,9 +58,11 @@ from .tokenizer import BOS_ID, EOS_ID, PAD_ID, RESERVED, Vocabulary, encode, tok
 
 LN_EPS = 1e-6
 NEG_INF = -1e9  # additive mask; exp underflows to exact 0.0 in float64
+ADAM_BETAS = (0.9, 0.98)
+ADAM_EPS = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ModelConfig:
     vocab_size: int
     d_model: int = 64
@@ -94,12 +96,7 @@ class ModelConfig:
         return max(self.block_len, self.target_len)
 
     def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size, "d_model": self.d_model, "n_heads": self.n_heads,
-            "n_enc_layers": self.n_enc_layers, "n_dec_layers": self.n_dec_layers,
-            "ffn_dim": self.ffn_dim, "block_len": self.block_len, "target_len": self.target_len,
-            "max_blocks": self.max_blocks, "dropout": self.dropout,
-        }
+        return dataclasses.asdict(self)
 
 
 class AttentionCounter:
@@ -413,31 +410,21 @@ def _stack_bwd(dout, cache, grads):
     return denc
 
 
-def _encoder_fwd(params, config: ModelConfig, flat_ids, counter=None, drop_rng=None,
-                 key_real=None):
+def _encoder_fwd(params, config: ModelConfig, flat_ids, counter=None, drop_rng=None):
     """flat_ids: (rows, L) where each row is one independently encoded block."""
-    if key_real is None:
-        key_real = flat_ids != PAD_ID
-    mask = np.where(key_real, 0.0, NEG_INF)[:, None, None, :]
+    mask = np.where(flat_ids != PAD_ID, 0.0, NEG_INF)[:, None, None, :]
     return _stack_fwd(params, config, "enc", flat_ids, mask, drop_rng=drop_rng, counter=counter)
 
 
 # ---------------------------------------------------------------------------
 # Model-level forward / backward
 
-@dataclass(frozen=True, eq=False)
-class FidInput:
-    """Token ids of the citation blocks: (n_blocks, block_len)."""
-
-    ids: np.ndarray
-
-    def __post_init__(self):
-        if self.ids.ndim != 2:
-            raise ShapeError(f"FidInput.ids must be 2-d, got shape {self.ids.shape}")
-
-    @property
-    def n_blocks(self) -> int:
-        return self.ids.shape[0]
+def _check_blocks(config: ModelConfig, shape: tuple[int, ...]) -> None:
+    """Raise ShapeError unless ``shape`` is that of one instance's block ids:
+    (n_blocks, block_len) with 1 <= n_blocks <= max_blocks."""
+    if len(shape) != 2 or shape[1] != config.block_len or not 1 <= shape[0] <= config.max_blocks:
+        raise ShapeError(f"block ids must have shape (n_blocks, {config.block_len}) with "
+                         f"n_blocks in [1, {config.max_blocks}], got {shape}")
 
 
 def _as_batch(x_ids, y_ids):
@@ -452,11 +439,8 @@ def _as_batch(x_ids, y_ids):
 
 
 def _forward(params, config: ModelConfig, x, y, counter=None, drop_rng=None):
+    _check_blocks(config, x.shape[1:])
     b, n, length = x.shape
-    if length != config.block_len:
-        raise ShapeError(f"block length {length} != config.block_len {config.block_len}")
-    if not 1 <= n <= config.max_blocks:
-        raise ShapeError(f"{n} blocks outside [1, {config.max_blocks}]")
     # Encode only blocks holding a real token; cross-attention gives the
     # others exactly zero weight, so zero states stand in for them. An
     # instance with no real token keeps every block, as its keys are all
@@ -506,33 +490,18 @@ def _backward(params, config: ModelConfig, cache, n_tokens: int | None = None):
     return grads
 
 
-def forward_loss(params, config: ModelConfig, fid_input, target, counter=None):
+def forward_loss(params, config: ModelConfig, ids, target, counter=None):
     """Teacher-forced cross-entropy over non-pad target positions, plus logits."""
-    ids = fid_input.ids if isinstance(fid_input, FidInput) else fid_input
     x, y, single = _as_batch(ids, target)
     loss, logits, _ = _forward(params, config, x, y, counter)
     return loss, (logits[0] if single else logits)
 
 
-def backward(params, config: ModelConfig, fid_input, target):
+def backward(params, config: ModelConfig, ids, target):
     """Analytic gradients of forward_loss for every parameter tensor."""
-    ids = fid_input.ids if isinstance(fid_input, FidInput) else fid_input
     x, y, _ = _as_batch(ids, target)
     _, _, cache = _forward(params, config, x, y)
     return _backward(params, config, cache)
-
-
-def encode_block(params, config: ModelConfig, block_ids, mask=None, counter=None):
-    """Encoder states (block_len, d_model) for one block in isolation.
-
-    ``mask`` marks real (attendable) positions; by default every non-<PAD>
-    token is real. Masked positions cannot influence any other position."""
-    ids = np.asarray(block_ids, dtype=np.int64)
-    if ids.shape != (config.block_len,):
-        raise ShapeError(f"block shape {ids.shape} != ({config.block_len},)")
-    key_real = None if mask is None else np.asarray(mask, dtype=bool)[None]
-    out, _ = _encoder_fwd(params, config, ids[None], counter, key_real=key_real)
-    return out[0]
 
 
 def encode_blocks(params, config: ModelConfig, ids, counter=None):
@@ -571,13 +540,11 @@ def attention_cost(config: ModelConfig, n_blocks: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # Training
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 30
     batch_size: int = 16
     lr: float = 3e-4
-    betas: tuple[float, float] = (0.9, 0.98)
-    adam_eps: float = 1e-9
     grad_clip: float = 1.0
     seed: int = 0
 
@@ -707,8 +674,9 @@ def train(
     valid_data: Sequence[tuple[np.ndarray, np.ndarray]] = (),
     hyper: TrainConfig = TrainConfig(),
 ) -> tuple[dict[str, np.ndarray], dict[str, list[float]]]:
-    """Adam with global-norm gradient clipping; keeps the best-validation
-    parameters when a validation set is given, else the final ones.
+    """Adam (``ADAM_BETAS``, ``ADAM_EPS``) with global-norm gradient clipping;
+    keeps the best-validation parameters when a validation set is given,
+    else the final ones.
 
     Each batch is split into ``_SHARDS`` shards, each padded on its own
     and run forward and backward concurrently (the first on the calling
@@ -725,7 +693,7 @@ def train(
     params = {k: v.copy() for k, v in params.items()}
     m = {k: np.zeros_like(v) for k, v in params.items()}
     v2 = {k: np.zeros_like(v) for k, v in params.items()}
-    b1, b2 = hyper.betas
+    b1, b2 = ADAM_BETAS
     rng = substream(hyper.seed, "shuffle")
     drop_rng = substream(hyper.seed, "dropout") if config.dropout > 0 else None
     history: dict[str, list[float]] = {"train_loss": [], "val_loss": []}
@@ -776,7 +744,7 @@ def train(
                     g *= hyper.lr
                     np.divide(v2[k], bc2, out=g2)
                     np.sqrt(g2, out=g2)
-                    g2 += hyper.adam_eps
+                    g2 += ADAM_EPS
                     g /= g2
                     params[k] -= g
             epoch_loss = total / max(count, 1)
@@ -843,7 +811,7 @@ def _next_logprobs(params, config, state: _DecodeState, tokens):
     return logp
 
 
-def generate(params, config: ModelConfig, fid_input, mode: str = "greedy",
+def generate(params, config: ModelConfig, ids, mode: str = "greedy",
              beam_size: int = 4, max_len: int | None = None) -> list[int]:
     """Decode one instance. Returns generated ids (no <BOS>; <EOS> kept if hit).
 
@@ -856,7 +824,8 @@ def generate(params, config: ModelConfig, fid_input, mode: str = "greedy",
         raise ConfigError(f"beam_size must be >= 1, got {beam_size}")
     if max_len is not None and max_len < 1:
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
-    ids = fid_input.ids if isinstance(fid_input, FidInput) else np.asarray(fid_input)
+    ids = np.asarray(ids)
+    _check_blocks(config, ids.shape)
     max_len = config.target_len if max_len is None else min(max_len, config.pos_len)
     state = _DecodeState(params, config, ids)
     if mode == "greedy":
@@ -924,8 +893,9 @@ def build_block_ids(citing_tokens: list[str], block_tag: str, title_tokens: list
 
 
 def build_fid_input(instance, vocab: Vocabulary, config: ModelConfig,
-                    with_intent: bool = True) -> FidInput:
-    """Assemble the per-cited-document blocks for one CitationInstance."""
+                    with_intent: bool = True) -> np.ndarray:
+    """The block ids (n_blocks, block_len) of one CitationInstance, one
+    block per cited document."""
     citing_toks = tokenize(instance.citing.abstract)
     blocks = []
     for n, (doc, intent) in enumerate(zip(instance.cited, instance.intents), start=1):
@@ -935,19 +905,17 @@ def build_fid_input(instance, vocab: Vocabulary, config: ModelConfig,
                 intent.token if with_intent else None, vocab, config.block_len,
             )
         )
-    return FidInput(ids=np.stack(blocks))
+    return np.stack(blocks)
 
 
 def encode_target(instance, vocab: Vocabulary, config: ModelConfig) -> np.ndarray:
-    return np.array(encode(instance.target, vocab, config.target_len, add_eos=True),
-                    dtype=np.int64)
+    return np.array(encode(instance.target, vocab, config.target_len), dtype=np.int64)
 
 
 def prepare_data(instances, vocab: Vocabulary, config: ModelConfig,
                  with_intent: bool = True) -> list[tuple[np.ndarray, np.ndarray]]:
     return [
-        (build_fid_input(inst, vocab, config, with_intent).ids,
-         encode_target(inst, vocab, config))
+        (build_fid_input(inst, vocab, config, with_intent), encode_target(inst, vocab, config))
         for inst in instances
     ]
 

@@ -46,14 +46,9 @@ def tokenize(text: str) -> list[str]:
         elif word:
             out.append(word.lower())
         else:
-            # non-ASCII letters land here; lowercase so normalize() is canonical
+            # non-ASCII letters land here; lowercase so re-tokenizing is a no-op
             out.append(punct.lower())
     return out
-
-
-def normalize(text: str) -> str:
-    """Canonical surface form used for round-trip comparisons."""
-    return " ".join(tokenize(text))
 
 
 @dataclass(frozen=True)
@@ -94,17 +89,10 @@ def build_vocab(texts: Iterable[str], min_freq: int = 1, max_size: int = 50000) 
     return Vocabulary({t: i for i, t in enumerate(tokens)}, tokens)
 
 
-def encode(text: str, vocab: Vocabulary, max_len: int, add_eos: bool = True) -> list[int]:
-    """Encode to exactly ``max_len`` ids, truncating or right-padding with <PAD>.
-
-    With ``add_eos`` (the target convention) an <EOS> id is placed after the
-    last kept token, before any padding.
-    """
-    ids = [vocab.id(t) for t in tokenize(text)]
-    if add_eos:
-        ids = ids[: max_len - 1] + [EOS_ID]
-    else:
-        ids = ids[:max_len]
+def encode(text: str, vocab: Vocabulary, max_len: int) -> list[int]:
+    """Encode to exactly ``max_len`` ids: the tokens that fit, then <EOS>
+    (the target convention), then <PAD> up to ``max_len``."""
+    ids = [vocab.id(t) for t in tokenize(text)][: max_len - 1] + [EOS_ID]
     ids.extend([PAD_ID] * (max_len - len(ids)))
     return ids
 

@@ -94,7 +94,7 @@ def test_2_overfit_small_corpus():
     loss = history["train_loss"][-1]
     exact = 0
     for x, y in data:
-        out = fid.generate(params, config, fid.FidInput(ids=x), mode="greedy")
+        out = fid.generate(params, config, x, mode="greedy")
         if out == [int(t) for t in y if t != fid.PAD_ID]:
             exact += 1
     dt = time.monotonic() - t0

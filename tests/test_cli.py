@@ -497,6 +497,14 @@ def _repeat_token(lines):
     lines[-1] = f"{lines[-3].partition(chr(9))[0]}\t{len(lines) - 1}"
 
 
+def _cite_nine(lines, k):
+    """Line k cites the first document of each of the first nine records,
+    with one intent each: one more than MAX_REFS."""
+    cited = [json.loads(line)["cited_ids"][0] for line in lines[:9]]
+    _set_line(lines, k, json.dumps({**json.loads(lines[k - 1]), "cited_ids": cited,
+                                    "intents": ["method"] * 9}))
+
+
 def _resplit(lines, old, new):
     for k, line in enumerate(lines):
         rec = json.loads(line)
@@ -572,6 +580,14 @@ def _resplit(lines, old, new):
     pytest.param("train-intent", "dataset", 4, lambda lines: _set_line(
         lines, 4, json.dumps({**json.loads(lines[3]), "intents": []})),
         id="dataset-no-intents-train-intent"),
+    # at most MAX_REFS cited documents, as rewrite_target allows; lines 4 and
+    # 13 are test records, line 5 a train record
+    pytest.param("generate", "dataset", 4, lambda lines: _cite_nine(lines, 4),
+                 id="dataset-nine-cited-generate"),
+    pytest.param("retrieve", "dataset", 13, lambda lines: _cite_nine(lines, 13),
+                 id="dataset-nine-cited-retrieve"),
+    pytest.param("train-fid", "dataset", 5, lambda lines: _cite_nine(lines, 5),
+                 id="dataset-nine-cited-train-fid"),
     pytest.param("build-corpus", "bodies", 2, lambda lines: _set_line(lines, 2, "{broken"),
                  id="bodies-malformed-json"),
     pytest.param("build-corpus", "bodies", 1, lambda lines: _set_line(

@@ -613,6 +613,8 @@ def test_records_round_trip(tmp_path, kind, rows):
                  "document, got 2 for 1", id="intents-longer-than-cited_ids"),
     pytest.param("intents", [], "intents must give one label per cited document, got 0 for 1",
                  id="intents-empty"),
+    pytest.param(("cited_ids", "intents"), (["D1"] * 9, ["method"] * 9),
+                 "cited_ids may name at most 8 documents, got 9", id="cited_ids-nine"),
 ])
 def test_dataset_value_of_wrong_type_names_path_and_line(tmp_path, field, value, message):
     import json
@@ -622,6 +624,7 @@ def test_dataset_value_of_wrong_type_names_path_and_line(tmp_path, field, value,
     good = {"citing_id": "P1", "cited_ids": ["D1"], "intents": ["method"],
             "target": "<B1> works.", "split": None}
     path = tmp_path / "data.jsonl"
-    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
+    bad = {**good, **(dict(zip(field, value)) if isinstance(field, tuple) else {field: value})}
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
     with pytest.raises(DataError, match=re.escape(f"{path}:2: {message}")):
         load_dataset(path, documents)

@@ -19,14 +19,12 @@ from citegen.corpus import CitationInstance, Document, IntentLabel
 from citegen.errors import ConfigError, DataError, NumericalError, ShapeError
 from citegen.fid import (
     AttentionCounter,
-    FidInput,
     ModelConfig,
     TrainConfig,
     attention_cost,
     backward,
     build_block_ids,
     build_fid_input,
-    encode_block,
     encode_blocks,
     encode_monolithic,
     encode_target,
@@ -115,20 +113,14 @@ def test_init_norm_gains_one_biases_zero():
 def test_encode_block_shape():
     params = init_params(TINY, seed=11)
     x, _ = _tiny_batch()
-    states = encode_block(params, TINY, x[0])
+    states = encode_blocks(params, TINY, x[:1])
     assert states.shape == (TINY.block_len, TINY.d_model)
-
-
-def test_encode_block_rejects_wrong_length():
-    params = init_params(TINY, seed=11)
-    with pytest.raises(ShapeError):
-        encode_block(params, TINY, np.zeros(5, dtype=np.int64))
 
 
 def test_forward_loss_logits_shape():
     params = init_params(TINY, seed=11)
     x, y = _tiny_batch()
-    loss, logits = forward_loss(params, TINY, FidInput(ids=x), y)
+    loss, logits = forward_loss(params, TINY, x, y)
     assert logits.shape == (TINY.target_len, TINY.vocab_size)
     assert np.isfinite(loss)
     # batched form
@@ -181,19 +173,8 @@ def test_encode_block_matches_joint_encoding():
     x, _ = _tiny_batch()
     joint = encode_blocks(params, TINY, x)
     L = TINY.block_len
-    assert np.array_equal(encode_block(params, TINY, x[0]), joint[:L])
-    assert np.array_equal(encode_block(params, TINY, x[1]), joint[L:])
-
-
-def test_masked_positions_cannot_influence_real_ones():
-    params = init_params(TINY, seed=11)
-    x, _ = _tiny_batch()
-    mask = x[0] != PAD_ID
-    base = encode_block(params, TINY, x[0], mask=mask)
-    garbage = x[0].copy()
-    garbage[~mask] = 17  # arbitrary real token ids at masked slots
-    changed = encode_block(params, TINY, garbage, mask=mask)
-    assert np.array_equal(base[mask], changed[mask])
+    assert np.array_equal(encode_blocks(params, TINY, x[:1]), joint[:L])
+    assert np.array_equal(encode_blocks(params, TINY, x[1:]), joint[L:])
 
 
 def test_fully_padded_block_is_inert():
@@ -206,7 +187,7 @@ def test_fully_padded_block_is_inert():
     # logits may differ in the last float ulp: the larger cross-attention
     # matmul changes summation order, never the math
     assert np.allclose(logits_a, logits_b, rtol=0, atol=1e-12)
-    states = encode_block(params, TINY, np.full(TINY.block_len, PAD_ID))
+    states = encode_blocks(params, TINY, np.full((1, TINY.block_len), PAD_ID))
     assert np.isfinite(states).all()
 
 
@@ -265,8 +246,8 @@ def test_decoder_causality():
 def test_backward_deterministic():
     params = init_params(TINY, seed=11)
     x, y = _tiny_batch()
-    ga = backward(params, TINY, FidInput(ids=x), y)
-    gb = backward(params, TINY, x, y)
+    ga = backward(params, TINY, x, y)
+    gb = backward(params, TINY, x[None], y[None])
     assert set(ga) == set(params)
     for k in ga:
         assert np.array_equal(ga[k], gb[k])
@@ -595,7 +576,7 @@ def test_adam_steps_equal_textbook_bit_for_bit():
     params = {k: v.copy() for k, v in params0.items()}
     m = {k: np.zeros_like(v) for k, v in params.items()}
     v2 = {k: np.zeros_like(v) for k, v in params.items()}
-    b1, b2 = hyper.betas
+    b1, b2 = 0.9, 0.98
     clipped = False
     for step in (1, 2):
         _, _, cache = _forward(params, TINY, *_pad_batch([item]))
@@ -608,7 +589,7 @@ def test_adam_steps_equal_textbook_bit_for_bit():
             m[k] = b1 * m[k] + (1 - b1) * grads[k]
             v2[k] = b2 * v2[k] + (1 - b2) * grads[k] ** 2
             params[k] = params[k] - hyper.lr * (m[k] / (1.0 - b1 ** step)) / (
-                np.sqrt(v2[k] / (1.0 - b2 ** step)) + hyper.adam_eps)
+                np.sqrt(v2[k] / (1.0 - b2 ** step)) + 1e-9)
     assert clipped
     for k in params:
         assert np.array_equal(got[k], params[k]), k
@@ -843,7 +824,7 @@ def _unsharded_train(params, config, train_data, valid_data, hyper):
     params = {k: v.copy() for k, v in params.items()}
     m = {k: np.zeros_like(v) for k, v in params.items()}
     v2 = {k: np.zeros_like(v) for k, v in params.items()}
-    b1, b2 = hyper.betas
+    b1, b2 = 0.9, 0.98
     rng = substream(hyper.seed, "shuffle")
     history = {"train_loss": [], "val_loss": []}
     best_val, best_params, step = np.inf, None, 0
@@ -874,7 +855,7 @@ def _unsharded_train(params, config, train_data, valid_data, hyper):
                 g *= hyper.lr
                 np.divide(v2[k], bc2, out=g2)
                 np.sqrt(g2, out=g2)
-                g2 += hyper.adam_eps
+                g2 += 1e-9
                 g /= g2
                 params[k] -= g
             n_real = int((y != PAD_ID).sum())
@@ -990,7 +971,7 @@ def test_generation_respects_decoding_rules():
         params = init_params(TINY, seed=trial)
         ids = rng.integers(4, TINY.vocab_size, size=(1, TINY.block_len))
         for mode, k in (("greedy", 1), ("beam", 3)):
-            out = generate(params, TINY, FidInput(ids=ids), mode=mode, beam_size=k)
+            out = generate(params, TINY, ids, mode=mode, beam_size=k)
             assert len(out) <= TINY.target_len
             assert PAD_ID not in out
             if EOS_ID in out:
@@ -1020,6 +1001,21 @@ def test_generate_rejects_max_len_below_one(mode, max_len):
     ids = np.full((1, TINY.block_len), 5, dtype=np.int64)
     with pytest.raises(ConfigError, match="max_len"):
         generate(params, TINY, ids, mode=mode, max_len=max_len)
+
+
+@pytest.mark.parametrize("mode", ["greedy", "beam"])
+@pytest.mark.parametrize("ids", [
+    pytest.param(np.full(TINY.block_len, 5), id="one-dim"),
+    pytest.param(np.full((1, TINY.block_len - 2), 5), id="wrong-block_len"),
+    pytest.param(np.full((TINY.max_blocks + 1, TINY.block_len), 5), id="too-many-blocks"),
+])
+def test_generate_rejects_block_ids_forward_loss_rejects(ids, mode):
+    params = init_params(TINY, seed=0)
+    target = np.full(TINY.target_len, 5)
+    with pytest.raises(ShapeError):
+        forward_loss(params, TINY, ids, target)
+    with pytest.raises(ShapeError):
+        generate(params, TINY, ids, mode=mode)
 
 
 def test_unknown_decode_mode():
@@ -1192,14 +1188,14 @@ def test_build_fid_input_per_cited_document():
     cfg = ModelConfig(vocab_size=len(vocab), d_model=8, n_heads=2, n_enc_layers=1,
                       n_dec_layers=1, block_len=24, target_len=12)
     with_codes = build_fid_input(inst, vocab, cfg, with_intent=True)
-    assert with_codes.ids.shape == (2, 24)
-    toks0 = [vocab.id_to_token[i] for i in with_codes.ids[0]]
-    toks1 = [vocab.id_to_token[i] for i in with_codes.ids[1]]
+    assert with_codes.shape == (2, 24)
+    toks0 = [vocab.id_to_token[i] for i in with_codes[0]]
+    toks1 = [vocab.id_to_token[i] for i in with_codes[1]]
     assert toks0[0] == "<I:method>" and "<B1>" in toks0
     assert toks1[0] == "<I:supportive>" and "<B2>" in toks1
 
     without = build_fid_input(inst, vocab, cfg, with_intent=False)
-    all_toks = [vocab.id_to_token[i] for i in without.ids.reshape(-1)]
+    all_toks = [vocab.id_to_token[i] for i in without.reshape(-1)]
     assert not any(t.startswith("<I:") for t in all_toks)
 
 
@@ -1212,13 +1208,8 @@ def test_prepare_data_and_target_encoding():
     assert EOS_ID in y
     data = prepare_data([inst], vocab, cfg)
     assert len(data) == 1
-    assert np.array_equal(data[0][0], build_fid_input(inst, vocab, cfg).ids)
+    assert np.array_equal(data[0][0], build_fid_input(inst, vocab, cfg))
     assert np.array_equal(data[0][1], y)
-
-
-def test_fid_input_requires_two_dims():
-    with pytest.raises(ShapeError):
-        FidInput(ids=np.zeros(6, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

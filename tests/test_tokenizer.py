@@ -20,7 +20,6 @@ from citegen.tokenizer import (
     decode,
     encode,
     load_vocab,
-    normalize,
     save_vocab,
     tokenize,
 )
@@ -87,11 +86,6 @@ def test_encode_truncates_keeping_eos():
     ids = encode("a b c d e", vocab, max_len=3)
     assert len(ids) == 3
     assert ids[-1] == EOS_ID
-
-
-def test_encode_without_eos():
-    vocab = build_vocab(["a b"])
-    assert encode("a", vocab, max_len=3, add_eos=False) == [vocab.id("a"), PAD_ID, PAD_ID]
 
 
 def test_decode_encode_identity():
@@ -192,7 +186,7 @@ def test_tokenize_output_is_normalized(text):
     for tok in tokenize(text):
         assert tok in RESERVED or tok == tok.lower()
         assert " " not in tok
-    assert normalize(normalize(text)) == normalize(text)
+    assert tokenize(" ".join(tokenize(text))) == tokenize(text)
 
 
 @given(st.text(max_size=60), st.integers(min_value=2, max_value=20))
