@@ -19,10 +19,13 @@ them in the padded layout where the other blocks' keys and values are zero.
 Targets are cut after the batch's longest real target.
 
 A training batch is split into ``_SHARDS`` contiguous shards that run
-forward and backward concurrently, the first on the calling thread and the
-others on worker threads, with BLAS held at one thread;
-their gradients are added in shard order, so results depend on the shard
-count and not on the machine.
+forward and backward at once, with BLAS held at one thread: the first in the
+calling process, each other in a worker process that is forked on first use,
+kept for later ``train`` calls and reaped at interpreter exit. The
+parameters lie in a memory file shared with the workers, which also holds
+one gradient area per worker; each step sends a worker only its shard's
+instances, and the caller adds the workers' gradients in shard order, so
+results depend on the shard count and not on the machine.
 
 The primitive ops (softmax, layer norm, attention, feed-forward, and Adam's
 update in ``train``) work in place in the buffers they allocate themselves,
@@ -40,11 +43,16 @@ difference checks and bit-level invariants are meaningful.
 
 from __future__ import annotations
 
+import atexit
 import ctypes
 import dataclasses
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
+import mmap
+import os
+import pickle
+import sys
+import threading
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -580,8 +588,9 @@ def _real_tokens(items) -> int:
 
 
 # Each training batch is cut into this many contiguous shards (fewer when the
-# batch is smaller), run on as many threads. It fixes how float64 sums are
-# grouped, so trained parameters depend on it and on nothing about the machine.
+# batch is smaller) that run at once: the first in the calling process, each
+# other in a worker process of its own. It fixes how float64 sums are grouped,
+# so trained parameters depend on it and on nothing about the machine.
 _SHARDS = 2
 
 
@@ -593,22 +602,32 @@ def _shards(batch: Sequence, k: int) -> list:
     return [batch[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _shard_loss(params, config, items, drop_rng=None):
+def _shard_forward(params, config, items, drop_rng=None):
     """Summed token loss of one shard, padded on its own, and its cache."""
     x, y = _pad_batch(items)
     loss, _, cache = _forward(params, config, x, y, drop_rng=drop_rng)
     return loss * _real_tokens(items), cache
 
 
-def _dataset_loss(params, config, data, batch_size, map_shards):
-    """Per-token loss over ``data``, batched and sharded as ``train`` does;
-    the shards' loss sums are added in shard order."""
-    def shard_loss(items):
-        return _shard_loss(params, config, items)[0]
+def _shard_loss(params, config, items) -> float:
+    """Summed token loss of one shard."""
+    return _shard_forward(params, config, items)[0]
 
+
+def _shard_step(params, config, n_tokens, items, drop_rng):
+    """Loss sum and gradients of one shard of a batch that holds ``n_tokens``
+    real target tokens; the shards' gradients add up to the batch's."""
+    loss_sum, cache = _shard_forward(params, config, items, drop_rng)
+    return loss_sum, _backward(params, config, cache, n_tokens)
+
+
+def _dataset_loss(data, batch_size, map_shards) -> float:
+    """Per-token loss over ``data``, batched and sharded as ``train`` does:
+    ``map_shards(_shard_loss, shards)`` gives each shard's loss sum, and the
+    sums are added in shard order."""
     total = 0.0
     for start in range(0, len(data), batch_size):
-        for loss_sum in map_shards(shard_loss, _shards(data[start : start + batch_size], _SHARDS)):
+        for loss_sum in map_shards(_shard_loss, _shards(data[start : start + batch_size], _SHARDS)):
             total += loss_sum
     return total / max(_real_tokens(data), 1)
 
@@ -635,9 +654,10 @@ def _openblas():
 def _one_blas_thread():
     """Run the block with OpenBLAS at one thread, then restore its count.
 
-    Shard threads then each keep to one core, where more BLAS threads would
+    Each shard then keeps to one core, where more BLAS threads would
     oversubscribe the cores, and BLAS sums do not depend on the thread count
-    the process started with. Does nothing where the library is not found."""
+    the process started with. Workers are forked inside the block, so they
+    keep one thread for good. Does nothing where the library is not found."""
     lib = _openblas()
     if lib is None:
         yield
@@ -650,21 +670,232 @@ def _one_blas_thread():
         lib.scipy_openblas_set_num_threads64_(before)
 
 
-def _map_shards(pool, fn, *iterables) -> list:
-    """``fn`` over the shards, results in shard order: the first shard on
-    the calling thread, the others on ``pool`` meanwhile. The calling thread
-    keeps a share of the work and its allocations, as in a serial loop, and
-    one shard starts no thread at all."""
-    first, *rest = zip(*iterables)
-    futures = [pool.submit(fn, *args) for args in rest]
-    return [fn(*first)] + [f.result() for f in futures]
+def _layout(params) -> tuple[dict[str, tuple[int, tuple[int, ...]]], int]:
+    """Each tensor's offset (in float64s, a multiple of 8: 64 bytes) and
+    shape in one area of the shared memory file, and the area's length."""
+    layout, size = {}, 0
+    for k, v in params.items():
+        layout[k] = size, v.shape
+        size += -(-v.size // 8) * 8
+    return layout, size
 
 
-def _shard_step(params, config, n_tokens, items, drop_rng):
-    """Loss sum and gradients of one shard of a batch that holds ``n_tokens``
-    real target tokens; the shards' gradients add up to the batch's."""
-    loss_sum, cache = _shard_loss(params, config, items, drop_rng)
-    return loss_sum, _backward(params, config, cache, n_tokens)
+def _views(buf, layout, size: int, area: int) -> dict[str, np.ndarray]:
+    """The tensors of area ``area`` of ``buf``, as arrays over it."""
+    return {k: np.frombuffer(buf, np.float64, math.prod(shape), 8 * (area * size + offset))
+            .reshape(shape) for k, (offset, shape) in layout.items()}
+
+
+def _send(fd: int, obj) -> None:
+    """Write ``obj`` to the pipe ``fd``, pickled, after its length."""
+    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read(fd: int, n: int) -> bytearray:
+    buf = bytearray()
+    while len(buf) < n:
+        chunk = os.read(fd, n - len(buf))
+        if not chunk:
+            raise EOFError("pipe closed")
+        buf += chunk
+    return buf
+
+
+def _recv(fd: int):
+    """The next object ``_send`` wrote to the pipe ``fd``; EOFError once
+    its writer has closed it."""
+    return pickle.loads(_read(fd, int.from_bytes(_read(fd, 8), "little")))
+
+
+def _serve(rfd: int, wfd: int, memfd: int) -> None:
+    """A worker's loop, until the pipe ``rfd`` closes: for each ``(fn,
+    args)`` received, reply ``(True, fn(params, config, *args))`` or
+    ``(False, exception)`` on ``wfd``. ``fn`` None starts a ``train`` call:
+    args are its config and where its parameters and this worker's gradient
+    area lie in ``memfd``. A shard's ``(loss sum, gradients)`` is replied as
+    the loss sum, with the gradients written into that area."""
+    params = grads = config = None
+    while True:
+        try:
+            fn, args = _recv(rfd)
+        except EOFError:
+            return
+        if fn is None:
+            config, layout, size, area = args
+            buf = mmap.mmap(memfd, (area + 1) * size * 8)
+            params, grads = _views(buf, layout, size, 0), _views(buf, layout, size, area)
+            continue
+        try:
+            out = fn(params, config, *args)
+            if isinstance(out, tuple):
+                out, shard_grads = out
+                for k, g in shard_grads.items():
+                    grads[k][...] = g
+            reply = True, out
+        except Exception as e:  # the caller raises it
+            reply = False, e
+        try:
+            _send(wfd, reply)
+        except BrokenPipeError:  # the caller has gone
+            return
+
+
+class _Worker:
+    """A forked process that runs shards for ``train`` (see ``_serve``),
+    with a pipe each way. Forked rather than spawned: a spawned process
+    would import numpy and citegen again, about 80 ms here, before its
+    first shard. ``train`` forks it while holding ``_WorkerPool.lock``."""
+
+    def __init__(self, memfd: int, siblings: Sequence[_Worker]):
+        rfd, self.down = os.pipe()
+        self.up, wfd = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:  # the worker; it never returns into the caller's code
+            code = 0
+            try:
+                import signal  # only a worker needs it
+
+                signal.signal(signal.SIGINT, signal.SIG_IGN)  # it ends when its pipe closes
+                for w in (*siblings, self):  # so that each pipe closes when its owner ends
+                    w.close()
+                _serve(rfd, wfd, memfd)
+            except BaseException:
+                sys.excepthook(*sys.exc_info())
+                code = 1
+            finally:
+                os._exit(code)
+        os.close(rfd)
+        os.close(wfd)
+        self.exitcode = None
+
+    def close(self) -> None:
+        """Close this process's ends of the pipes; the worker then ends."""
+        for fd in (self.down, self.up):
+            if fd >= 0:
+                os.close(fd)
+        self.down = self.up = -1
+
+    def running(self) -> bool:
+        """Whether the worker can take shards; reaps it if it has ended."""
+        if self.exitcode is None:
+            pid, status = os.waitpid(self.pid, os.WNOHANG)
+            if pid:
+                self.close()
+                self.exitcode = os.waitstatus_to_exitcode(status)
+        return self.exitcode is None
+
+    def send(self, fn, args) -> None:
+        try:
+            _send(self.down, (fn, args))
+        except OSError:  # it has ended; reply() says so
+            self.stop()
+
+    def reply(self) -> tuple[bool, object]:
+        """``(ok, result or exception)`` of the shard last sent; a
+        ChildProcessError if the worker has ended."""
+        if self.exitcode is None:
+            try:
+                return _recv(self.up)
+            except (EOFError, OSError):
+                self.stop()
+        return False, ChildProcessError(f"shard worker {self.pid} ended with exit code "
+                                        f"{self.exitcode}")
+
+    def stop(self) -> None:
+        """Close the pipes, which ends the worker once its shard is done, and reap it."""
+        if self.exitcode is None:
+            self.close()
+            self.exitcode = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+
+
+class _WorkerPool:
+    """The worker processes of ``train``, forked when first needed and kept
+    for every later call; ``stop`` ends them and runs at interpreter exit.
+
+    They share one memory file with the process that forked them: each
+    call's parameters lie in its first area, and worker j's gradients in
+    area j. One call at a time holds ``lock``."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.pid = None
+        self.memfd = -1
+        self.workers: list[_Worker] = []
+
+    def get(self, n: int, nbytes: int) -> list[_Worker]:
+        """n running workers; the memory file is then at least ``nbytes`` long."""
+        if self.pid != os.getpid():  # first use, or a copy in a forked child
+            for w in self.workers:  # the parent's, which must not serve this process
+                w.close()
+            if self.memfd >= 0:
+                os.close(self.memfd)
+            self.pid, self.workers = os.getpid(), []
+            self.memfd = os.memfd_create("citegen-fid", os.MFD_CLOEXEC)
+        if os.fstat(self.memfd).st_size < nbytes:  # only grows: older maps stay valid
+            os.ftruncate(self.memfd, nbytes)
+        for j, w in enumerate(self.workers[:n]):
+            if not w.running():
+                self.workers[j] = _Worker(self.memfd, self.workers)
+        while len(self.workers) < n:
+            self.workers.append(_Worker(self.memfd, self.workers))
+        return self.workers[:n]
+
+    def stop(self) -> None:
+        if self.pid == os.getpid():
+            for w in self.workers:
+                w.close()  # all at once, so they end together
+            for w in self.workers:
+                w.stop()
+            self.workers = []
+
+
+_POOL = _WorkerPool()
+atexit.register(_POOL.stop)
+
+
+class _ShardRunner:
+    """The shards of one ``train`` call: its parameters in the pool's shared
+    memory file, a gradient area and a worker for each shard after the first."""
+
+    def __init__(self, params, config: ModelConfig, n_workers: int):
+        layout, size = _layout(params)
+        nbytes = (n_workers + 1) * size * 8
+        self.workers = _POOL.get(n_workers, nbytes)
+        buf = mmap.mmap(_POOL.memfd, nbytes)
+        self.params = _views(buf, layout, size, 0)
+        for k, v in params.items():
+            self.params[k][...] = v
+        self.grads = [_views(buf, layout, size, j) for j in range(1, n_workers + 1)]
+        self.config = config
+        for j, w in enumerate(self.workers, 1):
+            w.send(None, (config, layout, size, j))
+
+    def map(self, fn, *iterables) -> list:
+        """``fn(params, config, *args)`` of each shard's args, in shard order:
+        the first shard in this process, shard j meanwhile in worker j. A
+        worker's ``(loss sum, gradients)`` comes back with the gradients in
+        its area of the memory file, and a worker's exception is raised."""
+        first, *rest = zip(*iterables)
+        busy = self.workers[: len(rest)]
+        try:
+            for w, args in zip(busy, rest):
+                w.send(fn, args)
+            try:
+                out = [fn(self.params, self.config, *first)]
+            finally:  # drain every pipe, even when the first shard failed
+                replies = [w.reply() for w in busy]
+        except KeyboardInterrupt:  # a pipe may hold part of a message
+            for w in busy:
+                w.stop()
+            raise
+        for (ok, value), grads in zip(replies, self.grads):
+            if not ok:
+                raise value
+            out.append((value, grads) if isinstance(out[0], tuple) else value)
+        return out
 
 
 def train(
@@ -678,19 +909,22 @@ def train(
     keeps the best-validation parameters when a validation set is given,
     else the final ones.
 
-    Each batch is split into ``_SHARDS`` shards, each padded on its own
-    and run forward and backward concurrently (the first on the calling
-    thread, the others on a pool), with BLAS held at one thread. Shard
-    gradients and loss sums are added in shard order, so the results do
-    not depend on thread scheduling. With dropout, every step
-    spawns one generator per shard from the ``dropout`` substream.
+    Each batch is split into ``_SHARDS`` shards, each padded on its own and
+    run forward and backward at once: the first in the calling process, each
+    other in a worker process kept from call to call, all with BLAS held at
+    one thread. The parameters lie in memory shared with the workers, where
+    each worker also leaves its shard's gradients. Shard gradients and loss
+    sums are added in shard order, so the results do not depend on
+    scheduling. With dropout, every step spawns one generator per shard
+    from the ``dropout`` substream. Calls from several threads run one at
+    a time.
 
     Aborts with NumericalError if the epoch loss exceeds 10x the first
-    epoch's loss or stops being finite.
+    epoch's loss or stops being finite, and with ChildProcessError if a
+    worker ends during the call.
     """
     if not train_data:
         raise ConfigError("train_data is empty")
-    params = {k: v.copy() for k, v in params.items()}
     m = {k: np.zeros_like(v) for k, v in params.items()}
     v2 = {k: np.zeros_like(v) for k, v in params.items()}
     b1, b2 = ADAM_BETAS
@@ -702,9 +936,9 @@ def train(
     initial = None
     step = 0
     n = len(train_data)
-    # Threads start on first use, so one shard starts none.
-    with _one_blas_thread(), ThreadPoolExecutor(max(_SHARDS - 1, 1)) as pool:
-        map_shards = functools.partial(_map_shards, pool)
+    with _POOL.lock, _one_blas_thread():
+        shards = _ShardRunner(params, config, min(_SHARDS, hyper.batch_size) - 1)
+        params = shards.params
         for _ in range(hyper.epochs):
             order = rng.permutation(n)
             total = 0.0
@@ -714,8 +948,8 @@ def train(
                 n_tokens = _real_tokens(batch)
                 parts = _shards(batch, _SHARDS)
                 rngs = [None] * len(parts) if drop_rng is None else drop_rng.spawn(len(parts))
-                (loss_sum, grads), *rest = map_shards(
-                    functools.partial(_shard_step, params, config, n_tokens), parts, rngs)
+                (loss_sum, grads), *rest = shards.map(_shard_step, [n_tokens] * len(parts),
+                                                      parts, rngs)
                 total += loss_sum
                 for shard_loss, shard_grads in rest:
                     total += shard_loss
@@ -756,14 +990,14 @@ def train(
                     f"training diverged: epoch loss {epoch_loss:.4f} vs initial {initial:.4f}"
                 )
             if valid_data:
-                val = _dataset_loss(params, config, valid_data, hyper.batch_size, map_shards)
+                val = _dataset_loss(valid_data, hyper.batch_size, shards.map)
                 history["val_loss"].append(val)
                 if val < best_val:
                     best_val = val
                     best_params = {k: p.copy() for k, p in params.items()}
     if valid_data and best_params is not None:
-        params = best_params
-    return params, history
+        return best_params, history
+    return {k: p.copy() for k, p in params.items()}, history  # out of the shared memory
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,9 @@ def tokenize(text: str) -> list[str]:
         elif word:
             out.append(word.lower())
         else:
-            # non-ASCII letters land here; lowercase so re-tokenizing is a no-op
-            out.append(punct.lower())
+            # non-ASCII letters land here; lowercase so re-tokenizing is a
+            # no-op, one code point kept: U+0130's lowercase is i + U+0307
+            out.append(punct.lower()[0])
     return out
 
 

@@ -1,14 +1,16 @@
 """Encoder-decoder model: shapes, invariants, gradients, training, decoding."""
 
 import ctypes
+import functools
 import hashlib
 import math
 import os
+import signal
 import struct
 import subprocess
 import sys
 import threading
-from concurrent.futures import Future
+import time
 from pathlib import Path
 
 import numpy as np
@@ -689,13 +691,18 @@ def test_train_deterministic_and_finite():
         assert np.array_equal(pa[k], pb[k])
 
 
+def _map_in_process(params, config, fn, *iterables):
+    """Every shard in this process, in shard order."""
+    return [fn(params, config, *args) for args in zip(*iterables)]
+
+
 def test_train_records_and_keeps_best_validation():
     data = _toy_data(8)
     valid = _toy_data(4, seed=9)
     params, history = train(init_params(TINY, seed=11), TINY, data, valid,
                             TrainConfig(epochs=4, batch_size=4, lr=3e-3))
     assert len(history["val_loss"]) == 4
-    got = _dataset_loss(params, TINY, valid, 4, map)
+    got = _dataset_loss(valid, 4, functools.partial(_map_in_process, params, TINY))
     assert got == pytest.approx(min(history["val_loss"]), abs=1e-12)
 
 
@@ -726,16 +733,22 @@ print(h.hexdigest())
 """
 
 
-def _hash_in_subprocess(blas_threads: str, shards: int = 2, dropout: float = 0.0) -> str:
+def _run_python(code: str, **env) -> str:
+    """Standard output of ``code`` run by a fresh interpreter that imports
+    this citegen, with ``env`` added to the environment."""
     import citegen
 
     src = str(Path(citegen.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads,
-               MKL_NUM_THREADS=blas_threads,
+    env = dict(os.environ, **env,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = _TRAIN_AND_HASH.format(shards=shards, dropout=dropout)
     return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True, timeout=120).stdout.strip()
+                          capture_output=True, text=True, timeout=120).stdout
+
+
+def _hash_in_subprocess(blas_threads: str, shards: int = 2, dropout: float = 0.0) -> str:
+    return _run_python(_TRAIN_AND_HASH.format(shards=shards, dropout=dropout),
+                       OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads,
+                       MKL_NUM_THREADS=blas_threads).strip()
 
 
 def test_train_parameter_hash_repeats_at_one_blas_thread():
@@ -748,17 +761,33 @@ def test_train_parameter_hash_repeats_at_one_blas_thread():
     assert _hash_in_subprocess("2") == hashes[0]
 
 
-def test_train_holds_blas_at_one_thread_and_restores_it(monkeypatch):
+@pytest.fixture
+def fresh_pool():
+    """No worker before the test, so the test's train call forks its own."""
+    fid._POOL.stop()
+    yield
+    fid._POOL.stop()
+
+
+def _logged_step(log, *args):
+    """_shard_step that first appends its process id and OpenBLAS thread
+    count (0 where OpenBLAS is not found) to the file ``log``."""
+    lib = _openblas()
+    with open(log, "a") as f:
+        f.write(f"{os.getpid()} {lib.scipy_openblas_get_num_threads64_() if lib else 0}\n")
+    return _shard_step(*args)
+
+
+def _step_log(log):
+    return [tuple(map(int, line.split())) for line in Path(log).read_text().splitlines()]
+
+
+def test_train_holds_blas_at_one_thread_and_restores_it(fresh_pool, monkeypatch, tmp_path):
     lib = _openblas()
     if lib is None:
         pytest.skip("OpenBLAS thread control not found")
-    seen = []
-
-    def step(*args):
-        seen.append(lib.scipy_openblas_get_num_threads64_())
-        return _shard_step(*args)
-
-    monkeypatch.setattr(fid, "_shard_step", step)
+    # sent to the worker by reference, with the log path as its argument
+    monkeypatch.setattr(fid, "_shard_step", functools.partial(_logged_step, tmp_path / "log"))
     before = lib.scipy_openblas_get_num_threads64_()
     lib.scipy_openblas_set_num_threads64_(2)
     try:
@@ -766,23 +795,154 @@ def test_train_holds_blas_at_one_thread_and_restores_it(monkeypatch):
         assert lib.scipy_openblas_get_num_threads64_() == 2
     finally:
         lib.scipy_openblas_set_num_threads64_(before)
-    assert seen and set(seen) == {1}
+    seen = _step_log(tmp_path / "log")
+    assert {pid for pid, _ in seen} == {os.getpid(), fid._POOL.workers[0].pid}
+    assert {threads for _, threads in seen} == {1}
 
 
 @pytest.mark.parametrize("shards", [1, 2, 3])
-def test_one_shard_per_batch_runs_on_the_calling_thread(monkeypatch, shards):
-    threads = []
-
-    def step(*args):
-        threads.append(threading.get_ident())
-        return _shard_step(*args)
-
-    monkeypatch.setattr(fid, "_shard_step", step)
+def test_one_shard_per_batch_runs_on_the_calling_thread(monkeypatch, tmp_path, shards):
+    monkeypatch.setattr(fid, "_shard_step", functools.partial(_logged_step, tmp_path / "log"))
     monkeypatch.setattr(fid, "_SHARDS", shards)
     train(init_params(TINY, seed=11), TINY, _toy_data(6), hyper=TrainConfig(epochs=1, batch_size=6))
-    # one batch: its shards run concurrently, one of them on this thread
-    assert len(threads) == shards
-    assert threads.count(threading.get_ident()) == 1
+    # one batch: one shard in this process, each other in a worker of its own
+    pids = [pid for pid, _ in _step_log(tmp_path / "log")]
+    assert len(pids) == shards
+    assert pids.count(os.getpid()) == 1
+    assert set(pids) - {os.getpid()} == {w.pid for w in fid._POOL.workers[: shards - 1]}
+    assert len(set(pids)) == shards
+
+
+def test_train_leaves_no_process_behind():
+    # the caller's stdout is a pipe its workers inherit: a worker left
+    # running would hold it open, and run() would wait for it
+    code = """
+import time
+import numpy as np
+from citegen import fid
+from citegen.fid import ModelConfig, TrainConfig, init_params, train
+fid._SHARDS = 3
+cfg = ModelConfig(vocab_size=20, d_model=8, n_heads=2, n_enc_layers=1, n_dec_layers=1,
+                  block_len=6, target_len=4)
+data = [(np.full((1, 6), 5 + i), np.array([6 + i, 7, 3, 0])) for i in range(6)]
+train(init_params(cfg, 0), cfg, data, hyper=TrainConfig(epochs=1, batch_size=6))
+print(*(w.pid for w in fid._POOL.workers), time.time())
+"""
+    out = _run_python(code).split()
+    assert time.time() - float(out[-1]) < 10.0
+    pids = [int(pid) for pid in out[:-1]]
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def _raise_in(pid, in_caller, error, *args):
+    """_shard_step, but ``error`` is raised in process ``pid`` (the caller)
+    if ``in_caller``, else in every other process (the workers)."""
+    if (os.getpid() == pid) == in_caller:
+        raise error
+    return _shard_step(*args)
+
+
+def _die_outside(pid, *args):
+    """_shard_step in process ``pid``; any other process kills itself."""
+    if os.getpid() != pid:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _shard_step(*args)
+
+
+@pytest.mark.parametrize("in_caller, error", [
+    (False, NumericalError("non-finite loss nan")),
+    (False, ShapeError("block ids must have shape (n_blocks, 6)")),
+    (True, NumericalError("non-finite loss nan")),
+    (True, KeyboardInterrupt()),
+])
+def test_shard_errors_reach_the_caller_and_leave_workers_in_step(monkeypatch, in_caller, error):
+    data = _toy_data()
+    hyper = TrainConfig(epochs=1, batch_size=4)
+    want, _ = train(init_params(TINY, seed=11), TINY, data, hyper=hyper)
+    with monkeypatch.context() as m:
+        m.setattr(fid, "_shard_step", functools.partial(_raise_in, os.getpid(), in_caller, error))
+        with pytest.raises(type(error)) as raised:
+            train(init_params(TINY, seed=11), TINY, data, hyper=hyper)
+    assert str(raised.value) == str(error)
+    got, _ = train(init_params(TINY, seed=11), TINY, data, hyper=hyper)
+    for k in want:
+        assert np.array_equal(got[k], want[k]), k
+
+
+def _two_shard_digest(dropout=0.0):
+    scope = {}
+    exec(_TRAIN_AND_HASH.format(shards=2, dropout=dropout), scope)
+    return scope["h"].hexdigest()
+
+
+def test_a_killed_worker_fails_its_call_and_the_next_call_forks_another(monkeypatch):
+    monkeypatch.setattr(fid, "_SHARDS", 2)
+    with monkeypatch.context() as m:
+        m.setattr(fid, "_shard_step", functools.partial(_die_outside, os.getpid()))
+        with pytest.raises(ChildProcessError, match="exit code -9"):
+            train(init_params(TINY, seed=11), TINY, _toy_data(), hyper=TrainConfig(epochs=1))
+    dead = fid._POOL.workers[0].pid
+    want = _TWO_SHARD_HASH[0.0] if _is_hash_build() else _hash_in_subprocess("1")
+    assert _two_shard_digest() == want
+    # killed between calls: the next call replaces it too
+    idle = fid._POOL.workers[0].pid
+    assert idle != dead
+    os.kill(idle, signal.SIGKILL)
+    os.waitid(os.P_PID, idle, os.WEXITED | os.WNOWAIT)  # dead, left for the pool to reap
+    assert _two_shard_digest() == want
+    assert fid._POOL.workers[0].pid not in (dead, idle)
+
+
+def test_a_forked_child_trains_with_workers_of_its_own():
+    data = _toy_data()
+    hyper = TrainConfig(epochs=1, batch_size=4)
+    want, _ = train(init_params(TINY, seed=11), TINY, data, hyper=hyper)
+    parent_worker = fid._POOL.workers[0].pid
+    pid = os.fork()
+    if pid == 0:  # the child must never return into pytest
+        code = 1
+        try:
+            got, _ = train(init_params(TINY, seed=11), TINY, data, hyper=hyper)
+            same = all(np.array_equal(got[k], want[k]) for k in want)
+            code = 0 if same and fid._POOL.workers[0].pid != parent_worker else 2
+            fid._POOL.stop()
+        finally:
+            os._exit(code)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    got, _ = train(init_params(TINY, seed=11), TINY, data, hyper=hyper)
+    assert fid._POOL.workers[0].pid == parent_worker
+    for k in want:
+        assert np.array_equal(got[k], want[k]), k
+
+
+def test_concurrent_train_calls_run_one_at_a_time():
+    data = _toy_data(8)
+    hyper = TrainConfig(epochs=2, batch_size=4)
+    want, _ = train(init_params(TINY, seed=11), TINY, data, _toy_data(4, seed=9), hyper)
+    results = [None] * 4
+
+    def run(i):
+        results[i] = train(init_params(TINY, seed=11), TINY, data, _toy_data(4, seed=9), hyper)[0]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,), daemon=True)
+                   for i in range(len(results))]
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 60
+        for t in threads:
+            t.join(timeout=max(deadline - time.monotonic(), 0))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got in results:
+        for k in want:
+            assert np.array_equal(got[k], want[k]), k
 
 
 # The parameter hash of the unsharded step before sharding existed, and of
@@ -798,13 +958,17 @@ _HASH_BUILD = ("2.4.6", b"OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFF
                         b"SkylakeX MAX_THREADS=64")
 
 
-def _skip_unless_hash_build():
+def _is_hash_build() -> bool:
     lib = _openblas()
     if lib is None:
-        pytest.skip("numpy's bundled OpenBLAS not found")
+        return False
     lib.scipy_openblas_get_config64_.restype = ctypes.c_char_p
-    if (np.__version__, lib.scipy_openblas_get_config64_()) != _HASH_BUILD:
-        pytest.skip("hash recorded under another numpy or OpenBLAS build")
+    return (np.__version__, lib.scipy_openblas_get_config64_()) == _HASH_BUILD
+
+
+def _skip_unless_hash_build():
+    if not _is_hash_build():
+        pytest.skip("hash recorded under another numpy or OpenBLAS build, or none found")
 
 
 def _unsharded_train(params, config, train_data, valid_data, hyper):
@@ -895,39 +1059,17 @@ def test_two_shards_keep_their_parameter_hash(dropout):
     assert _hash_in_subprocess("1", dropout=dropout) == _TWO_SHARD_HASH[dropout]
 
 
-class _SerialPool:
-    """Stands in for ThreadPoolExecutor: runs each task on the calling
-    thread when it is submitted."""
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-
 @pytest.mark.parametrize("dropout", [0.0, 0.1])
 def test_sharded_train_does_not_depend_on_thread_scheduling(monkeypatch, dropout):
-    def digest():
-        scope = {}
-        exec(_TRAIN_AND_HASH.format(shards=2, dropout=dropout), scope)
-        return scope["h"].hexdigest()
-
+    # the worker's shard against every shard run in this process, in order
     monkeypatch.setattr(fid, "_SHARDS", 2)
-    threaded = digest()
+    in_worker = _two_shard_digest(dropout)
     with monkeypatch.context() as m:
-        m.setattr(fid, "ThreadPoolExecutor", _SerialPool)
-        serial = digest()
-    assert serial == threaded
-    assert threaded != _UNSHARDED_HASH
+        m.setattr(fid._ShardRunner, "map", lambda self, fn, *iterables: _map_in_process(
+            self.params, self.config, fn, *iterables))
+        in_process = _two_shard_digest(dropout)
+    assert in_process == in_worker
+    assert in_worker != _UNSHARDED_HASH
 
 
 def test_train_divergence_aborts():

@@ -3,7 +3,7 @@
 import string
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from citegen.errors import DataError, VocabTooSmall
@@ -182,6 +182,7 @@ def test_round_trip_any_in_vocab_text(words):
 
 
 @given(st.text(max_size=80))
+@example("İ")  # U+0130, whose lowercase is two code points
 def test_tokenize_output_is_normalized(text):
     for tok in tokenize(text):
         assert tok in RESERVED or tok == tok.lower()
