@@ -18,10 +18,13 @@ its cross-attention keys and values from those real block rows only, placing
 them in the padded layout where the other blocks' keys and values are zero.
 Targets are cut after the batch's longest real target.
 
-A training batch is split into ``_SHARDS`` contiguous shards that run
-forward and backward at once, with BLAS held at one thread: the first in the
-calling process, each other in a worker process that is forked on first use,
-kept for later ``train`` calls and reaped at interpreter exit. The
+A training batch is split into ``_SHARDS`` shards that run forward and
+backward at once, with BLAS held at one thread: the first in the calling
+process, each other in a worker process that is forked on first use, kept
+for later ``train`` calls and reaped at interpreter exit. The cut balances
+the shards' multiply-add counts: the batch is ordered by block count and
+real target length and cut where the costliest shard costs least, so
+instances of like shape share a shard and pad less. The
 parameters lie in a memory file shared with the workers, which also holds
 one gradient area per worker; each step sends a worker only its shard's
 instances, and the caller adds the workers' gradients in shard order, so
@@ -587,19 +590,94 @@ def _real_tokens(items) -> int:
     return sum(int((y != PAD_ID).sum()) for _, y in items)
 
 
-# Each training batch is cut into this many contiguous shards (fewer when the
-# batch is smaller) that run at once: the first in the calling process, each
-# other in a worker process of its own. It fixes how float64 sums are grouped,
-# so trained parameters depend on it and on nothing about the machine.
+# Each training batch is cut into this many cost-balanced shards (fewer when
+# the batch is smaller; see _shards) that run at once: the first in the
+# calling process, each other in a worker process of its own. It fixes how
+# float64 sums are grouped, so trained parameters depend on it and on nothing
+# about the machine.
 _SHARDS = 2
 
 
-def _shards(batch: Sequence, k: int) -> list:
-    """``batch`` cut into min(k, len(batch)) contiguous, non-empty shards
-    whose sizes differ by at most one."""
-    k = min(k, len(batch))
-    bounds = [len(batch) * j // k for j in range(k + 1)]
-    return [batch[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+def _shard_cost(config: ModelConfig, n_items: int, rows: int, n_blocks: int, cols: int) -> int:
+    """Multiply-adds of the forward pass of a shard of ``n_items`` instances
+    holding ``rows`` blocks, padded to ``n_blocks`` blocks and ``cols``
+    target columns. Every term is a product of two matrices, whose backward
+    takes two more of the same size, so the count ranks shards as their
+    whole step does.
+
+    An encoder row (one block) pays for every encoder layer's projections,
+    block_len² attention and feed-forward, and for every decoder layer's
+    cross-attention key and value projections; a target position pays for
+    every decoder layer's projections, self-attention over ``cols`` and
+    cross-attention over ``n_blocks``·block_len keys and feed-forward, and
+    for the logits."""
+    d, f, length = config.d_model, config.ffn_dim, config.block_len
+    row = (config.n_enc_layers * length * (4 * d * d + 2 * length * d + 2 * d * f)
+           + config.n_dec_layers * 2 * length * d * d)
+    position = (config.n_dec_layers * (6 * d * d + 2 * d * f) + config.vocab_size * d
+                + 2 * config.n_dec_layers * d * (cols + length * n_blocks))
+    return row * rows + n_items * cols * position
+
+
+def _shards(config: ModelConfig, batch: Sequence[tuple[np.ndarray, np.ndarray]],
+            k: int) -> list[list[int]]:
+    """The indices of ``batch`` cut into min(k, len(batch)) non-empty
+    shards, each in batch order, whose costliest shard (``_shard_cost``,
+    each shard padded on its own) costs least.
+
+    The batch is ordered stably by (block count, real target columns), and
+    that order is cut into consecutive shards whose costliest shard costs
+    least, unless the contiguous cut of the batch itself, into shards whose
+    sizes differ by at most one, costs no more. So a batch whose instances
+    all cost the same is cut contiguously. Two shards take a fixed number of
+    numpy calls over arrays of len(batch); each further shard adds a pass
+    over the len(batch) ends of its possible shards."""
+    n = len(batch)
+    k = min(k, n)
+    even = [n * j // k for j in range(k + 1)]
+    contiguous = [list(range(lo, hi)) for lo, hi in zip(even, even[1:])]
+    if k == 1:
+        return contiguous
+    blocks = np.array([x.shape[0] for x, _ in batch])
+    real = np.array([y for _, y in batch]) != PAD_ID
+    width = real.shape[1]
+    cols = np.where(real.any(axis=1), width - real[:, ::-1].argmax(axis=1), 0)
+
+    def cost(n_items, rows, n_blocks, widest):
+        # _pad_batch keeps every column of targets that hold no real token
+        return _shard_cost(config, n_items, rows, n_blocks, np.where(widest > 0, widest, width))
+
+    order = np.lexsort((cols, blocks))
+    b, c = blocks[order], cols[order]
+    rows = np.concatenate(([0], np.cumsum(b)))
+
+    def spans(j):  # the cost of order[i:j] for every i < j
+        widest = np.maximum.accumulate(c[j - 1::-1])[::-1]
+        return cost(j - np.arange(j), rows[j] - rows[:j], b[j - 1], widest)
+
+    # best[j]: the least cost of the costliest shard when order[:j] is cut
+    # into m shards (inf where it cannot be); starts[m - 2][j]: where the
+    # last of those shards starts
+    best = np.full(n + 1, np.inf)
+    best[1:] = cost(np.arange(1, n + 1), rows[1:], b, np.maximum.accumulate(c))
+    starts = []
+    for m in range(2, k + 1):
+        best_m, start = np.full(n + 1, np.inf), np.zeros(n + 1, dtype=np.int64)
+        for j in range(m, n + 1) if m < k else (n,):
+            worst = np.maximum(best[:j], spans(j))
+            start[j] = worst.argmin()
+            best_m[j] = worst[start[j]]
+        best = best_m
+        starts.append(start)
+    contiguous_worst = cost(np.diff(even), np.add.reduceat(blocks, even[:-1]),
+                            np.maximum.reduceat(blocks, even[:-1]),
+                            np.maximum.reduceat(cols, even[:-1])).max()
+    if best[n] >= contiguous_worst:
+        return contiguous
+    ends = [n]
+    for start in reversed(starts):
+        ends.insert(0, int(start[ends[0]]))
+    return [sorted(order[lo:hi].tolist()) for lo, hi in zip([0, *ends], ends)]
 
 
 def _shard_forward(params, config, items, drop_rng=None):
@@ -621,13 +699,19 @@ def _shard_step(params, config, n_tokens, items, drop_rng):
     return loss_sum, _backward(params, config, cache, n_tokens)
 
 
-def _dataset_loss(data, batch_size, map_shards) -> float:
+def _shard_items(config: ModelConfig, batch: Sequence) -> list[list]:
+    """The instances of each of ``batch``'s ``_SHARDS`` shards."""
+    return [[batch[i] for i in shard] for shard in _shards(config, batch, _SHARDS)]
+
+
+def _dataset_loss(config: ModelConfig, data, batch_size, map_shards) -> float:
     """Per-token loss over ``data``, batched and sharded as ``train`` does:
     ``map_shards(_shard_loss, shards)`` gives each shard's loss sum, and the
     sums are added in shard order."""
     total = 0.0
     for start in range(0, len(data), batch_size):
-        for loss_sum in map_shards(_shard_loss, _shards(data[start : start + batch_size], _SHARDS)):
+        batch = data[start : start + batch_size]
+        for loss_sum in map_shards(_shard_loss, _shard_items(config, batch)):
             total += loss_sum
     return total / max(_real_tokens(data), 1)
 
@@ -851,9 +935,16 @@ class _WorkerPool:
                 w.stop()
             self.workers = []
 
+    def forked(self) -> None:
+        """Runs in every forked child. A child forked while another thread
+        was inside ``train`` inherits ``lock`` held by a thread it does not
+        have, so its own ``train`` would wait for good: it gets a new lock."""
+        self.lock = threading.Lock()
+
 
 _POOL = _WorkerPool()
 atexit.register(_POOL.stop)
+os.register_at_fork(after_in_child=_POOL.forked)
 
 
 class _ShardRunner:
@@ -909,11 +1000,12 @@ def train(
     keeps the best-validation parameters when a validation set is given,
     else the final ones.
 
-    Each batch is split into ``_SHARDS`` shards, each padded on its own and
-    run forward and backward at once: the first in the calling process, each
-    other in a worker process kept from call to call, all with BLAS held at
-    one thread. The parameters lie in memory shared with the workers, where
-    each worker also leaves its shard's gradients. Shard gradients and loss
+    Each batch is split into ``_SHARDS`` shards of about equal cost (see
+    ``_shards``), each padded on its own and run forward and backward at
+    once: the first in the calling process, each other in a worker process
+    kept from call to call, all with BLAS held at one thread. The
+    parameters lie in memory shared with the workers, where each worker
+    also leaves its shard's gradients. Shard gradients and loss
     sums are added in shard order, so the results do not depend on
     scheduling. With dropout, every step spawns one generator per shard
     from the ``dropout`` substream. Calls from several threads run one at
@@ -946,7 +1038,7 @@ def train(
             for start in range(0, n, hyper.batch_size):
                 batch = [train_data[i] for i in order[start : start + hyper.batch_size]]
                 n_tokens = _real_tokens(batch)
-                parts = _shards(batch, _SHARDS)
+                parts = _shard_items(config, batch)
                 rngs = [None] * len(parts) if drop_rng is None else drop_rng.spawn(len(parts))
                 (loss_sum, grads), *rest = shards.map(_shard_step, [n_tokens] * len(parts),
                                                       parts, rngs)
@@ -990,7 +1082,7 @@ def train(
                     f"training diverged: epoch loss {epoch_loss:.4f} vs initial {initial:.4f}"
                 )
             if valid_data:
-                val = _dataset_loss(valid_data, hyper.batch_size, shards.map)
+                val = _dataset_loss(config, valid_data, hyper.batch_size, shards.map)
                 history["val_loss"].append(val)
                 if val < best_val:
                     best_val = val

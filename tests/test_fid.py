@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citegen import fid
 from citegen.corpus import CitationInstance, Document, IntentLabel
@@ -310,7 +312,8 @@ def test_unused_position_rows_get_zero_gradient():
 
 def _mixed_items(seed=3, shapes=((1, 2), (3, 1), (2, 3), (1, 1), (2, 2), (3, 3))):
     """One instance per (block count, real target length). Every block holds
-    a real token and may end in padding; every target ends in padding."""
+    a real token and may end in padding; every target of fewer than
+    target_len real tokens ends in padding."""
     rng = np.random.default_rng(seed)
     items = []
     for n_blocks, t_real in shapes:
@@ -318,8 +321,9 @@ def _mixed_items(seed=3, shapes=((1, 2), (3, 1), (2, 3), (1, 1), (2, 2), (3, 3))
         for row in x:
             row[rng.integers(2, TINY.block_len + 1):] = PAD_ID
         y = np.full(TINY.target_len, PAD_ID, dtype=np.int64)
-        y[: t_real - 1] = rng.integers(4, TINY.vocab_size, size=t_real - 1)
-        y[t_real - 1] = EOS_ID
+        if t_real:
+            y[: t_real - 1] = rng.integers(4, TINY.vocab_size, size=t_real - 1)
+            y[t_real - 1] = EOS_ID
         items.append((x, y))
     return items
 
@@ -355,8 +359,9 @@ def test_shard_gradients_sum_to_batch_gradient():
     loss, _, cache = _forward(params, TINY, x, y)
     want = _backward(params, TINY, cache)
     n_tokens = _real_tokens(items)
-    parts = _shards(items, 2)
-    assert [len(p) for p in parts] == [3, 3]
+    shards = _shards(TINY, items, 2)
+    assert sorted(i for shard in shards for i in shard) == list(range(len(items)))
+    parts = [[items[i] for i in shard] for shard in shards]
     steps = [_shard_step(params, TINY, n_tokens, part, None) for part in parts]
     assert sum(loss_sum for loss_sum, _ in steps) / n_tokens == pytest.approx(
         loss, rel=1e-12, abs=0)
@@ -366,11 +371,59 @@ def test_shard_gradients_sum_to_batch_gradient():
 
 
 def test_shards_are_contiguous_and_non_empty():
-    batch = list(range(7))
-    assert _shards(batch, 1) == [batch]
-    assert _shards(batch, 2) == [[0, 1, 2], [3, 4, 5, 6]]
-    assert _shards(batch, 3) == [[0, 1], [2, 3], [4, 5, 6]]
-    assert _shards(batch[:2], 4) == [[0], [1]]
+    # distinct instances that all cost the same: the contiguous cut
+    batch = _mixed_items(shapes=[(2, 3)] * 7)
+    assert _shards(TINY, batch, 1) == [list(range(7))]
+    assert _shards(TINY, batch, 2) == [[0, 1, 2], [3, 4, 5, 6]]
+    assert _shards(TINY, batch, 3) == [[0, 1], [2, 3], [4, 5, 6]]
+    assert _shards(TINY, batch[:2], 4) == [[0], [1]]
+
+
+def _contiguous_shards(config, batch, k):
+    """The cut before shards were cost-balanced: min(k, len(batch))
+    contiguous shards whose sizes differ by at most one."""
+    k = min(k, len(batch))
+    bounds = [len(batch) * j // k for j in range(k + 1)]
+    return [list(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _padded_cost(config, items):
+    """_shard_cost of ``items`` at the shapes _pad_batch gives them."""
+    x, y = _pad_batch(items)
+    return fid._shard_cost(config, len(items), sum(xi.shape[0] for xi, _ in items),
+                           x.shape[1], y.shape[1])
+
+
+def _costliest(config, batch, shards):
+    return max(_padded_cost(config, [batch[i] for i in shard]) for shard in shards)
+
+
+def test_shards_balance_a_batch_that_mixes_block_counts_and_target_lengths():
+    # three light instances, then a heavy one: the contiguous cut pads the
+    # light fourth instance to the heavy one's 3 blocks and 4 columns
+    batch = _mixed_items(shapes=[(1, 1), (1, 2), (1, 1), (3, 4)])
+    assert _shards(TINY, batch, 2) == [[0, 1, 2], [3]]
+    assert _costliest(TINY, batch, [[0, 1, 2], [3]]) < _costliest(
+        TINY, batch, _contiguous_shards(TINY, batch, 2))
+    # sorted by (block count, real target length), instances keep batch order
+    batch = _mixed_items(shapes=[(3, 4), (1, 1), (3, 4), (1, 2), (1, 1), (1, 1)])
+    assert _shards(TINY, batch, 2) == [[1, 3, 4, 5], [0, 2]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(shapes=st.lists(st.tuples(st.integers(1, 3), st.integers(0, TINY.target_len)),
+                       min_size=1, max_size=12),
+       k=st.integers(1, 4), seed=st.integers(0, 3))
+def test_shards_partition_the_batch_no_costlier_than_the_contiguous_cut(shapes, k, seed):
+    batch = _mixed_items(seed, shapes)
+    shards = _shards(TINY, batch, k)
+    assert len(shards) == min(k, len(batch))
+    assert all(shards)
+    assert sorted(i for shard in shards for i in shard) == list(range(len(batch)))
+    assert all(shard == sorted(shard) for shard in shards)
+    assert _shards(TINY, batch, k) == shards
+    assert _costliest(TINY, batch, shards) <= _costliest(
+        TINY, batch, _contiguous_shards(TINY, batch, k))
 
 
 def test_pad_batch_cuts_targets_to_longest_real_target():
@@ -702,7 +755,7 @@ def test_train_records_and_keeps_best_validation():
     params, history = train(init_params(TINY, seed=11), TINY, data, valid,
                             TrainConfig(epochs=4, batch_size=4, lr=3e-3))
     assert len(history["val_loss"]) == 4
-    got = _dataset_loss(valid, 4, functools.partial(_map_in_process, params, TINY))
+    got = _dataset_loss(TINY, valid, 4, functools.partial(_map_in_process, params, TINY))
     assert got == pytest.approx(min(history["val_loss"]), abs=1e-12)
 
 
@@ -918,6 +971,34 @@ def test_a_forked_child_trains_with_workers_of_its_own():
         assert np.array_equal(got[k], want[k]), k
 
 
+def test_a_child_forked_while_a_thread_trains_can_train():
+    # the child inherits the pool's lock held by a thread it does not have;
+    # SIGALRM ends it if its train call waits for that lock
+    code = """
+import os, signal, threading, time
+import numpy as np
+from citegen import fid
+from citegen.fid import ModelConfig, TrainConfig, init_params, train
+cfg = ModelConfig(vocab_size=20, d_model=8, n_heads=2, n_enc_layers=1, n_dec_layers=1,
+                  block_len=6, target_len=4)
+data = [(np.full((1, 6), 5 + i), np.array([6 + i, 7, 3, 0])) for i in range(6)]
+thread = threading.Thread(target=train, args=(init_params(cfg, 0), cfg, data),
+                          kwargs={"hyper": TrainConfig(epochs=30, batch_size=2)})
+thread.start()
+while not fid._POOL.lock.locked():
+    time.sleep(1e-4)
+pid = os.fork()
+if pid == 0:
+    signal.alarm(20)
+    train(init_params(cfg, 0), cfg, data, hyper=TrainConfig(epochs=1, batch_size=2))
+    fid._POOL.stop()
+    os._exit(0)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+thread.join()
+"""
+    assert _run_python(code).strip() == "0"
+
+
 def test_concurrent_train_calls_run_one_at_a_time():
     data = _toy_data(8)
     hyper = TrainConfig(epochs=2, batch_size=4)
@@ -951,8 +1032,8 @@ def test_concurrent_train_calls_run_one_at_a_time():
 # for the build they were recorded with.
 _UNSHARDED_HASH = "6ffbfc0df9d0d8eb5177cf54154d4074cec4d97d2ddc34729b369a71aeab9d02"
 _TWO_SHARD_HASH = {
-    0.0: "e02d9d7cbd71e8541ef9fd57e0221a478ba29e803b09ba52a61227e155b6925d",
-    0.1: "8726f05ac62d897abc20a78c5c12d8607786cabff051884a8d4b8bf2f236de87",
+    0.0: "29a4b505242960e2429bdb1615fd00193b2bd40aa03181b68d69ac44aba850cf",
+    0.1: "962a0a3a5625464803a0f77f91589fc0242202d9513c38849f833a9d4fe78d4c",
 }
 _HASH_BUILD = ("2.4.6", b"OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY "
                         b"SkylakeX MAX_THREADS=64")
@@ -1057,6 +1138,30 @@ def test_one_shard_keeps_the_unsharded_parameter_hash():
 def test_two_shards_keep_their_parameter_hash(dropout):
     _skip_unless_hash_build()
     assert _hash_in_subprocess("1", dropout=dropout) == _TWO_SHARD_HASH[dropout]
+
+
+def test_cost_balanced_shards_keep_the_contiguous_cut_losses(monkeypatch):
+    # the cut moves float64 sums only: which instances share a shard's
+    # gradient products and loss sum
+    data = [item for seed in (3, 4, 5, 6) for item in _mixed_items(seed)]
+    valid = _mixed_items(seed=9)
+    hyper = TrainConfig(epochs=3, batch_size=6, lr=1e-2, seed=2)
+    monkeypatch.setattr(fid, "_SHARDS", 2)
+    differs = []
+
+    def balanced(config, batch, k):
+        shards = _shards(config, batch, k)
+        differs.append(shards != _contiguous_shards(config, batch, k))
+        return shards
+
+    with monkeypatch.context() as m:
+        m.setattr(fid, "_shards", balanced)
+        _, history = train(init_params(TINY, seed=11), TINY, data, valid, hyper)
+    assert any(differs)
+    monkeypatch.setattr(fid, "_shards", _contiguous_shards)
+    _, want = train(init_params(TINY, seed=11), TINY, data, valid, hyper)
+    for name in want:
+        assert history[name] == pytest.approx(want[name], rel=1e-12, abs=0), name
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.1])
