@@ -18,18 +18,6 @@ its cross-attention keys and values from those real block rows only, placing
 them in the padded layout where the other blocks' keys and values are zero.
 Targets are cut after the batch's longest real target.
 
-A training batch is split into ``_SHARDS`` shards that run forward and
-backward at once, with BLAS held at one thread: the first in the calling
-process, each other in a worker process that is forked on first use, kept
-for later ``train`` calls and reaped at interpreter exit. The cut balances
-the shards' multiply-add counts: the batch is ordered by block count and
-real target length and cut where the costliest shard costs least, so
-instances of like shape share a shard and pad less. The
-parameters lie in a memory file shared with the workers, which also holds
-one gradient area per worker; each step sends a worker only its shard's
-instances, and the caller adds the workers' gradients in shard order, so
-results depend on the shard count and not on the machine.
-
 The primitive ops (softmax, layer norm, attention, feed-forward, and Adam's
 update in ``train``) work in place in the buffers they allocate themselves,
 never in an array a caller passed in, and keep the textbook order of float
@@ -46,22 +34,15 @@ difference checks and bit-level invariants are meaningful.
 
 from __future__ import annotations
 
-import atexit
-import ctypes
 import dataclasses
 import functools
 import math
-import mmap
-import os
-import pickle
-import sys
-import threading
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import shards
 from .errors import ConfigError, NumericalError, ShapeError
 from .files import read_tensors, write_tensors
 from .seeding import substream
@@ -590,11 +571,11 @@ def _real_tokens(items) -> int:
     return sum(int((y != PAD_ID).sum()) for _, y in items)
 
 
-# Each training batch is cut into this many cost-balanced shards (fewer when
-# the batch is smaller; see _shards) that run at once: the first in the
-# calling process, each other in a worker process of its own. It fixes how
-# float64 sums are grouped, so trained parameters depend on it and on nothing
-# about the machine.
+# Each training batch is cut into this many cost-balanced shards, 1 or 2
+# (one when the batch holds one instance; see _shards), that run at once:
+# the first in the calling process, the second in the worker process of
+# citegen.shards. It fixes how float64 sums are grouped, so trained
+# parameters depend on it and on nothing about the machine.
 _SHARDS = 2
 
 
@@ -622,22 +603,19 @@ def _shard_cost(config: ModelConfig, n_items: int, rows: int, n_blocks: int, col
 def _shards(config: ModelConfig, batch: Sequence[tuple[np.ndarray, np.ndarray]],
             k: int) -> list[list[int]]:
     """The indices of ``batch`` cut into min(k, len(batch)) non-empty
-    shards, each in batch order, whose costliest shard (``_shard_cost``,
-    each shard padded on its own) costs least.
+    shards, k 1 or 2, each in batch order, whose costliest shard
+    (``_shard_cost``, each shard padded on its own) costs least.
 
     The batch is ordered stably by (block count, real target columns), and
-    that order is cut into consecutive shards whose costliest shard costs
-    least, unless the contiguous cut of the batch itself, into shards whose
-    sizes differ by at most one, costs no more. So a batch whose instances
-    all cost the same is cut contiguously. Two shards take a fixed number of
-    numpy calls over arrays of len(batch); each further shard adds a pass
-    over the len(batch) ends of its possible shards."""
+    that order is cut in two where the costlier half costs least, unless
+    the contiguous cut of the batch itself, into halves whose sizes differ
+    by at most one, costs no more. So a batch whose instances all cost the
+    same is cut contiguously. The cut takes a fixed number of numpy calls
+    over arrays of len(batch)."""
     n = len(batch)
-    k = min(k, n)
-    even = [n * j // k for j in range(k + 1)]
-    contiguous = [list(range(lo, hi)) for lo, hi in zip(even, even[1:])]
-    if k == 1:
-        return contiguous
+    if min(k, n) == 1:
+        return [list(range(n))]
+    half = n // 2
     blocks = np.array([x.shape[0] for x, _ in batch])
     real = np.array([y for _, y in batch]) != PAD_ID
     width = real.shape[1]
@@ -649,35 +627,18 @@ def _shards(config: ModelConfig, batch: Sequence[tuple[np.ndarray, np.ndarray]],
 
     order = np.lexsort((cols, blocks))
     b, c = blocks[order], cols[order]
-    rows = np.concatenate(([0], np.cumsum(b)))
-
-    def spans(j):  # the cost of order[i:j] for every i < j
-        widest = np.maximum.accumulate(c[j - 1::-1])[::-1]
-        return cost(j - np.arange(j), rows[j] - rows[:j], b[j - 1], widest)
-
-    # best[j]: the least cost of the costliest shard when order[:j] is cut
-    # into m shards (inf where it cannot be); starts[m - 2][j]: where the
-    # last of those shards starts
-    best = np.full(n + 1, np.inf)
-    best[1:] = cost(np.arange(1, n + 1), rows[1:], b, np.maximum.accumulate(c))
-    starts = []
-    for m in range(2, k + 1):
-        best_m, start = np.full(n + 1, np.inf), np.zeros(n + 1, dtype=np.int64)
-        for j in range(m, n + 1) if m < k else (n,):
-            worst = np.maximum(best[:j], spans(j))
-            start[j] = worst.argmin()
-            best_m[j] = worst[start[j]]
-        best = best_m
-        starts.append(start)
-    contiguous_worst = cost(np.diff(even), np.add.reduceat(blocks, even[:-1]),
-                            np.maximum.reduceat(blocks, even[:-1]),
-                            np.maximum.reduceat(cols, even[:-1])).max()
-    if best[n] >= contiguous_worst:
-        return contiguous
-    ends = [n]
-    for start in reversed(starts):
-        ends.insert(0, int(start[ends[0]]))
-    return [sorted(order[lo:hi].tolist()) for lo, hi in zip([0, *ends], ends)]
+    rows = np.cumsum(b)
+    cut = np.arange(1, n)  # order[:i] and order[i:] for each i; b ascends in each
+    worst = np.maximum(
+        cost(cut, rows[:-1], b[:-1], np.maximum.accumulate(c)[:-1]),
+        cost(n - cut, rows[-1] - rows[:-1], b[-1], np.maximum.accumulate(c[::-1])[-2::-1]))
+    best = worst.argmin()
+    contiguous_worst = max(
+        cost(half, blocks[:half].sum(), blocks[:half].max(), cols[:half].max()),
+        cost(n - half, blocks[half:].sum(), blocks[half:].max(), cols[half:].max()))
+    if worst[best] >= contiguous_worst:
+        return [list(range(half)), list(range(half, n))]
+    return [sorted(order[: best + 1].tolist()), sorted(order[best + 1 :].tolist())]
 
 
 def _shard_forward(params, config, items, drop_rng=None):
@@ -716,279 +677,6 @@ def _dataset_loss(config: ModelConfig, data, batch_size, map_shards) -> float:
     return total / max(_real_tokens(data), 1)
 
 
-@functools.cache
-def _openblas():
-    """The OpenBLAS that numpy bundles, with its thread-count functions
-    declared, or None where that library or those functions are not found."""
-    libs = Path(np.__file__).parent.with_name("numpy.libs")
-    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
-        try:
-            lib = ctypes.CDLL(str(path))
-            get, set_ = (lib.scipy_openblas_get_num_threads64_,
-                         lib.scipy_openblas_set_num_threads64_)
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return lib
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the block with OpenBLAS at one thread, then restore its count.
-
-    Each shard then keeps to one core, where more BLAS threads would
-    oversubscribe the cores, and BLAS sums do not depend on the thread count
-    the process started with. Workers are forked inside the block, so they
-    keep one thread for good. Does nothing where the library is not found."""
-    lib = _openblas()
-    if lib is None:
-        yield
-        return
-    before = lib.scipy_openblas_get_num_threads64_()
-    lib.scipy_openblas_set_num_threads64_(1)
-    try:
-        yield
-    finally:
-        lib.scipy_openblas_set_num_threads64_(before)
-
-
-def _layout(params) -> tuple[dict[str, tuple[int, tuple[int, ...]]], int]:
-    """Each tensor's offset (in float64s, a multiple of 8: 64 bytes) and
-    shape in one area of the shared memory file, and the area's length."""
-    layout, size = {}, 0
-    for k, v in params.items():
-        layout[k] = size, v.shape
-        size += -(-v.size // 8) * 8
-    return layout, size
-
-
-def _views(buf, layout, size: int, area: int) -> dict[str, np.ndarray]:
-    """The tensors of area ``area`` of ``buf``, as arrays over it."""
-    return {k: np.frombuffer(buf, np.float64, math.prod(shape), 8 * (area * size + offset))
-            .reshape(shape) for k, (offset, shape) in layout.items()}
-
-
-def _send(fd: int, obj) -> None:
-    """Write ``obj`` to the pipe ``fd``, pickled, after its length."""
-    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-    view = memoryview(len(data).to_bytes(8, "little") + data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _read(fd: int, n: int) -> bytearray:
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = os.read(fd, n - len(buf))
-        if not chunk:
-            raise EOFError("pipe closed")
-        buf += chunk
-    return buf
-
-
-def _recv(fd: int):
-    """The next object ``_send`` wrote to the pipe ``fd``; EOFError once
-    its writer has closed it."""
-    return pickle.loads(_read(fd, int.from_bytes(_read(fd, 8), "little")))
-
-
-def _serve(rfd: int, wfd: int, memfd: int) -> None:
-    """A worker's loop, until the pipe ``rfd`` closes: for each ``(fn,
-    args)`` received, reply ``(True, fn(params, config, *args))`` or
-    ``(False, exception)`` on ``wfd``. ``fn`` None starts a ``train`` call:
-    args are its config and where its parameters and this worker's gradient
-    area lie in ``memfd``. A shard's ``(loss sum, gradients)`` is replied as
-    the loss sum, with the gradients written into that area."""
-    params = grads = config = None
-    while True:
-        try:
-            fn, args = _recv(rfd)
-        except EOFError:
-            return
-        if fn is None:
-            config, layout, size, area = args
-            buf = mmap.mmap(memfd, (area + 1) * size * 8)
-            params, grads = _views(buf, layout, size, 0), _views(buf, layout, size, area)
-            continue
-        try:
-            out = fn(params, config, *args)
-            if isinstance(out, tuple):
-                out, shard_grads = out
-                for k, g in shard_grads.items():
-                    grads[k][...] = g
-            reply = True, out
-        except Exception as e:  # the caller raises it
-            reply = False, e
-        try:
-            _send(wfd, reply)
-        except BrokenPipeError:  # the caller has gone
-            return
-
-
-class _Worker:
-    """A forked process that runs shards for ``train`` (see ``_serve``),
-    with a pipe each way. Forked rather than spawned: a spawned process
-    would import numpy and citegen again, about 80 ms here, before its
-    first shard. ``train`` forks it while holding ``_WorkerPool.lock``."""
-
-    def __init__(self, memfd: int, siblings: Sequence[_Worker]):
-        rfd, self.down = os.pipe()
-        self.up, wfd = os.pipe()
-        self.pid = os.fork()
-        if self.pid == 0:  # the worker; it never returns into the caller's code
-            code = 0
-            try:
-                import signal  # only a worker needs it
-
-                signal.signal(signal.SIGINT, signal.SIG_IGN)  # it ends when its pipe closes
-                for w in (*siblings, self):  # so that each pipe closes when its owner ends
-                    w.close()
-                _serve(rfd, wfd, memfd)
-            except BaseException:
-                sys.excepthook(*sys.exc_info())
-                code = 1
-            finally:
-                os._exit(code)
-        os.close(rfd)
-        os.close(wfd)
-        self.exitcode = None
-
-    def close(self) -> None:
-        """Close this process's ends of the pipes; the worker then ends."""
-        for fd in (self.down, self.up):
-            if fd >= 0:
-                os.close(fd)
-        self.down = self.up = -1
-
-    def running(self) -> bool:
-        """Whether the worker can take shards; reaps it if it has ended."""
-        if self.exitcode is None:
-            pid, status = os.waitpid(self.pid, os.WNOHANG)
-            if pid:
-                self.close()
-                self.exitcode = os.waitstatus_to_exitcode(status)
-        return self.exitcode is None
-
-    def send(self, fn, args) -> None:
-        try:
-            _send(self.down, (fn, args))
-        except OSError:  # it has ended; reply() says so
-            self.stop()
-
-    def reply(self) -> tuple[bool, object]:
-        """``(ok, result or exception)`` of the shard last sent; a
-        ChildProcessError if the worker has ended."""
-        if self.exitcode is None:
-            try:
-                return _recv(self.up)
-            except (EOFError, OSError):
-                self.stop()
-        return False, ChildProcessError(f"shard worker {self.pid} ended with exit code "
-                                        f"{self.exitcode}")
-
-    def stop(self) -> None:
-        """Close the pipes, which ends the worker once its shard is done, and reap it."""
-        if self.exitcode is None:
-            self.close()
-            self.exitcode = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-
-
-class _WorkerPool:
-    """The worker processes of ``train``, forked when first needed and kept
-    for every later call; ``stop`` ends them and runs at interpreter exit.
-
-    They share one memory file with the process that forked them: each
-    call's parameters lie in its first area, and worker j's gradients in
-    area j. One call at a time holds ``lock``."""
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.pid = None
-        self.memfd = -1
-        self.workers: list[_Worker] = []
-
-    def get(self, n: int, nbytes: int) -> list[_Worker]:
-        """n running workers; the memory file is then at least ``nbytes`` long."""
-        if self.pid != os.getpid():  # first use, or a copy in a forked child
-            for w in self.workers:  # the parent's, which must not serve this process
-                w.close()
-            if self.memfd >= 0:
-                os.close(self.memfd)
-            self.pid, self.workers = os.getpid(), []
-            self.memfd = os.memfd_create("citegen-fid", os.MFD_CLOEXEC)
-        if os.fstat(self.memfd).st_size < nbytes:  # only grows: older maps stay valid
-            os.ftruncate(self.memfd, nbytes)
-        for j, w in enumerate(self.workers[:n]):
-            if not w.running():
-                self.workers[j] = _Worker(self.memfd, self.workers)
-        while len(self.workers) < n:
-            self.workers.append(_Worker(self.memfd, self.workers))
-        return self.workers[:n]
-
-    def stop(self) -> None:
-        if self.pid == os.getpid():
-            for w in self.workers:
-                w.close()  # all at once, so they end together
-            for w in self.workers:
-                w.stop()
-            self.workers = []
-
-    def forked(self) -> None:
-        """Runs in every forked child. A child forked while another thread
-        was inside ``train`` inherits ``lock`` held by a thread it does not
-        have, so its own ``train`` would wait for good: it gets a new lock."""
-        self.lock = threading.Lock()
-
-
-_POOL = _WorkerPool()
-atexit.register(_POOL.stop)
-os.register_at_fork(after_in_child=_POOL.forked)
-
-
-class _ShardRunner:
-    """The shards of one ``train`` call: its parameters in the pool's shared
-    memory file, a gradient area and a worker for each shard after the first."""
-
-    def __init__(self, params, config: ModelConfig, n_workers: int):
-        layout, size = _layout(params)
-        nbytes = (n_workers + 1) * size * 8
-        self.workers = _POOL.get(n_workers, nbytes)
-        buf = mmap.mmap(_POOL.memfd, nbytes)
-        self.params = _views(buf, layout, size, 0)
-        for k, v in params.items():
-            self.params[k][...] = v
-        self.grads = [_views(buf, layout, size, j) for j in range(1, n_workers + 1)]
-        self.config = config
-        for j, w in enumerate(self.workers, 1):
-            w.send(None, (config, layout, size, j))
-
-    def map(self, fn, *iterables) -> list:
-        """``fn(params, config, *args)`` of each shard's args, in shard order:
-        the first shard in this process, shard j meanwhile in worker j. A
-        worker's ``(loss sum, gradients)`` comes back with the gradients in
-        its area of the memory file, and a worker's exception is raised."""
-        first, *rest = zip(*iterables)
-        busy = self.workers[: len(rest)]
-        try:
-            for w, args in zip(busy, rest):
-                w.send(fn, args)
-            try:
-                out = [fn(self.params, self.config, *first)]
-            finally:  # drain every pipe, even when the first shard failed
-                replies = [w.reply() for w in busy]
-        except KeyboardInterrupt:  # a pipe may hold part of a message
-            for w in busy:
-                w.stop()
-            raise
-        for (ok, value), grads in zip(replies, self.grads):
-            if not ok:
-                raise value
-            out.append((value, grads) if isinstance(out[0], tuple) else value)
-        return out
-
-
 def train(
     params: dict[str, np.ndarray],
     config: ModelConfig,
@@ -1002,14 +690,14 @@ def train(
 
     Each batch is split into ``_SHARDS`` shards of about equal cost (see
     ``_shards``), each padded on its own and run forward and backward at
-    once: the first in the calling process, each other in a worker process
-    kept from call to call, all with BLAS held at one thread. The
-    parameters lie in memory shared with the workers, where each worker
-    also leaves its shard's gradients. Shard gradients and loss
-    sums are added in shard order, so the results do not depend on
-    scheduling. With dropout, every step spawns one generator per shard
-    from the ``dropout`` substream. Calls from several threads run one at
-    a time.
+    once by ``citegen.shards.runner``: the first in the calling process,
+    the second in a worker process kept from call to call, both with BLAS
+    held at one thread. The parameters lie in memory shared with the
+    worker, where it also leaves its shard's gradients. The second shard's
+    gradients and loss sum are added after the first's, so the results do
+    not depend on scheduling. With dropout, every step spawns one generator
+    per shard from the ``dropout`` substream. Calls from several threads
+    run one at a time.
 
     Aborts with NumericalError if the epoch loss exceeds 10x the first
     epoch's loss or stops being finite, and with ChildProcessError if a
@@ -1028,9 +716,8 @@ def train(
     initial = None
     step = 0
     n = len(train_data)
-    with _POOL.lock, _one_blas_thread():
-        shards = _ShardRunner(params, config, min(_SHARDS, hyper.batch_size) - 1)
-        params = shards.params
+    with shards.runner(params, config, min(_SHARDS, hyper.batch_size) > 1) as runner:
+        params = runner.params
         for _ in range(hyper.epochs):
             order = rng.permutation(n)
             total = 0.0
@@ -1040,7 +727,7 @@ def train(
                 n_tokens = _real_tokens(batch)
                 parts = _shard_items(config, batch)
                 rngs = [None] * len(parts) if drop_rng is None else drop_rng.spawn(len(parts))
-                (loss_sum, grads), *rest = shards.map(_shard_step, [n_tokens] * len(parts),
+                (loss_sum, grads), *rest = runner.map(_shard_step, [n_tokens] * len(parts),
                                                       parts, rngs)
                 total += loss_sum
                 for shard_loss, shard_grads in rest:
@@ -1082,7 +769,7 @@ def train(
                     f"training diverged: epoch loss {epoch_loss:.4f} vs initial {initial:.4f}"
                 )
             if valid_data:
-                val = _dataset_loss(config, valid_data, hyper.batch_size, shards.map)
+                val = _dataset_loss(config, valid_data, hyper.batch_size, runner.map)
                 history["val_loss"].append(val)
                 if val < best_val:
                     best_val = val

@@ -1,0 +1,311 @@
+"""The runner of ``citegen.fid.train``'s shards, which knows nothing of the model.
+
+``train`` cuts each batch into at most two shards that ``runner`` runs
+forward and backward at once, with BLAS held at one thread: the first in the
+calling process, the second in a worker process that is forked on first use,
+kept for later calls and reaped at interpreter exit. The parameters lie in a
+memory file shared with the worker, which also holds the worker's gradient
+area; each step sends the worker only its shard's arguments, and the caller
+adds the worker's gradients after its own, so results depend on the shard
+count and not on the machine.
+"""
+
+from __future__ import annotations
+
+import atexit
+import ctypes
+import functools
+import math
+import mmap
+import os
+import pickle
+import sys
+import threading
+from contextlib import contextmanager
+from pathlib import Path
+
+import numpy as np
+
+
+@functools.cache
+def _openblas():
+    """The OpenBLAS that numpy bundles, with its thread-count functions
+    declared, or None where that library or those functions are not found."""
+    libs = Path(np.__file__).parent.with_name("numpy.libs")
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get, set_ = (lib.scipy_openblas_get_num_threads64_,
+                         lib.scipy_openblas_set_num_threads64_)
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return lib
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS at one thread, then restore its count.
+
+    Each shard then keeps to one core, where more BLAS threads would
+    oversubscribe the cores, and BLAS sums do not depend on the thread count
+    the process started with. A process forked inside the block gets the
+    replaced count back (``_WorkerPool.forked``). Does nothing where the
+    library is not found."""
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    _POOL.blas_threads.append(lib.scipy_openblas_get_num_threads64_())
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(_POOL.blas_threads.pop())
+
+
+def _layout(params) -> tuple[dict[str, tuple[int, tuple[int, ...]]], int]:
+    """Each tensor's offset (in float64s, a multiple of 8: 64 bytes) and
+    shape in one area of the shared memory file, and the area's length."""
+    layout, size = {}, 0
+    for k, v in params.items():
+        layout[k] = size, v.shape
+        size += -(-v.size // 8) * 8
+    return layout, size
+
+
+def _views(buf, layout, size: int, area: int) -> dict[str, np.ndarray]:
+    """The tensors of area ``area`` of ``buf``, as arrays over it."""
+    return {k: np.frombuffer(buf, np.float64, math.prod(shape), 8 * (area * size + offset))
+            .reshape(shape) for k, (offset, shape) in layout.items()}
+
+
+def _send(fd: int, obj) -> None:
+    """Write ``obj`` to the pipe ``fd``, pickled, after its length."""
+    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read(fd: int, n: int) -> bytearray:
+    buf = bytearray()
+    while len(buf) < n:
+        chunk = os.read(fd, n - len(buf))
+        if not chunk:
+            raise EOFError("pipe closed")
+        buf += chunk
+    return buf
+
+
+def _recv(fd: int):
+    """The next object ``_send`` wrote to the pipe ``fd``; EOFError once
+    its writer has closed it."""
+    return pickle.loads(_read(fd, int.from_bytes(_read(fd, 8), "little")))
+
+
+def _serve(rfd: int, wfd: int, memfd: int) -> None:
+    """The worker's loop, until the pipe ``rfd`` closes: for each ``(fn,
+    args)`` received, reply ``(True, fn(params, config, *args))`` or
+    ``(False, exception)`` on ``wfd``. ``fn`` None starts a call of
+    ``runner``: args are its config and where its parameters lie in
+    ``memfd``, with the worker's gradient area after them. A shard's
+    ``(loss sum, gradients)`` is replied as the loss sum, with the gradients
+    written into that area."""
+    params = grads = config = None
+    while True:
+        try:
+            fn, args = _recv(rfd)
+        except EOFError:
+            return
+        if fn is None:
+            config, layout, size = args
+            buf = mmap.mmap(memfd, 2 * size * 8)
+            params, grads = _views(buf, layout, size, 0), _views(buf, layout, size, 1)
+            continue
+        try:
+            out = fn(params, config, *args)
+            if isinstance(out, tuple):
+                out, shard_grads = out
+                for k, g in shard_grads.items():
+                    grads[k][...] = g
+            reply = True, out
+        except Exception as e:  # the caller raises it
+            reply = False, e
+        try:
+            _send(wfd, reply)
+        except BrokenPipeError:  # the caller has gone
+            return
+
+
+class _Worker:
+    """A forked process that runs second shards (see ``_serve``), with a
+    pipe each way, and BLAS held at one thread. Forked rather than spawned:
+    a spawned process would import numpy and citegen again, about 80 ms
+    here, before its first shard. ``runner`` forks it while holding
+    ``_WorkerPool.lock``."""
+
+    def __init__(self, memfd: int):
+        rfd, self.down = os.pipe()
+        self.up, wfd = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:  # the worker; it never returns into the caller's code
+            code = 0
+            try:
+                import signal  # only a worker needs it
+
+                signal.signal(signal.SIGINT, signal.SIG_IGN)  # it ends when its pipe closes
+                self.close()  # so that each pipe closes when the caller ends
+                with _one_blas_thread():
+                    _serve(rfd, wfd, memfd)
+            except BaseException:
+                sys.excepthook(*sys.exc_info())
+                code = 1
+            finally:
+                os._exit(code)
+        os.close(rfd)
+        os.close(wfd)
+        self.exitcode = None
+
+    def close(self) -> None:
+        """Close this process's ends of the pipes; the worker then ends."""
+        for fd in (self.down, self.up):
+            if fd >= 0:
+                os.close(fd)
+        self.down = self.up = -1
+
+    def running(self) -> bool:
+        """Whether the worker can take shards; reaps it if it has ended."""
+        if self.exitcode is None:
+            pid, status = os.waitpid(self.pid, os.WNOHANG)
+            if pid:
+                self.close()
+                self.exitcode = os.waitstatus_to_exitcode(status)
+        return self.exitcode is None
+
+    def send(self, fn, args) -> None:
+        try:
+            _send(self.down, (fn, args))
+        except OSError:  # it has ended; reply() says so
+            self.stop()
+
+    def reply(self) -> tuple[bool, object]:
+        """``(ok, result or exception)`` of the shard last sent; a
+        ChildProcessError if the worker has ended."""
+        if self.exitcode is None:
+            try:
+                return _recv(self.up)
+            except (EOFError, OSError):
+                self.stop()
+        return False, ChildProcessError(f"shard worker {self.pid} ended with exit code "
+                                        f"{self.exitcode}")
+
+    def stop(self) -> None:
+        """Close the pipes, which ends the worker once its shard is done, and reap it."""
+        if self.exitcode is None:
+            self.close()
+            self.exitcode = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+
+
+class _WorkerPool:
+    """The memory file of ``runner`` and its worker process, forked when
+    first needed and kept for every later call; ``stop`` ends it and runs
+    at interpreter exit.
+
+    Each call's parameters lie in the file's first area and the worker's
+    gradients in the second. One call at a time holds ``lock``."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.pid = None
+        self.memfd = -1
+        self.worker: _Worker | None = None
+        self.blas_threads: list[int] = []  # replaced by _one_blas_thread blocks, outermost first
+
+    def get(self, nbytes: int, worker: bool) -> _Worker | None:
+        """The running worker if ``worker``, else None; the memory file is
+        then at least ``nbytes`` long."""
+        if self.pid != os.getpid():  # first use, or a copy in a forked child
+            if self.worker is not None:  # the parent's, which must not serve this process
+                self.worker.close()
+            if self.memfd >= 0:
+                os.close(self.memfd)
+            self.pid, self.worker = os.getpid(), None
+            self.memfd = os.memfd_create("citegen-fid", os.MFD_CLOEXEC)
+        if os.fstat(self.memfd).st_size < nbytes:  # only grows: older maps stay valid
+            os.ftruncate(self.memfd, nbytes)
+        if worker and not (self.worker and self.worker.running()):
+            self.worker = _Worker(self.memfd)
+        return self.worker if worker else None
+
+    def stop(self) -> None:
+        if self.pid == os.getpid() and self.worker is not None:
+            self.worker.stop()
+
+    def forked(self) -> None:
+        """Runs in every forked child. A child forked while another thread
+        was inside ``runner`` inherits ``lock`` held by a thread it does not
+        have, so its own call would wait for good: it gets a new lock. No
+        block of ``_one_blas_thread`` runs in the child, so OpenBLAS gets
+        back the count the outermost one replaced."""
+        self.lock = threading.Lock()
+        if self.blas_threads:
+            _openblas().scipy_openblas_set_num_threads64_(self.blas_threads[0])
+            self.blas_threads.clear()
+
+
+_POOL = _WorkerPool()
+atexit.register(_POOL.stop)
+os.register_at_fork(after_in_child=_POOL.forked)
+
+
+class _Runner:
+    """The shards of one ``runner`` call: its parameters in shared memory
+    and, for a second shard, the worker and its gradient area."""
+
+    def __init__(self, params, config, worker: bool):
+        layout, size = _layout(params)
+        nbytes = (1 + worker) * size * 8
+        self.worker = _POOL.get(nbytes, worker)
+        buf = mmap.mmap(_POOL.memfd, nbytes)
+        self.params = _views(buf, layout, size, 0)
+        for k, v in params.items():
+            self.params[k][...] = v
+        self.config = config
+        if worker:
+            self.grads = _views(buf, layout, size, 1)
+            self.worker.send(None, (config, layout, size))
+
+    def map(self, fn, *iterables) -> list:
+        """``fn(params, config, *args)`` of each shard's args, in shard order:
+        the first shard in this process, the second meanwhile in the worker.
+        The worker's ``(loss sum, gradients)`` comes back with the gradients
+        in its area of the memory file, and its exception is raised."""
+        first, *rest = zip(*iterables)
+        if not rest:
+            return [fn(self.params, self.config, *first)]
+        (second,) = rest
+        try:
+            self.worker.send(fn, second)
+            try:
+                out = fn(self.params, self.config, *first)
+            finally:  # drain the pipe, even when the first shard failed
+                ok, value = self.worker.reply()
+        except KeyboardInterrupt:  # the pipe may hold part of a message
+            self.worker.stop()
+            raise
+        if not ok:
+            raise value
+        return [out, (value, self.grads) if isinstance(out, tuple) else value]
+
+
+@contextmanager
+def runner(params, config, worker: bool):
+    """A ``_Runner`` whose ``params`` are a copy of ``params`` in shared
+    memory, whose ``map`` runs one shard, or two if ``worker``, and whose
+    BLAS is held at one thread until the block ends. Calls from several
+    threads run one at a time."""
+    with _POOL.lock, _one_blas_thread():
+        yield _Runner(params, config, worker)
