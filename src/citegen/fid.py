@@ -18,10 +18,13 @@ its cross-attention keys and values from those real block rows only, placing
 them in the padded layout where the other blocks' keys and values are zero.
 Targets are cut after the batch's longest real target.
 
-The primitive ops (softmax, layer norm, attention, feed-forward, and Adam's
-update in ``train``) work in place in the buffers they allocate themselves,
-never in an array a caller passed in, and keep the textbook order of float
-operations, so their results are bit-identical to the plain expressions.
+The primitive ops (softmax, layer norm, attention, feed-forward) work in
+place in the buffers they allocate themselves, never in an array a caller
+passed in, and keep the textbook order of float operations, so their results
+are bit-identical to the plain expressions. So is ``train``'s update: its
+gradient sum, clipping and Adam run as whole-buffer operations on one flat
+state (see ``citegen.shards``), and elementwise ops give the same bits in
+any layout.
 
 Decoding is incremental: the blocks are encoded once, each decoder layer's
 cross-attention keys and values are computed once per instance and shared by
@@ -460,13 +463,15 @@ def _forward(params, config: ModelConfig, x, y, counter=None, drop_rng=None):
     return loss, logits, cache
 
 
-def _backward(params, config: ModelConfig, cache, n_tokens: int | None = None):
+def _backward(params, config: ModelConfig, cache, n_tokens: int | None = None, grads=None):
     """Gradients of the cached batch's summed token losses divided by
     ``n_tokens``, by default its own real-token count (the gradient of its
-    mean loss). A shard of a larger batch passes the whole batch's count, so
-    the shards' gradients add up to the batch gradient."""
+    mean loss), added into ``grads`` if given, else into zeros. A shard of a
+    larger batch passes the whole batch's count, so the shards' gradients
+    add up to the batch gradient."""
     _, y, enc_cache, dec_cache, dec_out, _, logits, logz, real, n_real = cache
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    if grads is None:
+        grads = {k: np.zeros_like(v) for k, v in params.items()}
     dlogits = logits - logz[..., None]
     np.exp(dlogits, out=dlogits)  # softmax probabilities, minus one-hot gold below
     gold = y[..., None]
@@ -567,10 +572,6 @@ def _pad_batch(items: Sequence[tuple[np.ndarray, np.ndarray]]):
     return x, y
 
 
-def _real_tokens(items) -> int:
-    return sum(int((y != PAD_ID).sum()) for _, y in items)
-
-
 # Each training batch is cut into this many cost-balanced shards, 1 or 2
 # (one when the batch holds one instance; see _shards), that run at once:
 # the first in the calling process, the second in the worker process of
@@ -643,21 +644,23 @@ def _shards(config: ModelConfig, batch: Sequence[tuple[np.ndarray, np.ndarray]],
 
 def _shard_forward(params, config, items, drop_rng=None):
     """Summed token loss of one shard, padded on its own, and its cache."""
-    x, y = _pad_batch(items)
-    loss, _, cache = _forward(params, config, x, y, drop_rng=drop_rng)
-    return loss * _real_tokens(items), cache
+    loss, _, cache = _forward(params, config, *_pad_batch(items), drop_rng=drop_rng)
+    return loss * cache[-1], cache  # cache[-1]: its real tokens, all kept by _pad_batch
 
 
-def _shard_loss(params, config, items) -> float:
-    """Summed token loss of one shard."""
-    return _shard_forward(params, config, items)[0]
+def _shard_loss(params, _grads, config, items) -> tuple[float, int]:
+    """Summed token loss and real-token count of one shard."""
+    loss_sum, cache = _shard_forward(params, config, items)
+    return loss_sum, cache[-1]
 
 
-def _shard_step(params, config, n_tokens, items, drop_rng):
-    """Loss sum and gradients of one shard of a batch that holds ``n_tokens``
-    real target tokens; the shards' gradients add up to the batch's."""
+def _shard_step(params, grads, config, n_tokens, items, drop_rng) -> float:
+    """Loss sum of one shard of a batch that holds ``n_tokens`` real target
+    tokens, whose gradients it adds into ``grads``; the shards' gradients
+    add up to the batch's."""
     loss_sum, cache = _shard_forward(params, config, items, drop_rng)
-    return loss_sum, _backward(params, config, cache, n_tokens)
+    _backward(params, config, cache, n_tokens, grads)
+    return loss_sum
 
 
 def _shard_items(config: ModelConfig, batch: Sequence) -> list[list]:
@@ -667,14 +670,15 @@ def _shard_items(config: ModelConfig, batch: Sequence) -> list[list]:
 
 def _dataset_loss(config: ModelConfig, data, batch_size, map_shards) -> float:
     """Per-token loss over ``data``, batched and sharded as ``train`` does:
-    ``map_shards(_shard_loss, shards)`` gives each shard's loss sum, and the
-    sums are added in shard order."""
-    total = 0.0
+    ``map_shards(_shard_loss, shards)`` gives each shard's loss sum and
+    real-token count, and the sums are added in shard order."""
+    total, count = 0.0, 0
     for start in range(0, len(data), batch_size):
         batch = data[start : start + batch_size]
-        for loss_sum in map_shards(_shard_loss, _shard_items(config, batch)):
+        for loss_sum, n_real in map_shards(_shard_loss, _shard_items(config, batch)):
             total += loss_sum
-    return total / max(_real_tokens(data), 1)
+            count += n_real
+    return total / max(count, 1)
 
 
 def train(
@@ -692,12 +696,12 @@ def train(
     ``_shards``), each padded on its own and run forward and backward at
     once by ``citegen.shards.runner``: the first in the calling process,
     the second in a worker process kept from call to call, both with BLAS
-    held at one thread. The parameters lie in memory shared with the
-    worker, where it also leaves its shard's gradients. The second shard's
-    gradients and loss sum are added after the first's, so the results do
-    not depend on scheduling. With dropout, every step spawns one generator
-    per shard from the ``dropout`` substream. Calls from several threads
-    run one at a time.
+    held at one thread. The parameters and each shard's gradients lie in
+    areas of memory shared with the worker, each shard's in its own. The
+    second shard's gradients and loss sum are added after the first's, so
+    the results do not depend on scheduling; clipping and Adam run on whole
+    areas. With dropout, every step spawns one generator per shard from the
+    ``dropout`` substream. Calls from several threads run one at a time.
 
     Aborts with NumericalError if the epoch loss exceeds 10x the first
     epoch's loss or stops being finite, and with ChildProcessError if a
@@ -705,8 +709,6 @@ def train(
     """
     if not train_data:
         raise ConfigError("train_data is empty")
-    m = {k: np.zeros_like(v) for k, v in params.items()}
-    v2 = {k: np.zeros_like(v) for k, v in params.items()}
     b1, b2 = ADAM_BETAS
     rng = substream(hyper.seed, "shuffle")
     drop_rng = substream(hyper.seed, "dropout") if config.dropout > 0 else None
@@ -716,50 +718,46 @@ def train(
     initial = None
     step = 0
     n = len(train_data)
+    tokens = [int((y != PAD_ID).sum()) for _, y in train_data]
     with shards.runner(params, config, min(_SHARDS, hyper.batch_size) > 1) as runner:
         params = runner.params
+        p, g = runner.areas[:2]  # flat: the parameters, the first shard's gradients
+        m, v, g2 = np.zeros((3, p.size))  # Adam's moments and a scratch buffer
         for _ in range(hyper.epochs):
             order = rng.permutation(n)
             total = 0.0
             count = 0
             for start in range(0, n, hyper.batch_size):
-                batch = [train_data[i] for i in order[start : start + hyper.batch_size]]
-                n_tokens = _real_tokens(batch)
-                parts = _shard_items(config, batch)
+                idx = order[start : start + hyper.batch_size]
+                n_tokens = sum(tokens[i] for i in idx)
+                parts = _shard_items(config, [train_data[i] for i in idx])
                 rngs = [None] * len(parts) if drop_rng is None else drop_rng.spawn(len(parts))
-                (loss_sum, grads), *rest = runner.map(_shard_step, [n_tokens] * len(parts),
-                                                      parts, rngs)
-                total += loss_sum
-                for shard_loss, shard_grads in rest:
-                    total += shard_loss
-                    for k, g in shard_grads.items():
-                        grads[k] += g
+                runner.areas[1:].fill(0.0)
+                for loss_sum in runner.map(_shard_step, [n_tokens] * len(parts), parts, rngs):
+                    total += loss_sum
+                if len(parts) > 1:
+                    g += runner.areas[2]
                 count += n_tokens
-                norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+                norm = np.sqrt(sum(float((t * t).sum()) for t in runner.grads[0].values()))
                 if hyper.grad_clip > 0 and norm > hyper.grad_clip:
-                    scale = hyper.grad_clip / norm
-                    for g in grads.values():
-                        g *= scale
+                    g *= hyper.grad_clip / norm
                 step += 1
-                bc1 = 1.0 - b1 ** step
-                bc2 = 1.0 - b2 ** step
-                for k, g in grads.items():
-                    # m = b1·m + (1-b1)·g; v = b2·v + (1-b2)·g²;
-                    # p -= lr·(m/bc1) / (sqrt(v/bc2) + eps), with g as scratch
-                    g2 = g * g
-                    g2 *= 1 - b2
-                    v2[k] *= b2
-                    v2[k] += g2
-                    g *= 1 - b1
-                    m[k] *= b1
-                    m[k] += g
-                    np.divide(m[k], bc1, out=g)
-                    g *= hyper.lr
-                    np.divide(v2[k], bc2, out=g2)
-                    np.sqrt(g2, out=g2)
-                    g2 += ADAM_EPS
-                    g /= g2
-                    params[k] -= g
+                # m = b1·m + (1-b1)·g; v = b2·v + (1-b2)·g²;
+                # p -= lr·(m/bc1) / (sqrt(v/bc2) + eps), with g and g2 as scratch
+                np.multiply(g, g, out=g2)
+                g2 *= 1 - b2
+                v *= b2
+                v += g2
+                g *= 1 - b1
+                m *= b1
+                m += g
+                np.divide(m, 1.0 - b1 ** step, out=g)
+                g *= hyper.lr
+                np.divide(v, 1.0 - b2 ** step, out=g2)
+                np.sqrt(g2, out=g2)
+                g2 += ADAM_EPS
+                g /= g2
+                p -= g
             epoch_loss = total / max(count, 1)
             history["train_loss"].append(epoch_loss)
             if initial is None:
@@ -773,10 +771,10 @@ def train(
                 history["val_loss"].append(val)
                 if val < best_val:
                     best_val = val
-                    best_params = {k: p.copy() for k, p in params.items()}
+                    best_params = {k: t.copy() for k, t in params.items()}
     if valid_data and best_params is not None:
         return best_params, history
-    return {k: p.copy() for k, p in params.items()}, history  # out of the shared memory
+    return {k: t.copy() for k, t in params.items()}, history  # out of the shared memory
 
 
 # ---------------------------------------------------------------------------

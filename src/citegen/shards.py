@@ -3,11 +3,12 @@
 ``train`` cuts each batch into at most two shards that ``runner`` runs
 forward and backward at once, with BLAS held at one thread: the first in the
 calling process, the second in a worker process that is forked on first use,
-kept for later calls and reaped at interpreter exit. The parameters lie in a
-memory file shared with the worker, which also holds the worker's gradient
-area; each step sends the worker only its shard's arguments, and the caller
-adds the worker's gradients after its own, so results depend on the shard
-count and not on the machine.
+kept for later calls and reaped at interpreter exit. A memory file shared
+with the worker holds, in areas of one layout, the parameters (area 0) and
+each shard's gradients, the caller's (area 1) and the worker's (area 2).
+Each step sends the worker only its shard's arguments, and the caller adds
+the worker's area into its own after its shard, so results depend on the
+shard count and not on the machine.
 """
 
 from __future__ import annotations
@@ -76,10 +77,16 @@ def _layout(params) -> tuple[dict[str, tuple[int, tuple[int, ...]]], int]:
     return layout, size
 
 
-def _views(buf, layout, size: int, area: int) -> dict[str, np.ndarray]:
-    """The tensors of area ``area`` of ``buf``, as arrays over it."""
-    return {k: np.frombuffer(buf, np.float64, math.prod(shape), 8 * (area * size + offset))
-            .reshape(shape) for k, (offset, shape) in layout.items()}
+def _areas(memfd: int, n: int, size: int) -> np.ndarray:
+    """The first ``n`` areas of ``size`` float64s of the file ``memfd``, as
+    the rows of one array over it."""
+    return np.frombuffer(mmap.mmap(memfd, n * size * 8), np.float64).reshape(n, size)
+
+
+def _views(area: np.ndarray, layout) -> dict[str, np.ndarray]:
+    """The tensors of one area, as arrays over it."""
+    return {k: area[offset : offset + math.prod(shape)].reshape(shape)
+            for k, (offset, shape) in layout.items()}
 
 
 def _send(fd: int, obj) -> None:
@@ -108,12 +115,10 @@ def _recv(fd: int):
 
 def _serve(rfd: int, wfd: int, memfd: int) -> None:
     """The worker's loop, until the pipe ``rfd`` closes: for each ``(fn,
-    args)`` received, reply ``(True, fn(params, config, *args))`` or
+    args)`` received, reply ``(True, fn(params, grads, config, *args))`` or
     ``(False, exception)`` on ``wfd``. ``fn`` None starts a call of
-    ``runner``: args are its config and where its parameters lie in
-    ``memfd``, with the worker's gradient area after them. A shard's
-    ``(loss sum, gradients)`` is replied as the loss sum, with the gradients
-    written into that area."""
+    ``runner``: args are its config, the layout and length of an area of
+    ``memfd``, and the worker's gradient area; the parameters are area 0."""
     params = grads = config = None
     while True:
         try:
@@ -121,17 +126,12 @@ def _serve(rfd: int, wfd: int, memfd: int) -> None:
         except EOFError:
             return
         if fn is None:
-            config, layout, size = args
-            buf = mmap.mmap(memfd, 2 * size * 8)
-            params, grads = _views(buf, layout, size, 0), _views(buf, layout, size, 1)
+            config, layout, size, area = args
+            areas = _areas(memfd, area + 1, size)
+            params, grads = _views(areas[0], layout), _views(areas[area], layout)
             continue
         try:
-            out = fn(params, config, *args)
-            if isinstance(out, tuple):
-                out, shard_grads = out
-                for k, g in shard_grads.items():
-                    grads[k][...] = g
-            reply = True, out
+            reply = True, fn(params, grads, config, *args)
         except Exception as e:  # the caller raises it
             reply = False, e
         try:
@@ -214,8 +214,8 @@ class _WorkerPool:
     first needed and kept for every later call; ``stop`` ends it and runs
     at interpreter exit.
 
-    Each call's parameters lie in the file's first area and the worker's
-    gradients in the second. One call at a time holds ``lock``."""
+    Each call's parameters and gradients lie in the file's areas (see
+    ``_Runner``). One call at a time holds ``lock``."""
 
     def __init__(self):
         self.lock = threading.Lock()
@@ -262,35 +262,35 @@ os.register_at_fork(after_in_child=_POOL.forked)
 
 
 class _Runner:
-    """The shards of one ``runner`` call: its parameters in shared memory
-    and, for a second shard, the worker and its gradient area."""
+    """The shards of one ``runner`` call. The rows of ``areas`` lie over the
+    memory file: the parameters, then each shard's gradients, the first's
+    and, with a worker, the second's; ``params`` and ``grads`` (one per
+    shard) are their tensors."""
 
     def __init__(self, params, config, worker: bool):
         layout, size = _layout(params)
-        nbytes = (1 + worker) * size * 8
-        self.worker = _POOL.get(nbytes, worker)
-        buf = mmap.mmap(_POOL.memfd, nbytes)
-        self.params = _views(buf, layout, size, 0)
+        n = 2 + worker  # the parameters, then one gradient area per shard
+        self.worker = _POOL.get(n * size * 8, worker)
+        self.areas = _areas(_POOL.memfd, n, size)
+        self.params, *self.grads = (_views(area, layout) for area in self.areas)
         for k, v in params.items():
             self.params[k][...] = v
         self.config = config
         if worker:
-            self.grads = _views(buf, layout, size, 1)
-            self.worker.send(None, (config, layout, size))
+            self.worker.send(None, (config, layout, size, n - 1))
 
     def map(self, fn, *iterables) -> list:
-        """``fn(params, config, *args)`` of each shard's args, in shard order:
-        the first shard in this process, the second meanwhile in the worker.
-        The worker's ``(loss sum, gradients)`` comes back with the gradients
-        in its area of the memory file, and its exception is raised."""
+        """``fn(params, grads, config, *args)`` of each shard's args, in shard
+        order, with that shard's gradients: the first shard in this process,
+        the second meanwhile in the worker, whose exception is raised."""
         first, *rest = zip(*iterables)
         if not rest:
-            return [fn(self.params, self.config, *first)]
+            return [fn(self.params, self.grads[0], self.config, *first)]
         (second,) = rest
         try:
             self.worker.send(fn, second)
             try:
-                out = fn(self.params, self.config, *first)
+                out = fn(self.params, self.grads[0], self.config, *first)
             finally:  # drain the pipe, even when the first shard failed
                 ok, value = self.worker.reply()
         except KeyboardInterrupt:  # the pipe may hold part of a message
@@ -298,7 +298,7 @@ class _Runner:
             raise
         if not ok:
             raise value
-        return [out, (value, self.grads) if isinstance(out, tuple) else value]
+        return [out, value]
 
 
 @contextmanager

@@ -42,7 +42,7 @@ from citegen.fid import (
     train,
 )
 from citegen.fid import (  # training-path internals under test
-    _backward, _dataset_loss, _forward, _pad_batch, _real_tokens, _shard_step, _shards,
+    _backward, _dataset_loss, _forward, _pad_batch, _shard_step, _shards,
 )
 from citegen.fid import _DecodeState, _next_logprobs  # decoding internals under test
 from citegen.fid import (  # primitive ops under test
@@ -359,15 +359,15 @@ def test_shard_gradients_sum_to_batch_gradient():
     x, y = _pad_batch(items)
     loss, _, cache = _forward(params, TINY, x, y)
     want = _backward(params, TINY, cache)
-    n_tokens = _real_tokens(items)
+    n_tokens = sum(int((y != PAD_ID).sum()) for _, y in items)
     shards = _shards(TINY, items, 2)
     assert sorted(i for shard in shards for i in shard) == list(range(len(items)))
     parts = [[items[i] for i in shard] for shard in shards]
-    steps = [_shard_step(params, TINY, n_tokens, part, None) for part in parts]
-    assert sum(loss_sum for loss_sum, _ in steps) / n_tokens == pytest.approx(
-        loss, rel=1e-12, abs=0)
+    grads = [{k: np.zeros_like(v) for k, v in params.items()} for _ in parts]
+    steps = [_shard_step(params, g, TINY, n_tokens, part, None) for g, part in zip(grads, parts)]
+    assert sum(steps) / n_tokens == pytest.approx(loss, rel=1e-12, abs=0)
     for k, g in want.items():
-        got = steps[0][1][k] + steps[1][1][k]
+        got = grads[0][k] + grads[1][k]
         assert np.abs(got - g).max() <= 1e-12 * np.abs(g).max(), k
 
 
@@ -743,9 +743,9 @@ def test_train_deterministic_and_finite():
         assert np.array_equal(pa[k], pb[k])
 
 
-def _map_in_process(params, config, fn, *iterables):
-    """Every shard in this process, in shard order."""
-    return [fn(params, config, *args) for args in zip(*iterables)]
+def _map_in_process(params, grads, config, fn, *iterables):
+    """Every shard in this process, in shard order, shard i with ``grads[i]``."""
+    return [fn(params, grads[i], config, *args) for i, args in enumerate(zip(*iterables))]
 
 
 def test_train_records_and_keeps_best_validation():
@@ -754,7 +754,9 @@ def test_train_records_and_keeps_best_validation():
     params, history = train(init_params(TINY, seed=11), TINY, data, valid,
                             TrainConfig(epochs=4, batch_size=4, lr=3e-3))
     assert len(history["val_loss"]) == 4
-    got = _dataset_loss(TINY, valid, 4, functools.partial(_map_in_process, params, TINY))
+    # _shard_loss reads no gradients; one slot for each of a batch's shards
+    got = _dataset_loss(TINY, valid, 4,
+                        functools.partial(_map_in_process, params, [None, None], TINY))
     assert got == pytest.approx(min(history["val_loss"]), abs=1e-12)
 
 
@@ -1202,10 +1204,48 @@ def test_sharded_train_does_not_depend_on_thread_scheduling(monkeypatch, dropout
     in_worker = _two_shard_digest(dropout)
     with monkeypatch.context() as m:
         m.setattr(shards._Runner, "map", lambda self, fn, *iterables: _map_in_process(
-            self.params, self.config, fn, *iterables))
+            self.params, self.grads, self.config, fn, *iterables))
         in_process = _two_shard_digest(dropout)
     assert in_process == in_worker
     assert in_worker != _UNSHARDED_HASH
+
+
+_TRAIN_WITH_VALIDATION = """
+import hashlib
+import numpy as np
+from citegen.fid import ModelConfig, TrainConfig, init_params, train
+# TINY with d_model 6: tensors of 6 and 36 float64s, each followed by
+# padding in the shared memory's layout (offsets are multiples of 8)
+cfg = ModelConfig(vocab_size=20, d_model=6, n_heads=2, n_enc_layers=1, n_dec_layers=1,
+                  block_len=6, target_len=4)
+rng = np.random.default_rng(3)
+data = [(rng.integers(4, 20, size=(1 + i % 3, 6)), np.array([5 + i % 9, 7 + i % 4, 3, 0]))
+        for i in range(14)]
+params, history = train(init_params(cfg, 11), cfg, data[:10], data[10:],
+                        TrainConfig(epochs=3, batch_size=4, lr=1e-2, seed=2))
+h = hashlib.sha256()
+for name in sorted(params):
+    h.update(name.encode())
+    h.update(np.ascontiguousarray(params[name], dtype="<f8").tobytes())
+result = repr((h.hexdigest(), history))
+print(result)
+"""
+
+
+def test_stale_shared_memory_never_reaches_the_parameters():
+    # whole-buffer gradient, clipping and Adam operations run over the
+    # padding between tensors too; NaN left there and past the areas by a
+    # larger model must not reach a later call's parameters or losses
+    cfg = ModelConfig(vocab_size=40, d_model=32, n_heads=4, block_len=16, target_len=12)
+    data = [(np.full((1 + i % 2, 16), 5 + i), np.array([6 + i, 7, 3] + [PAD_ID] * 9))
+            for i in range(6)]
+    train(init_params(cfg, 0), cfg, data, hyper=TrainConfig(epochs=1, batch_size=6))
+    size = os.fstat(shards._POOL.memfd).st_size
+    assert os.pwrite(shards._POOL.memfd, np.full(size // 8, np.nan).tobytes(), 0) == size
+    scope = {}
+    exec(_TRAIN_WITH_VALIDATION, scope)
+    assert np.isfinite(scope["history"]["val_loss"]).all()
+    assert scope["result"] == _run_python(_TRAIN_WITH_VALIDATION).strip()
 
 
 def test_train_divergence_aborts():
