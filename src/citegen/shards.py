@@ -3,9 +3,10 @@
 ``train`` cuts each batch into at most two shards that ``runner`` runs
 forward and backward at once, with BLAS held at one thread: the first in the
 calling process, the second in a worker process that is forked on first use,
-kept for later calls and reaped at interpreter exit. A memory file shared
-with the worker holds, in areas of one layout, the parameters (area 0) and
-each shard's gradients, the caller's (area 1) and the worker's (area 2).
+kept for later calls and reaped at interpreter exit. One shared mapping,
+made before the worker is forked and so inherited by it, holds, in areas
+of one layout, the parameters (area 0) and each shard's gradients, the
+caller's (area 1) and the worker's (area 2).
 Each step sends the worker only its shard's arguments, and the caller adds
 the worker's area into its own after its shard, so results depend on the
 shard count and not on the machine.
@@ -69,18 +70,12 @@ def _one_blas_thread():
 
 def _layout(params) -> tuple[dict[str, tuple[int, tuple[int, ...]]], int]:
     """Each tensor's offset (in float64s, a multiple of 8: 64 bytes) and
-    shape in one area of the shared memory file, and the area's length."""
+    shape in one area of the shared memory, and the area's length."""
     layout, size = {}, 0
     for k, v in params.items():
         layout[k] = size, v.shape
         size += -(-v.size // 8) * 8
     return layout, size
-
-
-def _areas(memfd: int, n: int, size: int) -> np.ndarray:
-    """The first ``n`` areas of ``size`` float64s of the file ``memfd``, as
-    the rows of one array over it."""
-    return np.frombuffer(mmap.mmap(memfd, n * size * 8), np.float64).reshape(n, size)
 
 
 def _views(area: np.ndarray, layout) -> dict[str, np.ndarray]:
@@ -113,12 +108,12 @@ def _recv(fd: int):
     return pickle.loads(_read(fd, int.from_bytes(_read(fd, 8), "little")))
 
 
-def _serve(rfd: int, wfd: int, memfd: int) -> None:
+def _serve(rfd: int, wfd: int, memory: np.ndarray) -> None:
     """The worker's loop, until the pipe ``rfd`` closes: for each ``(fn,
     args)`` received, reply ``(True, fn(params, grads, config, *args))`` or
     ``(False, exception)`` on ``wfd``. ``fn`` None starts a call of
     ``runner``: args are its config, the layout and length of an area of
-    ``memfd``, and the worker's gradient area; the parameters are area 0."""
+    ``memory``, and the worker's gradient area; the parameters are area 0."""
     params = grads = config = None
     while True:
         try:
@@ -127,8 +122,7 @@ def _serve(rfd: int, wfd: int, memfd: int) -> None:
             return
         if fn is None:
             config, layout, size, area = args
-            areas = _areas(memfd, area + 1, size)
-            params, grads = _views(areas[0], layout), _views(areas[area], layout)
+            params, grads = (_views(memory[i * size : (i + 1) * size], layout) for i in (0, area))
             continue
         try:
             reply = True, fn(params, grads, config, *args)
@@ -147,7 +141,7 @@ class _Worker:
     here, before its first shard. ``runner`` forks it while holding
     ``_WorkerPool.lock``."""
 
-    def __init__(self, memfd: int):
+    def __init__(self, memory: np.ndarray):
         rfd, self.down = os.pipe()
         self.up, wfd = os.pipe()
         self.pid = os.fork()
@@ -159,7 +153,7 @@ class _Worker:
                 signal.signal(signal.SIGINT, signal.SIG_IGN)  # it ends when its pipe closes
                 self.close()  # so that each pipe closes when the caller ends
                 with _one_blas_thread():
-                    _serve(rfd, wfd, memfd)
+                    _serve(rfd, wfd, memory)
             except BaseException:
                 sys.excepthook(*sys.exc_info())
                 code = 1
@@ -210,47 +204,46 @@ class _Worker:
 
 
 class _WorkerPool:
-    """The memory file of ``runner`` and its worker process, forked when
-    first needed and kept for every later call; ``stop`` ends it and runs
-    at interpreter exit.
+    """The shared memory of ``runner`` and its worker process, forked over
+    it when first needed and kept for every later call; ``stop`` ends the
+    worker and runs at interpreter exit.
 
-    Each call's parameters and gradients lie in the file's areas (see
+    Each call's parameters and gradients lie in areas of ``memory`` (see
     ``_Runner``). One call at a time holds ``lock``."""
 
     def __init__(self):
         self.lock = threading.Lock()
-        self.pid = None
-        self.memfd = -1
+        self.memory = np.empty(0)
         self.worker: _Worker | None = None
         self.blas_threads: list[int] = []  # replaced by _one_blas_thread blocks, outermost first
 
-    def get(self, nbytes: int, worker: bool) -> _Worker | None:
-        """The running worker if ``worker``, else None; the memory file is
-        then at least ``nbytes`` long."""
-        if self.pid != os.getpid():  # first use, or a copy in a forked child
-            if self.worker is not None:  # the parent's, which must not serve this process
-                self.worker.close()
-            if self.memfd >= 0:
-                os.close(self.memfd)
-            self.pid, self.worker = os.getpid(), None
-            self.memfd = os.memfd_create("citegen-fid", os.MFD_CLOEXEC)
-        if os.fstat(self.memfd).st_size < nbytes:  # only grows: older maps stay valid
-            os.ftruncate(self.memfd, nbytes)
+    def get(self, n: int, worker: bool) -> _Worker | None:
+        """The running worker if ``worker``, else None; ``memory`` then holds
+        at least ``n`` float64s. It only grows, and a worker shares only the
+        mapping it was forked over, so growing it stops the worker."""
+        if self.memory.size < n:
+            self.stop()
+            self.memory = np.frombuffer(mmap.mmap(-1, 8 * n), np.float64)
         if worker and not (self.worker and self.worker.running()):
-            self.worker = _Worker(self.memfd)
+            self.worker = _Worker(self.memory)
         return self.worker if worker else None
 
     def stop(self) -> None:
-        if self.pid == os.getpid() and self.worker is not None:
+        if self.worker is not None:
             self.worker.stop()
 
     def forked(self) -> None:
-        """Runs in every forked child. A child forked while another thread
-        was inside ``runner`` inherits ``lock`` held by a thread it does not
-        have, so its own call would wait for good: it gets a new lock. No
-        block of ``_one_blas_thread`` runs in the child, so OpenBLAS gets
-        back the count the outermost one replaced."""
+        """Runs in every forked child, which drops what it inherited of its
+        parent's calls: the pipes of the parent's worker, which must not
+        serve it; ``memory``, which the parent still shares, so its own calls
+        map their own; and ``lock``, which a thread the child does not have
+        may hold, so its own call would wait for good. No block of
+        ``_one_blas_thread`` runs in the child, so OpenBLAS gets back the
+        count the outermost one replaced."""
         self.lock = threading.Lock()
+        if self.worker is not None:
+            self.worker.close()
+        self.worker, self.memory = None, np.empty(0)
         if self.blas_threads:
             _openblas().scipy_openblas_set_num_threads64_(self.blas_threads[0])
             self.blas_threads.clear()
@@ -263,15 +256,15 @@ os.register_at_fork(after_in_child=_POOL.forked)
 
 class _Runner:
     """The shards of one ``runner`` call. The rows of ``areas`` lie over the
-    memory file: the parameters, then each shard's gradients, the first's
+    pool's ``memory``: the parameters, then each shard's gradients, the first's
     and, with a worker, the second's; ``params`` and ``grads`` (one per
     shard) are their tensors."""
 
     def __init__(self, params, config, worker: bool):
         layout, size = _layout(params)
         n = 2 + worker  # the parameters, then one gradient area per shard
-        self.worker = _POOL.get(n * size * 8, worker)
-        self.areas = _areas(_POOL.memfd, n, size)
+        self.worker = _POOL.get(n * size, worker)
+        self.areas = _POOL.memory[: n * size].reshape(n, size)
         self.params, *self.grads = (_views(area, layout) for area in self.areas)
         for k, v in params.items():
             self.params[k][...] = v

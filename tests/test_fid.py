@@ -815,6 +815,14 @@ def test_train_parameter_hash_repeats_at_one_blas_thread():
     assert _hash_in_subprocess("2") == hashes[0]
 
 
+def test_train_needs_no_memory_file():
+    # the worker inherits its shared memory at fork, so os.fork is all train needs
+    code = ("import os\nos.__dict__.pop('memfd_create', None)\n"
+            + _TRAIN_AND_HASH.format(shards=2, dropout=0.0))
+    got = _run_python(code, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    assert got.strip() == _hash_in_subprocess("1")
+
+
 @pytest.fixture
 def fresh_pool():
     """No worker before the test, so the test's train call forks its own."""
@@ -976,6 +984,8 @@ def test_a_child_forked_while_a_thread_trains_can_train():
     # SIGALRM ends it if its train call waits for that lock. It also
     # inherits BLAS held at one thread by that thread's train call, and must
     # get back the parent's two (-1: OpenBLAS thread control not found).
+    # The thread's parameters must equal a run alone: the child never
+    # writes into the shared memory it inherited.
     code = """
 import os, signal, threading, time
 import numpy as np
@@ -987,8 +997,10 @@ if lib:
 cfg = ModelConfig(vocab_size=20, d_model=8, n_heads=2, n_enc_layers=1, n_dec_layers=1,
                   block_len=6, target_len=4)
 data = [(np.full((1, 6), 5 + i), np.array([6 + i, 7, 3, 0])) for i in range(6)]
-thread = threading.Thread(target=train, args=(init_params(cfg, 0), cfg, data),
-                          kwargs={"hyper": TrainConfig(epochs=30, batch_size=2)})
+hyper = TrainConfig(epochs=30, batch_size=2)
+trained = []
+thread = threading.Thread(
+    target=lambda: trained.append(train(init_params(cfg, 0), cfg, data, hyper=hyper)[0]))
 thread.start()
 while not shards._POOL.lock.locked() or lib and lib.scipy_openblas_get_num_threads64_() != 1:
     time.sleep(1e-4)
@@ -1001,8 +1013,10 @@ if pid == 0:
     os._exit(0)
 print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 thread.join()
+alone, _ = train(init_params(cfg, 0), cfg, data, hyper=hyper)
+print(all(np.array_equal(trained[0][k], alone[k]) for k in alone))
 """
-    assert _run_python(code).split() == ["2" if _openblas() else "-1", "0"]
+    assert _run_python(code).split() == ["2" if _openblas() else "-1", "0", "True"]
 
 
 def _imports(module) -> set[str]:
@@ -1240,12 +1254,33 @@ def test_stale_shared_memory_never_reaches_the_parameters():
     data = [(np.full((1 + i % 2, 16), 5 + i), np.array([6 + i, 7, 3] + [PAD_ID] * 9))
             for i in range(6)]
     train(init_params(cfg, 0), cfg, data, hyper=TrainConfig(epochs=1, batch_size=6))
-    size = os.fstat(shards._POOL.memfd).st_size
-    assert os.pwrite(shards._POOL.memfd, np.full(size // 8, np.nan).tobytes(), 0) == size
+    shards._POOL.memory[:] = np.nan
     scope = {}
     exec(_TRAIN_WITH_VALIDATION, scope)
     assert np.isfinite(scope["history"]["val_loss"]).all()
     assert scope["result"] == _run_python(_TRAIN_WITH_VALIDATION).strip()
+
+
+def test_only_a_larger_model_replaces_the_worker_and_its_memory(fresh_pool):
+    # a worker shares only the mapping it was forked over, so the pool keeps
+    # both until a call needs more memory than the mapping holds
+    shards._POOL.memory = np.empty(0)  # as in a new process: the first call maps it
+    hyper = TrainConfig(epochs=1, batch_size=4)
+    want, _ = train(init_params(TINY, seed=11), TINY, _toy_data(), hyper=hyper)
+    worker, memory = shards._POOL.worker.pid, shards._POOL.memory
+    got, _ = train(init_params(TINY, seed=11), TINY, _toy_data(), hyper=hyper)
+    exec(_TRAIN_WITH_VALIDATION, {})  # TINY with d_model 6: a smaller model
+    assert shards._POOL.worker.pid == worker
+    assert shards._POOL.memory is memory
+    for k in want:
+        assert np.array_equal(got[k], want[k]), k
+    larger = _TRAIN_WITH_VALIDATION.replace("d_model=6,", "d_model=12,")
+    assert larger != _TRAIN_WITH_VALIDATION
+    scope = {}
+    exec(larger, scope)
+    assert shards._POOL.worker.pid != worker
+    assert shards._POOL.memory.size > memory.size
+    assert scope["result"] == _run_python(larger).strip()
 
 
 def test_train_divergence_aborts():
