@@ -719,7 +719,7 @@ def train(
     step = 0
     n = len(train_data)
     tokens = [int((y != PAD_ID).sum()) for _, y in train_data]
-    with shards.runner(params, config, min(_SHARDS, hyper.batch_size) > 1) as runner:
+    with shards.runner(params, config) as runner:
         params = runner.params
         p, g = runner.areas[:2]  # flat: the parameters, the first shard's gradients
         m, v, g2 = np.zeros((3, p.size))  # Adam's moments and a scratch buffer

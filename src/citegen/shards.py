@@ -2,14 +2,14 @@
 
 ``train`` cuts each batch into at most two shards that ``runner`` runs
 forward and backward at once, with BLAS held at one thread: the first in the
-calling process, the second in a worker process that is forked on first use,
-kept for later calls and reaped at interpreter exit. One shared mapping,
-made before the worker is forked and so inherited by it, holds, in areas
-of one layout, the parameters (area 0) and each shard's gradients, the
-caller's (area 1) and the worker's (area 2).
-Each step sends the worker only its shard's arguments, and the caller adds
-the worker's area into its own after its shard, so results depend on the
-shard count and not on the machine.
+calling process, the second in a worker process that the first call forks,
+whatever its batch size, kept for later calls and reaped at interpreter
+exit. One shared mapping, made before the worker is forked and so inherited
+by it, holds, in areas of one layout, the parameters (area 0) and each
+shard's gradients, the caller's (area 1) and the worker's (area 2). Each
+step sends the worker only its shard's arguments, and the caller adds the
+worker's area into its own after its shard, so results depend on the shard
+count and not on the machine.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import math
 import mmap
 import os
 import pickle
+import signal
 import sys
 import threading
 from contextlib import contextmanager
@@ -112,8 +113,9 @@ def _serve(rfd: int, wfd: int, memory: np.ndarray) -> None:
     """The worker's loop, until the pipe ``rfd`` closes: for each ``(fn,
     args)`` received, reply ``(True, fn(params, grads, config, *args))`` or
     ``(False, exception)`` on ``wfd``. ``fn`` None starts a call of
-    ``runner``: args are its config, the layout and length of an area of
-    ``memory``, and the worker's gradient area; the parameters are area 0."""
+    ``runner``: args are its config and the layout and length of an area
+    of ``memory``, whose parameters are area 0 and the worker's gradients
+    area 2."""
     params = grads = config = None
     while True:
         try:
@@ -121,8 +123,8 @@ def _serve(rfd: int, wfd: int, memory: np.ndarray) -> None:
         except EOFError:
             return
         if fn is None:
-            config, layout, size, area = args
-            params, grads = (_views(memory[i * size : (i + 1) * size], layout) for i in (0, area))
+            config, layout, size = args
+            params, grads = (_views(memory[i * size : (i + 1) * size], layout) for i in (0, 2))
             continue
         try:
             reply = True, fn(params, grads, config, *args)
@@ -134,24 +136,44 @@ def _serve(rfd: int, wfd: int, memory: np.ndarray) -> None:
             return
 
 
-class _Worker:
-    """A forked process that runs second shards (see ``_serve``), with a
-    pipe each way, and BLAS held at one thread. Forked rather than spawned:
-    a spawned process would import numpy and citegen again, about 80 ms
-    here, before its first shard. ``runner`` forks it while holding
-    ``_WorkerPool.lock``."""
+class _WorkerPool:
+    """The shared memory of ``runner`` and the worker process that runs
+    second shards over it (see ``_serve``): forked on first use, with a pipe
+    each way, kept for every later call, and ended by ``stop``, which runs
+    at interpreter exit. Forked rather than spawned: a spawned process would
+    import numpy and citegen again, about 80 ms here, before its first
+    shard.
 
-    def __init__(self, memory: np.ndarray):
+    Each call's parameters and gradients lie in areas of ``memory`` (see
+    ``_Runner``). One call at a time holds ``lock``. ``pid`` is the last
+    worker's (None before the first), and ``exitcode`` is None until that
+    worker is reaped."""
+
+    def __init__(self):
+        self.down = self.up = -1
+        self.blas_threads: list[int] = []  # replaced by _one_blas_thread blocks, outermost first
+        self.forked()  # the state of a process that has made no call
+
+    def get(self, n: int) -> None:
+        """Make ``memory`` hold at least ``n`` float64s, and the worker run.
+        ``memory`` only grows, and a worker shares only the mapping it was
+        forked over, so growing it stops the worker."""
+        if self.memory.size < n:
+            self.stop()
+            self.memory = np.frombuffer(mmap.mmap(-1, 8 * n), np.float64)
+        if not self.running():
+            self.fork()
+
+    def fork(self) -> None:
+        """Fork a worker over ``memory``; ``runner`` calls it holding ``lock``."""
         rfd, self.down = os.pipe()
         self.up, wfd = os.pipe()
-        self.pid = os.fork()
+        memory = self.memory  # in the worker, forked() drops the pool's, and the caller's pipe ends
+        self.pid, self.exitcode = os.fork(), None
         if self.pid == 0:  # the worker; it never returns into the caller's code
             code = 0
-            try:
-                import signal  # only a worker needs it
-
+            try:  # no import: one that another thread was running at the fork never ends here
                 signal.signal(signal.SIGINT, signal.SIG_IGN)  # it ends when its pipe closes
-                self.close()  # so that each pipe closes when the caller ends
                 with _one_blas_thread():
                     _serve(rfd, wfd, memory)
             except BaseException:
@@ -161,7 +183,6 @@ class _Worker:
                 os._exit(code)
         os.close(rfd)
         os.close(wfd)
-        self.exitcode = None
 
     def close(self) -> None:
         """Close this process's ends of the pipes; the worker then ends."""
@@ -202,48 +223,17 @@ class _Worker:
             self.close()
             self.exitcode = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
 
-
-class _WorkerPool:
-    """The shared memory of ``runner`` and its worker process, forked over
-    it when first needed and kept for every later call; ``stop`` ends the
-    worker and runs at interpreter exit.
-
-    Each call's parameters and gradients lie in areas of ``memory`` (see
-    ``_Runner``). One call at a time holds ``lock``."""
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.memory = np.empty(0)
-        self.worker: _Worker | None = None
-        self.blas_threads: list[int] = []  # replaced by _one_blas_thread blocks, outermost first
-
-    def get(self, n: int, worker: bool) -> _Worker | None:
-        """The running worker if ``worker``, else None; ``memory`` then holds
-        at least ``n`` float64s. It only grows, and a worker shares only the
-        mapping it was forked over, so growing it stops the worker."""
-        if self.memory.size < n:
-            self.stop()
-            self.memory = np.frombuffer(mmap.mmap(-1, 8 * n), np.float64)
-        if worker and not (self.worker and self.worker.running()):
-            self.worker = _Worker(self.memory)
-        return self.worker if worker else None
-
-    def stop(self) -> None:
-        if self.worker is not None:
-            self.worker.stop()
-
     def forked(self) -> None:
-        """Runs in every forked child, which drops what it inherited of its
-        parent's calls: the pipes of the parent's worker, which must not
-        serve it; ``memory``, which the parent still shares, so its own calls
-        map their own; and ``lock``, which a thread the child does not have
-        may hold, so its own call would wait for good. No block of
-        ``_one_blas_thread`` runs in the child, so OpenBLAS gets back the
-        count the outermost one replaced."""
+        """Runs in every forked child, the worker included, which drops what
+        it inherited of its parent's calls: the pipes of the parent's
+        worker, which must not serve it; ``memory``, which the parent still
+        shares, so its own calls map their own; and ``lock``, which a thread
+        the child does not have may hold, so its own call would wait for
+        good. No block of ``_one_blas_thread`` runs in the child, so OpenBLAS
+        gets back the count the outermost one replaced."""
         self.lock = threading.Lock()
-        if self.worker is not None:
-            self.worker.close()
-        self.worker, self.memory = None, np.empty(0)
+        self.close()
+        self.memory, self.pid, self.exitcode = np.empty(0), None, 0  # no worker of its own
         if self.blas_threads:
             _openblas().scipy_openblas_set_num_threads64_(self.blas_threads[0])
             self.blas_threads.clear()
@@ -256,21 +246,19 @@ os.register_at_fork(after_in_child=_POOL.forked)
 
 class _Runner:
     """The shards of one ``runner`` call. The rows of ``areas`` lie over the
-    pool's ``memory``: the parameters, then each shard's gradients, the first's
-    and, with a worker, the second's; ``params`` and ``grads`` (one per
-    shard) are their tensors."""
+    pool's ``memory``: the parameters, then each shard's gradients, the
+    first's and the second's; ``params`` and ``grads`` (one per shard) are
+    their tensors."""
 
-    def __init__(self, params, config, worker: bool):
+    def __init__(self, params, config):
         layout, size = _layout(params)
-        n = 2 + worker  # the parameters, then one gradient area per shard
-        self.worker = _POOL.get(n * size, worker)
-        self.areas = _POOL.memory[: n * size].reshape(n, size)
+        _POOL.get(3 * size)
+        self.areas = _POOL.memory[: 3 * size].reshape(3, size)
         self.params, *self.grads = (_views(area, layout) for area in self.areas)
         for k, v in params.items():
             self.params[k][...] = v
         self.config = config
-        if worker:
-            self.worker.send(None, (config, layout, size, n - 1))
+        _POOL.send(None, (config, layout, size))
 
     def map(self, fn, *iterables) -> list:
         """``fn(params, grads, config, *args)`` of each shard's args, in shard
@@ -281,13 +269,13 @@ class _Runner:
             return [fn(self.params, self.grads[0], self.config, *first)]
         (second,) = rest
         try:
-            self.worker.send(fn, second)
+            _POOL.send(fn, second)
             try:
                 out = fn(self.params, self.grads[0], self.config, *first)
             finally:  # drain the pipe, even when the first shard failed
-                ok, value = self.worker.reply()
+                ok, value = _POOL.reply()
         except KeyboardInterrupt:  # the pipe may hold part of a message
-            self.worker.stop()
+            _POOL.stop()
             raise
         if not ok:
             raise value
@@ -295,10 +283,10 @@ class _Runner:
 
 
 @contextmanager
-def runner(params, config, worker: bool):
+def runner(params, config):
     """A ``_Runner`` whose ``params`` are a copy of ``params`` in shared
-    memory, whose ``map`` runs one shard, or two if ``worker``, and whose
-    BLAS is held at one thread until the block ends. Calls from several
-    threads run one at a time."""
+    memory, whose ``map`` runs one shard or two, and whose BLAS is held at
+    one thread until the block ends. Calls from several threads run one at
+    a time."""
     with _POOL.lock, _one_blas_thread():
-        yield _Runner(params, config, worker)
+        yield _Runner(params, config)

@@ -1,6 +1,7 @@
 """Encoder-decoder model: shapes, invariants, gradients, training, decoding."""
 
 import ast
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -787,16 +788,29 @@ print(h.hexdigest())
 """
 
 
-def _run_python(code: str, **env) -> str:
+def _run_python(code: str, timeout: float = 120, **env) -> str:
     """Standard output of ``code`` run by a fresh interpreter that imports
-    this citegen, with ``env`` added to the environment."""
+    this citegen, with ``env`` added to the environment. The interpreter
+    starts a session of its own, and every process in it is killed if it
+    has not ended within ``timeout`` seconds, so that a hung worker cannot
+    outlive the test (or hold its output pipe open for good)."""
     import citegen
 
     src = str(Path(citegen.__file__).resolve().parents[1])
     env = dict(os.environ, **env,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True, timeout=120).stdout
+    with subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, start_new_session=True) as proc:
+        try:
+            out, err = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            raise
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, proc.args, out, err)
+    return out
 
 
 def _hash_in_subprocess(blas_threads: str, shards: int = 2, dropout: float = 0.0) -> str:
@@ -858,7 +872,7 @@ def test_train_holds_blas_at_one_thread_and_restores_it(fresh_pool, monkeypatch,
     finally:
         lib.scipy_openblas_set_num_threads64_(before)
     seen = _step_log(tmp_path / "log")
-    assert {pid for pid, _ in seen} == {os.getpid(), shards._POOL.worker.pid}
+    assert {pid for pid, _ in seen} == {os.getpid(), shards._POOL.pid}
     assert {threads for _, threads in seen} == {1}
 
 
@@ -871,8 +885,24 @@ def test_one_shard_per_batch_runs_on_the_calling_thread(monkeypatch, tmp_path, n
     pids = [pid for pid, _ in _step_log(tmp_path / "log")]
     assert len(pids) == n_shards
     assert pids.count(os.getpid()) == 1
-    assert set(pids) - {os.getpid()} == ({shards._POOL.worker.pid} if n_shards == 2 else set())
+    assert set(pids) - {os.getpid()} == ({shards._POOL.pid} if n_shards == 2 else set())
     assert len(set(pids)) == n_shards
+
+
+def test_batches_of_one_instance_run_in_the_caller_at_any_shard_count(fresh_pool, monkeypatch,
+                                                                      tmp_path):
+    # the first call forks the worker whatever its batch size, but a batch
+    # of one instance is one shard, which runs in this process
+    monkeypatch.setattr(fid, "_shard_step", functools.partial(_logged_step, tmp_path / "log"))
+    got = {}
+    for n_shards in (1, 2):
+        monkeypatch.setattr(fid, "_SHARDS", n_shards)
+        got[n_shards], _ = train(init_params(TINY, seed=11), TINY, _toy_data(4),
+                                 _toy_data(2, seed=9), TrainConfig(epochs=2, batch_size=1))
+        assert shards._POOL.running()
+    assert [pid for pid, _ in _step_log(tmp_path / "log")] == [os.getpid()] * 16
+    for k in got[1]:
+        assert np.array_equal(got[1][k], got[2][k]), k
 
 
 def test_train_leaves_no_process_behind():
@@ -887,7 +917,7 @@ cfg = ModelConfig(vocab_size=20, d_model=8, n_heads=2, n_enc_layers=1, n_dec_lay
                   block_len=6, target_len=4)
 data = [(np.full((1, 6), 5 + i), np.array([6 + i, 7, 3, 0])) for i in range(6)]
 train(init_params(cfg, 0), cfg, data, hyper=TrainConfig(epochs=1, batch_size=6))
-print(shards._POOL.worker.pid, time.time())
+print(shards._POOL.pid, time.time())
 """
     out = _run_python(code).split()
     assert time.time() - float(out[-1]) < 10.0
@@ -945,36 +975,36 @@ def test_a_killed_worker_fails_its_call_and_the_next_call_forks_another(monkeypa
         m.setattr(fid, "_shard_step", functools.partial(_die_outside, os.getpid()))
         with pytest.raises(ChildProcessError, match="exit code -9"):
             train(init_params(TINY, seed=11), TINY, _toy_data(), hyper=TrainConfig(epochs=1))
-    dead = shards._POOL.worker.pid
+    dead = shards._POOL.pid
     want = _TWO_SHARD_HASH[0.0] if _is_hash_build() else _hash_in_subprocess("1")
     assert _two_shard_digest() == want
     # killed between calls: the next call replaces it too
-    idle = shards._POOL.worker.pid
+    idle = shards._POOL.pid
     assert idle != dead
     os.kill(idle, signal.SIGKILL)
     os.waitid(os.P_PID, idle, os.WEXITED | os.WNOWAIT)  # dead, left for the pool to reap
     assert _two_shard_digest() == want
-    assert shards._POOL.worker.pid not in (dead, idle)
+    assert shards._POOL.pid not in (dead, idle)
 
 
 def test_a_forked_child_trains_with_workers_of_its_own():
     data = _toy_data()
     hyper = TrainConfig(epochs=1, batch_size=4)
     want, _ = train(init_params(TINY, seed=11), TINY, data, hyper=hyper)
-    parent_worker = shards._POOL.worker.pid
+    parent_worker = shards._POOL.pid
     pid = os.fork()
     if pid == 0:  # the child must never return into pytest
         code = 1
         try:
             got, _ = train(init_params(TINY, seed=11), TINY, data, hyper=hyper)
             same = all(np.array_equal(got[k], want[k]) for k in want)
-            code = 0 if same and shards._POOL.worker.pid != parent_worker else 2
+            code = 0 if same and shards._POOL.pid != parent_worker else 2
             shards._POOL.stop()
         finally:
             os._exit(code)
     assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
     got, _ = train(init_params(TINY, seed=11), TINY, data, hyper=hyper)
-    assert shards._POOL.worker.pid == parent_worker
+    assert shards._POOL.pid == parent_worker
     for k in want:
         assert np.array_equal(got[k], want[k]), k
 
@@ -1017,6 +1047,52 @@ alone, _ = train(init_params(cfg, 0), cfg, data, hyper=hyper)
 print(all(np.array_equal(trained[0][k], alone[k]) for k in alone))
 """
     assert _run_python(code).split() == ["2" if _openblas() else "-1", "0", "True"]
+
+
+def test_a_worker_forked_while_a_thread_imports_serves_its_call():
+    # another thread is importing a module this process has not imported
+    # yet when train forks the worker. That import's lock stays held in the
+    # worker, so a worker that imported the module would wait for good, and
+    # so would the train call waiting for its reply.
+    code = """
+import importlib.abc, importlib.machinery, importlib.util, sys, threading
+import numpy as np
+from citegen.fid import ModelConfig, TrainConfig, init_params, train
+sys.modules.pop("signal", None)  # as in a process that has not imported it yet
+importing, release = threading.Event(), threading.Event()
+
+class Held(importlib.abc.Loader):
+    def find_spec(self, name, path=None, target=None):
+        return importlib.util.spec_from_loader(name, self) if name == "signal" else None
+
+    def exec_module(self, module):  # runs holding the module's import lock
+        importing.set()
+        release.wait(60)
+        importlib.machinery.PathFinder.find_spec(module.__name__).loader.exec_module(module)
+
+sys.meta_path.insert(0, Held())
+thread = threading.Thread(target=__import__, args=("signal",))
+thread.start()
+importing.wait()
+cfg = ModelConfig(vocab_size=20, d_model=8, n_heads=2, n_enc_layers=1, n_dec_layers=1,
+                  block_len=6, target_len=4)
+data = [(np.full((1, 6), 5 + i), np.array([6 + i, 7, 3, 0])) for i in range(6)]
+train(init_params(cfg, 0), cfg, data, hyper=TrainConfig(epochs=1, batch_size=6))
+release.set()
+thread.join()
+print("trained")
+"""
+    assert _run_python(code, timeout=30).split() == ["trained"]
+
+
+def test_no_function_in_shards_imports():
+    # the worker runs shards' functions after a fork, which may have copied
+    # an import lock held by another thread: see the test above
+    tree = ast.parse(Path(shards.__file__).read_text())
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    assert len(functions) > 10
+    assert not [(fn.name, node.lineno) for fn in functions for node in ast.walk(fn)
+                if isinstance(node, (ast.Import, ast.ImportFrom))]
 
 
 def _imports(module) -> set[str]:
@@ -1267,10 +1343,10 @@ def test_only_a_larger_model_replaces_the_worker_and_its_memory(fresh_pool):
     shards._POOL.memory = np.empty(0)  # as in a new process: the first call maps it
     hyper = TrainConfig(epochs=1, batch_size=4)
     want, _ = train(init_params(TINY, seed=11), TINY, _toy_data(), hyper=hyper)
-    worker, memory = shards._POOL.worker.pid, shards._POOL.memory
+    worker, memory = shards._POOL.pid, shards._POOL.memory
     got, _ = train(init_params(TINY, seed=11), TINY, _toy_data(), hyper=hyper)
     exec(_TRAIN_WITH_VALIDATION, {})  # TINY with d_model 6: a smaller model
-    assert shards._POOL.worker.pid == worker
+    assert shards._POOL.pid == worker
     assert shards._POOL.memory is memory
     for k in want:
         assert np.array_equal(got[k], want[k]), k
@@ -1278,7 +1354,7 @@ def test_only_a_larger_model_replaces_the_worker_and_its_memory(fresh_pool):
     assert larger != _TRAIN_WITH_VALIDATION
     scope = {}
     exec(larger, scope)
-    assert shards._POOL.worker.pid != worker
+    assert shards._POOL.pid != worker
     assert shards._POOL.memory.size > memory.size
     assert scope["result"] == _run_python(larger).strip()
 
