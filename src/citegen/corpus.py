@@ -16,8 +16,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import DataError, MaxRefsExceeded, SplitTooSmall
-from .files import Records, numbered_lines, read_records, write_lines, write_records
+from .errors import MaxRefsExceeded, SplitTooSmall
+from .files import Records, read_lines, read_records, write_lines, write_records
 from .seeding import substream
 from .tokenizer import MAX_REFS, REF, tokenize
 
@@ -458,7 +458,8 @@ def load_key_table(path: str | Path) -> dict[str, str]:
     for a marker given twice."""
     table: dict[str, str] = {}
     line_of: dict[str, int] = {}
-    for lineno, line in numbered_lines(path):
+
+    def add(lineno: int, line: str) -> None:
         marker, *rest = line.split("\t")
         if len(rest) != 1:
             problem = "expected 'marker<TAB>document id'"
@@ -470,8 +471,10 @@ def load_key_table(path: str | Path) -> dict[str, str]:
             problem = f"marker was already given at {path}:{line_of[marker]}"
         else:
             table[marker], line_of[marker] = rest[0], lineno
-            continue
-        raise DataError(f"{path}:{lineno}: {problem}, got {line!r}")
+            return
+        raise ValueError(f"{problem}, got {line!r}")
+
+    read_lines(path, add)
     return table
 
 

@@ -33,7 +33,7 @@ class EmptyEvalSet(CitegenError):
 
 
 class ShapeError(CitegenError):
-    """A tensor does not match the shape required by the model config."""
+    """A tensor does not match the shape or id range required by the model config."""
 
 
 class NumericalError(CitegenError):

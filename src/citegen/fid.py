@@ -422,6 +422,27 @@ def _check_blocks(config: ModelConfig, shape: tuple[int, ...]) -> None:
                          f"n_blocks in [1, {config.max_blocks}], got {shape}")
 
 
+def _check_ids(config: ModelConfig, ids: np.ndarray, target: np.ndarray | None = None) -> None:
+    """Raise ShapeError unless the ids of ``ids`` and ``target`` are integers
+    in [0, vocab_size), and unless ``target``, if given, holds the targets
+    of the batch of block ids ``ids`` (B, N, L): shape (B, T) with
+    1 <= T <= pos_len, one instance's (T,) batched to (1, T)."""
+    if target is not None and (target.ndim != 2 or target.shape[0] != ids.shape[0]
+                               or not 1 <= target.shape[1] <= config.pos_len):
+        raise ShapeError(f"target ids must have shape (T,) for one instance or (B, T) for B, "
+                         f"with T in [1, {config.pos_len}], got {target.shape} as a batch of "
+                         f"{ids.shape[0]}")
+    for name, a in (("block", ids), ("target", target)):
+        if a is None or not a.size:
+            continue
+        if not np.issubdtype(a.dtype, np.integer):
+            raise ShapeError(f"{name} ids must be integers, got dtype {a.dtype}")
+        low, high = int(a.min()), int(a.max())
+        if low < 0 or high >= config.vocab_size:
+            raise ShapeError(f"{name} ids must lie in [0, {config.vocab_size}), "
+                             f"got ids from {low} to {high}")
+
+
 def _as_batch(x_ids, y_ids):
     """Normalize (N,L)/(T,) or (B,N,L)/(B,T) to batched arrays."""
     x = np.asarray(x_ids)
@@ -435,6 +456,7 @@ def _as_batch(x_ids, y_ids):
 
 def _forward(params, config: ModelConfig, x, y, counter=None, drop_rng=None):
     _check_blocks(config, x.shape[1:])
+    _check_ids(config, x, y)
     b, n, length = x.shape
     # Encode only blocks holding a real token; cross-attention gives the
     # others exactly zero weight, so zero states stand in for them. An
@@ -504,6 +526,7 @@ def backward(params, config: ModelConfig, ids, target):
 def encode_blocks(params, config: ModelConfig, ids, counter=None):
     """All blocks of one instance: (N, L) → (N*L, d_model)."""
     ids = np.asarray(ids, dtype=np.int64)
+    _check_ids(config, ids)
     out, _ = _encoder_fwd(params, config, ids, counter)
     return out.reshape(ids.shape[0] * ids.shape[1], config.d_model)
 
@@ -572,14 +595,6 @@ def _pad_batch(items: Sequence[tuple[np.ndarray, np.ndarray]]):
     return x, y
 
 
-# Each training batch is cut into this many cost-balanced shards, 1 or 2
-# (one when the batch holds one instance; see _shards), that run at once:
-# the first in the calling process, the second in the worker process of
-# citegen.shards. It fixes how float64 sums are grouped, so trained
-# parameters depend on it and on nothing about the machine.
-_SHARDS = 2
-
-
 def _shard_cost(config: ModelConfig, n_items: int, rows: int, n_blocks: int, cols: int) -> int:
     """Multiply-adds of the forward pass of a shard of ``n_items`` instances
     holding ``rows`` blocks, padded to ``n_blocks`` blocks and ``cols``
@@ -601,11 +616,12 @@ def _shard_cost(config: ModelConfig, n_items: int, rows: int, n_blocks: int, col
     return row * rows + n_items * cols * position
 
 
-def _shards(config: ModelConfig, batch: Sequence[tuple[np.ndarray, np.ndarray]],
-            k: int) -> list[list[int]]:
-    """The indices of ``batch`` cut into min(k, len(batch)) non-empty
-    shards, k 1 or 2, each in batch order, whose costliest shard
-    (``_shard_cost``, each shard padded on its own) costs least.
+def _shards(config: ModelConfig, batch: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[list[int]]:
+    """The indices of ``batch`` cut into two non-empty shards, each in batch
+    order, whose costliest shard (``_shard_cost``, each shard padded on its
+    own) costs least; a batch of one instance is one shard. The cut fixes
+    how float64 sums are grouped, so trained parameters depend on it and on
+    nothing about the machine.
 
     The batch is ordered stably by (block count, real target columns), and
     that order is cut in two where the costlier half costs least, unless
@@ -614,8 +630,8 @@ def _shards(config: ModelConfig, batch: Sequence[tuple[np.ndarray, np.ndarray]],
     same is cut contiguously. The cut takes a fixed number of numpy calls
     over arrays of len(batch)."""
     n = len(batch)
-    if min(k, n) == 1:
-        return [list(range(n))]
+    if n == 1:
+        return [[0]]
     half = n // 2
     blocks = np.array([x.shape[0] for x, _ in batch])
     real = np.array([y for _, y in batch]) != PAD_ID
@@ -664,8 +680,8 @@ def _shard_step(params, grads, config, n_tokens, items, drop_rng) -> float:
 
 
 def _shard_items(config: ModelConfig, batch: Sequence) -> list[list]:
-    """The instances of each of ``batch``'s ``_SHARDS`` shards."""
-    return [[batch[i] for i in shard] for shard in _shards(config, batch, _SHARDS)]
+    """The instances of each of ``batch``'s shards."""
+    return [[batch[i] for i in shard] for shard in _shards(config, batch)]
 
 
 def _dataset_loss(config: ModelConfig, data, batch_size, map_shards) -> float:
@@ -692,12 +708,13 @@ def train(
     keeps the best-validation parameters when a validation set is given,
     else the final ones.
 
-    Each batch is split into ``_SHARDS`` shards of about equal cost (see
-    ``_shards``), each padded on its own and run forward and backward at
-    once by ``citegen.shards.runner``: the first in the calling process,
-    the second in a worker process kept from call to call, both with BLAS
-    held at one thread. The parameters and each shard's gradients lie in
-    areas of memory shared with the worker, each shard's in its own. The
+    Each batch is cut into two shards of about equal cost (see ``_shards``),
+    each padded on its own and run forward and backward at once by
+    ``citegen.shards.runner``: the first in the calling process, the second
+    in a worker process kept from call to call, both with BLAS held at one
+    thread; a batch of one instance is one shard, run in the calling
+    process. The parameters and each shard's gradients lie in areas of
+    memory shared with the worker, each shard's in its own. The
     second shard's gradients and loss sum are added after the first's, so
     the results do not depend on scheduling; clipping and Adam run on whole
     areas. With dropout, every step spawns one generator per shard from the
@@ -837,6 +854,7 @@ def generate(params, config: ModelConfig, ids, mode: str = "greedy",
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
     ids = np.asarray(ids)
     _check_blocks(config, ids.shape)
+    _check_ids(config, ids)
     max_len = config.target_len if max_len is None else min(max_len, config.pos_len)
     state = _DecodeState(params, config, ids)
     if mode == "greedy":

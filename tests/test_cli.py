@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline: artifacts, determinism, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -146,6 +147,21 @@ def test_report_written_and_loadable(pipeline):
     assert 0.0 <= report.bleu <= 100.0
     assert report.round_trip_acc_without_intent is None
     assert report.n_examples == len(_jsonl(pipeline["preds"]))
+
+
+def test_evaluate_scores_and_records_predictions_without_intent(pipeline, tmp_path):
+    report = tmp_path / "report.txt"
+    assert main(["evaluate", "--predictions", str(pipeline["preds"]),
+                 "--predictions-without-intent", str(pipeline["retrieved"]),
+                 "--references", str(pipeline["refs"]),
+                 "--intent-model", str(pipeline["intent_model"]),
+                 "--dataset", str(pipeline["built"] / "dataset.jsonl"),
+                 "--report", str(report)]) == 0
+    without = load_report(report).round_trip_acc_without_intent
+    assert without is not None and 0.0 <= without <= 1.0
+    inputs = json.loads((tmp_path / "manifest-evaluate.json").read_text())["inputs"]
+    assert inputs[str(pipeline["retrieved"])] == hashlib.sha256(
+        pipeline["retrieved"].read_bytes()).hexdigest()
 
 
 def test_manifests_have_hash_and_digests(pipeline):

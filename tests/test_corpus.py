@@ -43,7 +43,7 @@ from citegen.errors import DataError, MaxRefsExceeded, SplitTooSmall
 from citegen.files import read_records, write_records
 from citegen.intent import placeholder_windows
 from citegen.synthetic import SynthSpec, generate_synthetic_corpus
-from citegen.tokenizer import tokenize
+from citegen.tokenizer import MAX_REFS, tokenize
 
 
 def _texts(spans):
@@ -440,6 +440,27 @@ def test_build_skips_unresolvable_documents(caplog):
     assert result.instances == []
     assert result.skipped == 1
     assert any("skipping group" in r.message for r in caplog.records)
+
+
+def test_build_skips_a_group_citing_more_than_max_refs_documents(caplog):
+    names = ["Aa", "Bb", "Cc", "Dd", "Ee", "Ff", "Gg", "Hh", "Ii"][: MAX_REFS + 1]
+    keys = {author_year_key(n, 2000 + i): f"D{i}" for i, n in enumerate(names)}
+    docs = {d: Document(d, "t", "a") for d in ["P1", *keys.values()]}
+    many = " ".join(f"{n} ({2000 + i}) helped." for i, n in enumerate(names))
+    bodies = {"P1": f"{many} Filler one. Filler two. Aa (2000) returned."}
+    labelled = []
+
+    def intent_fn(targets):
+        labelled.append(list(targets))
+        return _intent_fn()(targets)
+
+    with caplog.at_level(logging.WARNING):
+        result = build_dataset(Corpus(docs, keys), bodies, intent_fn)
+    assert [(i.instance_id, i.target) for i in result.instances] == [("P1#0", "<B1> returned.")]
+    assert result.skipped == 1
+    assert [r.getMessage() for r in caplog.records] == [
+        f"P1: group cites {MAX_REFS + 1} documents (max {MAX_REFS}); skipping group"]
+    assert labelled == [["<B1> returned."]]
 
 
 def test_build_rejects_wrong_intent_count():

@@ -143,6 +143,60 @@ def test_forward_rejects_bad_block_count():
         forward_loss(params, TINY, too_many, y)
 
 
+def _model_calls(ids, target):
+    """Each public call that reads one instance's block ids ``ids`` and,
+    where it trains or scores, its ``target``."""
+    params = init_params(TINY, seed=11)
+    return {
+        "forward_loss": lambda: forward_loss(params, TINY, ids, target),
+        "backward": lambda: backward(params, TINY, ids, target),
+        "train": lambda: train(params, TINY, [(ids, target)], hyper=TrainConfig(epochs=1)),
+        "generate": lambda: generate(params, TINY, ids),
+        "encode_blocks": lambda: encode_blocks(params, TINY, ids),
+    }
+
+
+@pytest.mark.parametrize("call", ["forward_loss", "backward", "train", "generate",
+                                  "encode_blocks"])
+@pytest.mark.parametrize("block_id", [-1, -3, TINY.vocab_size])
+def test_block_ids_outside_the_vocabulary_raise_shape_error(call, block_id):
+    # a negative id would index the embedding's last rows
+    x, y = _tiny_batch()
+    x[1, 2] = block_id
+    with pytest.raises(ShapeError, match=r"block ids must lie in \[0, 20\)"):
+        _model_calls(x, y)[call]()
+
+
+@pytest.mark.parametrize("call", ["forward_loss", "backward", "train"])
+@pytest.mark.parametrize("target, match", [
+    pytest.param([7, -2, EOS_ID, PAD_ID], r"target ids must lie in \[0, 20\)", id="negative"),
+    pytest.param([7, TINY.vocab_size, EOS_ID, PAD_ID], r"target ids must lie in \[0, 20\)",
+                 id="vocab_size"),
+    pytest.param([7] * (TINY.pos_len + 1), r"shape \(T,\).*T in \[1, 6\]", id="beyond-pos_len"),
+    pytest.param([[7, 9, EOS_ID, PAD_ID]], r"shape \(T,\)", id="two-dim-for-one-instance"),
+    pytest.param(np.zeros(0, dtype=np.int64), r"T in \[1, 6\]", id="empty"),
+])
+def test_targets_that_do_not_fit_raise_shape_error(call, target, match):
+    x, _ = _tiny_batch()
+    with pytest.raises(ShapeError, match=match):
+        _model_calls(x, np.array(target))[call]()
+
+
+def test_batched_targets_must_match_the_batch_and_ids_be_integers():
+    params = init_params(TINY, seed=11)
+    x, y = _tiny_batch()
+    x2, y2 = np.stack([x, x]), np.stack([y, y])
+    for target in (y2[:1], np.stack([y, y, y]), y):
+        with pytest.raises(ShapeError, match=r"\(B, T\)"):
+            forward_loss(params, TINY, x2, target)
+    with pytest.raises(ShapeError, match="block ids must be integers"):
+        forward_loss(params, TINY, x2.astype(float), y2)
+    with pytest.raises(ShapeError, match="target ids must be integers"):
+        backward(params, TINY, x2, y2.astype(float))
+    with pytest.raises(ShapeError, match="block ids must be integers"):
+        generate(params, TINY, x.astype(float))
+
+
 def test_random_init_loss_near_uniform():
     params = init_params(TINY, seed=11)
     x, y = _tiny_batch()
@@ -361,7 +415,7 @@ def test_shard_gradients_sum_to_batch_gradient():
     loss, _, cache = _forward(params, TINY, x, y)
     want = _backward(params, TINY, cache)
     n_tokens = sum(int((y != PAD_ID).sum()) for _, y in items)
-    shards = _shards(TINY, items, 2)
+    shards = _shards(TINY, items)
     assert sorted(i for shard in shards for i in shard) == list(range(len(items)))
     parts = [[items[i] for i in shard] for shard in shards]
     grads = [{k: np.zeros_like(v) for k, v in params.items()} for _ in parts]
@@ -375,16 +429,15 @@ def test_shard_gradients_sum_to_batch_gradient():
 def test_shards_are_contiguous_and_non_empty():
     # distinct instances that all cost the same: the contiguous cut
     batch = _mixed_items(shapes=[(2, 3)] * 7)
-    assert _shards(TINY, batch, 1) == [list(range(7))]
-    assert _shards(TINY, batch, 2) == [[0, 1, 2], [3, 4, 5, 6]]
+    assert _shards(TINY, batch[:1]) == [[0]]
+    assert _shards(TINY, batch) == [[0, 1, 2], [3, 4, 5, 6]]
 
 
-def _contiguous_shards(config, batch, k):
-    """The cut before shards were cost-balanced: min(k, len(batch))
+def _contiguous_shards(config, batch):
+    """The cut before shards were cost-balanced: min(2, len(batch))
     contiguous shards whose sizes differ by at most one."""
-    k = min(k, len(batch))
-    bounds = [len(batch) * j // k for j in range(k + 1)]
-    return [list(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+    bounds = [0, len(batch) // 2, len(batch)]
+    return [list(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
 
 
 def _padded_cost(config, items):
@@ -402,28 +455,28 @@ def test_shards_balance_a_batch_that_mixes_block_counts_and_target_lengths():
     # three light instances, then a heavy one: the contiguous cut pads the
     # light fourth instance to the heavy one's 3 blocks and 4 columns
     batch = _mixed_items(shapes=[(1, 1), (1, 2), (1, 1), (3, 4)])
-    assert _shards(TINY, batch, 2) == [[0, 1, 2], [3]]
+    assert _shards(TINY, batch) == [[0, 1, 2], [3]]
     assert _costliest(TINY, batch, [[0, 1, 2], [3]]) < _costliest(
-        TINY, batch, _contiguous_shards(TINY, batch, 2))
+        TINY, batch, _contiguous_shards(TINY, batch))
     # sorted by (block count, real target length), instances keep batch order
     batch = _mixed_items(shapes=[(3, 4), (1, 1), (3, 4), (1, 2), (1, 1), (1, 1)])
-    assert _shards(TINY, batch, 2) == [[1, 3, 4, 5], [0, 2]]
+    assert _shards(TINY, batch) == [[1, 3, 4, 5], [0, 2]]
 
 
 @settings(max_examples=300, deadline=None)
 @given(shapes=st.lists(st.tuples(st.integers(1, 3), st.integers(0, TINY.target_len)),
                        min_size=1, max_size=12),
-       k=st.integers(1, 2), seed=st.integers(0, 3))
-def test_shards_partition_the_batch_no_costlier_than_the_contiguous_cut(shapes, k, seed):
+       seed=st.integers(0, 3))
+def test_shards_partition_the_batch_no_costlier_than_the_contiguous_cut(shapes, seed):
     batch = _mixed_items(seed, shapes)
-    shards = _shards(TINY, batch, k)
-    assert len(shards) == min(k, len(batch))
+    shards = _shards(TINY, batch)
+    assert len(shards) == min(2, len(batch))
     assert all(shards)
     assert sorted(i for shard in shards for i in shard) == list(range(len(batch)))
     assert all(shard == sorted(shard) for shard in shards)
-    assert _shards(TINY, batch, k) == shards
+    assert _shards(TINY, batch) == shards
     assert _costliest(TINY, batch, shards) <= _costliest(
-        TINY, batch, _contiguous_shards(TINY, batch, k))
+        TINY, batch, _contiguous_shards(TINY, batch))
 
 
 def test_pad_batch_cuts_targets_to_longest_real_target():
@@ -764,9 +817,7 @@ def test_train_records_and_keeps_best_validation():
 _TRAIN_AND_HASH = """
 import hashlib
 import numpy as np
-from citegen import fid
 from citegen.fid import ModelConfig, TrainConfig, init_params, train
-fid._SHARDS = {shards}
 from citegen.tokenizer import PAD_ID
 cfg = ModelConfig(vocab_size=40, d_model=32, n_heads=4, block_len=16, target_len=12,
                   dropout={dropout})
@@ -813,8 +864,8 @@ def _run_python(code: str, timeout: float = 120, **env) -> str:
     return out
 
 
-def _hash_in_subprocess(blas_threads: str, shards: int = 2, dropout: float = 0.0) -> str:
-    return _run_python(_TRAIN_AND_HASH.format(shards=shards, dropout=dropout),
+def _hash_in_subprocess(blas_threads: str, dropout: float = 0.0) -> str:
+    return _run_python(_TRAIN_AND_HASH.format(dropout=dropout),
                        OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads,
                        MKL_NUM_THREADS=blas_threads).strip()
 
@@ -832,7 +883,7 @@ def test_train_parameter_hash_repeats_at_one_blas_thread():
 def test_train_needs_no_memory_file():
     # the worker inherits its shared memory at fork, so os.fork is all train needs
     code = ("import os\nos.__dict__.pop('memfd_create', None)\n"
-            + _TRAIN_AND_HASH.format(shards=2, dropout=0.0))
+            + _TRAIN_AND_HASH.format(dropout=0.0))
     got = _run_python(code, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     assert got.strip() == _hash_in_subprocess("1")
 
@@ -876,33 +927,12 @@ def test_train_holds_blas_at_one_thread_and_restores_it(fresh_pool, monkeypatch,
     assert {threads for _, threads in seen} == {1}
 
 
-@pytest.mark.parametrize("n_shards", [1, 2])
-def test_one_shard_per_batch_runs_on_the_calling_thread(monkeypatch, tmp_path, n_shards):
+def test_one_shard_per_batch_runs_on_the_calling_thread(monkeypatch, tmp_path):
     monkeypatch.setattr(fid, "_shard_step", functools.partial(_logged_step, tmp_path / "log"))
-    monkeypatch.setattr(fid, "_SHARDS", n_shards)
     train(init_params(TINY, seed=11), TINY, _toy_data(6), hyper=TrainConfig(epochs=1, batch_size=6))
     # one batch: one shard in this process, the other in the worker
-    pids = [pid for pid, _ in _step_log(tmp_path / "log")]
-    assert len(pids) == n_shards
-    assert pids.count(os.getpid()) == 1
-    assert set(pids) - {os.getpid()} == ({shards._POOL.pid} if n_shards == 2 else set())
-    assert len(set(pids)) == n_shards
-
-
-def test_batches_of_one_instance_run_in_the_caller_at_any_shard_count(fresh_pool, monkeypatch,
-                                                                      tmp_path):
-    # the first call forks the worker whatever its batch size, but a batch
-    # of one instance is one shard, which runs in this process
-    monkeypatch.setattr(fid, "_shard_step", functools.partial(_logged_step, tmp_path / "log"))
-    got = {}
-    for n_shards in (1, 2):
-        monkeypatch.setattr(fid, "_SHARDS", n_shards)
-        got[n_shards], _ = train(init_params(TINY, seed=11), TINY, _toy_data(4),
-                                 _toy_data(2, seed=9), TrainConfig(epochs=2, batch_size=1))
-        assert shards._POOL.running()
-    assert [pid for pid, _ in _step_log(tmp_path / "log")] == [os.getpid()] * 16
-    for k in got[1]:
-        assert np.array_equal(got[1][k], got[2][k]), k
+    assert sorted(pid for pid, _ in _step_log(tmp_path / "log")) == sorted(
+        [os.getpid(), shards._POOL.pid])
 
 
 def test_train_leaves_no_process_behind():
@@ -963,27 +993,27 @@ def test_shard_errors_reach_the_caller_and_leave_workers_in_step(monkeypatch, in
         assert np.array_equal(got[k], want[k]), k
 
 
-def _two_shard_digest(dropout=0.0):
+def _digest_here(dropout=0.0):
+    """The digest that _TRAIN_AND_HASH prints, computed in this process."""
     scope = {}
-    exec(_TRAIN_AND_HASH.format(shards=2, dropout=dropout), scope)
+    exec(_TRAIN_AND_HASH.format(dropout=dropout), scope)
     return scope["h"].hexdigest()
 
 
 def test_a_killed_worker_fails_its_call_and_the_next_call_forks_another(monkeypatch):
-    monkeypatch.setattr(fid, "_SHARDS", 2)
     with monkeypatch.context() as m:
         m.setattr(fid, "_shard_step", functools.partial(_die_outside, os.getpid()))
         with pytest.raises(ChildProcessError, match="exit code -9"):
             train(init_params(TINY, seed=11), TINY, _toy_data(), hyper=TrainConfig(epochs=1))
     dead = shards._POOL.pid
     want = _TWO_SHARD_HASH[0.0] if _is_hash_build() else _hash_in_subprocess("1")
-    assert _two_shard_digest() == want
+    assert _digest_here() == want
     # killed between calls: the next call replaces it too
     idle = shards._POOL.pid
     assert idle != dead
     os.kill(idle, signal.SIGKILL)
     os.waitid(os.P_PID, idle, os.WEXITED | os.WNOWAIT)  # dead, left for the pool to reap
-    assert _two_shard_digest() == want
+    assert _digest_here() == want
     assert shards._POOL.pid not in (dead, idle)
 
 
@@ -1149,10 +1179,10 @@ def test_concurrent_train_calls_run_one_at_a_time():
             assert np.array_equal(got[k], want[k]), k
 
 
-# The parameter hash of the unsharded step before sharding existed, and of
-# the default two-shard step by dropout rate. Float64 sums round differently
-# under another numpy or OpenBLAS build or kernel set, so the values hold only
-# for the build they were recorded with.
+# The parameter hash of _unsharded_train, the step before sharding existed,
+# and of train's two-shard step by dropout rate, on _TRAIN_AND_HASH's data.
+# Float64 sums round differently under another numpy or OpenBLAS build or
+# kernel set, so the values hold only for the build they were recorded with.
 _UNSHARDED_HASH = "6ffbfc0df9d0d8eb5177cf54154d4074cec4d97d2ddc34729b369a71aeab9d02"
 _TWO_SHARD_HASH = {
     0.0: "29a4b505242960e2429bdb1615fd00193b2bd40aa03181b68d69ac44aba850cf",
@@ -1238,23 +1268,43 @@ def _unsharded_train(params, config, train_data, valid_data, hyper):
     return best_params, history
 
 
-def test_one_shard_is_bit_identical_to_the_unsharded_loop(monkeypatch):
-    data = [item for seed in (3, 4, 5, 6) for item in _mixed_items(seed)]
-    valid = _mixed_items(seed=9)
-    hyper = TrainConfig(epochs=3, batch_size=5, lr=1e-2, grad_clip=0.5, seed=2)
+def test_one_shard_is_bit_identical_to_the_unsharded_loop(fresh_pool, monkeypatch, tmp_path):
+    # the first call forks the worker whatever its batch size, but a batch
+    # of one instance is one shard, which runs in this process
+    monkeypatch.setattr(fid, "_shard_step", functools.partial(_logged_step, tmp_path / "log"))
+    data, valid = _toy_data(4), _toy_data(2, seed=9)
+    hyper = TrainConfig(epochs=2, batch_size=1, lr=1e-2, grad_clip=0.5, seed=2)
     params0 = init_params(TINY, seed=11)
     with _one_blas_thread():  # train pins BLAS; so must the reference
         want, want_history = _unsharded_train(params0, TINY, data, valid, hyper)
-    monkeypatch.setattr(fid, "_SHARDS", 1)
     got, history = train(params0, TINY, data, valid, hyper)
+    assert shards._POOL.running()
+    assert [pid for pid, _ in _step_log(tmp_path / "log")] == [os.getpid()] * 8
     assert history == want_history
     for k in want:
         assert np.array_equal(got[k], want[k]), k
 
 
-def test_one_shard_keeps_the_unsharded_parameter_hash():
+def test_two_shards_match_the_unsharded_loop():
+    # the cut groups each batch's float64 sums by shard, so only rounding moves
+    data = [item for seed in (3, 4, 5, 6) for item in _mixed_items(seed)]
+    valid = _mixed_items(seed=9)
+    hyper = TrainConfig(epochs=3, batch_size=5, lr=1e-2, grad_clip=0.5, seed=2)
+    params0 = init_params(TINY, seed=11)
+    with _one_blas_thread():
+        want, want_history = _unsharded_train(params0, TINY, data, valid, hyper)
+    got, history = train(params0, TINY, data, valid, hyper)
+    for name in want_history:
+        assert history[name] == pytest.approx(want_history[name], rel=1e-12, abs=0), name
+    for k in want:
+        assert np.abs(got[k] - want[k]).max() <= 1e-12 * np.abs(want[k]).max(), k
+
+
+def test_the_unsharded_loop_keeps_its_parameter_hash(monkeypatch):
     _skip_unless_hash_build()
-    assert _hash_in_subprocess("1", shards=1) == _UNSHARDED_HASH
+    monkeypatch.setattr(fid, "train", _unsharded_train)  # what _TRAIN_AND_HASH imports
+    with _one_blas_thread():
+        assert _digest_here() == _UNSHARDED_HASH
 
 
 @pytest.mark.parametrize("dropout", sorted(_TWO_SHARD_HASH))
@@ -1269,12 +1319,11 @@ def test_cost_balanced_shards_keep_the_contiguous_cut_losses(monkeypatch):
     data = [item for seed in (3, 4, 5, 6) for item in _mixed_items(seed)]
     valid = _mixed_items(seed=9)
     hyper = TrainConfig(epochs=3, batch_size=6, lr=1e-2, seed=2)
-    monkeypatch.setattr(fid, "_SHARDS", 2)
     differs = []
 
-    def balanced(config, batch, k):
-        shards = _shards(config, batch, k)
-        differs.append(shards != _contiguous_shards(config, batch, k))
+    def balanced(config, batch):
+        shards = _shards(config, batch)
+        differs.append(shards != _contiguous_shards(config, batch))
         return shards
 
     with monkeypatch.context() as m:
@@ -1290,12 +1339,11 @@ def test_cost_balanced_shards_keep_the_contiguous_cut_losses(monkeypatch):
 @pytest.mark.parametrize("dropout", [0.0, 0.1])
 def test_sharded_train_does_not_depend_on_thread_scheduling(monkeypatch, dropout):
     # the worker's shard against every shard run in this process, in order
-    monkeypatch.setattr(fid, "_SHARDS", 2)
-    in_worker = _two_shard_digest(dropout)
+    in_worker = _digest_here(dropout)
     with monkeypatch.context() as m:
         m.setattr(shards._Runner, "map", lambda self, fn, *iterables: _map_in_process(
             self.params, self.grads, self.config, fn, *iterables))
-        in_process = _two_shard_digest(dropout)
+        in_process = _digest_here(dropout)
     assert in_process == in_worker
     assert in_worker != _UNSHARDED_HASH
 
