@@ -935,6 +935,30 @@ def test_one_shard_per_batch_runs_on_the_calling_thread(monkeypatch, tmp_path):
         [os.getpid(), shards._POOL.pid])
 
 
+def test_batches_of_one_instance_run_in_the_caller_at_any_shard_count(fresh_pool, monkeypatch,
+                                                                      tmp_path):
+    # the first call forks the worker whatever its batch size, but a batch
+    # of one instance is one shard, which runs in this process: before the
+    # worker has served a two-shard batch and after it
+    monkeypatch.setattr(fid, "_shard_step", functools.partial(_logged_step, tmp_path / "log"))
+
+    def train_batches_of_one():
+        params, _ = train(init_params(TINY, seed=11), TINY, _toy_data(4), _toy_data(2, seed=9),
+                          TrainConfig(epochs=2, batch_size=1))
+        assert shards._POOL.running()
+        assert [pid for pid, _ in _step_log(tmp_path / "log")] == [os.getpid()] * 8
+        (tmp_path / "log").unlink()
+        return params
+
+    first = train_batches_of_one()
+    train(init_params(TINY, seed=11), TINY, _toy_data(6), hyper=TrainConfig(epochs=1, batch_size=6))
+    assert shards._POOL.pid in {pid for pid, _ in _step_log(tmp_path / "log")}
+    (tmp_path / "log").unlink()
+    again = train_batches_of_one()
+    for k in first:
+        assert np.array_equal(first[k], again[k]), k
+
+
 def test_train_leaves_no_process_behind():
     # the caller's stdout is a pipe its workers inherit: a worker left
     # running would hold it open, and run() would wait for it
@@ -1268,18 +1292,14 @@ def _unsharded_train(params, config, train_data, valid_data, hyper):
     return best_params, history
 
 
-def test_one_shard_is_bit_identical_to_the_unsharded_loop(fresh_pool, monkeypatch, tmp_path):
-    # the first call forks the worker whatever its batch size, but a batch
-    # of one instance is one shard, which runs in this process
-    monkeypatch.setattr(fid, "_shard_step", functools.partial(_logged_step, tmp_path / "log"))
+def test_one_shard_is_bit_identical_to_the_unsharded_loop():
+    # a batch of one instance is one shard: the unsharded loop's sums exactly
     data, valid = _toy_data(4), _toy_data(2, seed=9)
     hyper = TrainConfig(epochs=2, batch_size=1, lr=1e-2, grad_clip=0.5, seed=2)
     params0 = init_params(TINY, seed=11)
     with _one_blas_thread():  # train pins BLAS; so must the reference
         want, want_history = _unsharded_train(params0, TINY, data, valid, hyper)
     got, history = train(params0, TINY, data, valid, hyper)
-    assert shards._POOL.running()
-    assert [pid for pid, _ in _step_log(tmp_path / "log")] == [os.getpid()] * 8
     assert history == want_history
     for k in want:
         assert np.array_equal(got[k], want[k]), k
