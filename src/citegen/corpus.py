@@ -213,18 +213,16 @@ def split_sentences(body: str) -> list[SentenceSpan]:
 # ---------------------------------------------------------------------------
 # Citation marker grammar
 #
-# Four surface patterns, resolved against an explicit key table:
-#   (a) Name et al. (YYYY)          key: "name yyyy"
-#   (b) Name (YYYY)                 key: "name yyyy"
-#   (c) (Name et al., YYYY; ...)    key per ;-segment: "name yyyy"
-#   (d) [n] / [n, m]                key per number: "[n]"
+# Three surface patterns, resolved against an explicit key table:
+#   (a) Name (YYYY) / Name et al. (YYYY)  key: "name yyyy"
+#   (b) (Name et al., YYYY; ...)          key per ;-segment: "name yyyy"
+#   (c) [n] / [n, m]                      key per number: "[n]"
 
 _NAME = r"[A-Z][A-Za-z'\-]*"
 _ETAL = r"et\s+al\.?"
 _SEGMENT = rf"{_NAME}(?:\s+{_ETAL})?,\s*\d{{4}}"
 _MARKER_RE = re.compile(
-    rf"(?P<aname>{_NAME})\s+{_ETAL}\s*\((?P<ayear>\d{{4}})\)"
-    rf"|(?P<bname>{_NAME})\s*\((?P<byear>\d{{4}})\)"
+    rf"(?P<name>{_NAME})(?:\s+{_ETAL})?\s*\((?P<year>\d{{4}})\)"
     rf"|\((?P<group>{_SEGMENT}(?:\s*;\s*{_SEGMENT})*)\)"
     rf"|\[(?P<nums>\d+(?:\s*,\s*\d+)*)\]"
 )
@@ -244,26 +242,18 @@ def find_markers(sentence: str, known_keys: Mapping[str, str]) -> list[Marker]:
     """All grammar matches in surface order, resolved where possible."""
     markers: list[Marker] = []
     for m in _MARKER_RE.finditer(sentence):
-        if m.group("aname"):
-            key = author_year_key(m.group("aname"), m.group("ayear"))
-            markers.append(Marker(m.start(), m.end(), m.group(0), key, known_keys.get(key)))
-        elif m.group("bname"):
-            key = author_year_key(m.group("bname"), m.group("byear"))
-            markers.append(Marker(m.start(), m.end(), m.group(0), key, known_keys.get(key)))
+        # each marker is the whole match, a ;-segment of a group or a number
+        if m.group("nums"):
+            parts = _NUM_RE.finditer(sentence, *m.span("nums"))
         elif m.group("group"):
-            base = m.start("group")
-            for seg in _SEGMENT_RE.finditer(m.group("group")):
-                key = author_year_key(seg.group("name"), seg.group("year"))
-                markers.append(
-                    Marker(base + seg.start(), base + seg.end(), seg.group(0), key, known_keys.get(key))
-                )
+            parts = _SEGMENT_RE.finditer(sentence, *m.span("group"))
         else:
-            base = m.start("nums")
-            for num in _NUM_RE.finditer(m.group("nums")):
-                key = bracket_key(num.group(0))
-                markers.append(
-                    Marker(base + num.start(), base + num.end(), num.group(0), key, known_keys.get(key))
-                )
+            parts = (m,)
+        for part in parts:
+            key = (bracket_key(part.group(0)) if m.group("nums")
+                   else author_year_key(part.group("name"), part.group("year")))
+            markers.append(Marker(part.start(), part.end(), part.group(0), key,
+                                  known_keys.get(key)))
     return markers
 
 

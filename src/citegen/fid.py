@@ -425,11 +425,11 @@ def _check_blocks(config: ModelConfig, shape: tuple[int, ...]) -> None:
 def _check_ids(config: ModelConfig, ids: np.ndarray, target: np.ndarray | None = None) -> None:
     """Raise ShapeError unless the ids of ``ids`` and ``target`` are integers
     in [0, vocab_size), and unless ``target``, if given, holds the targets
-    of the batch of block ids ``ids`` (B, N, L): shape (B, T) with
-    1 <= T <= pos_len, one instance's (T,) batched to (1, T)."""
+    of the batch of block ids ``ids`` (B, N, L): shape (B, T) with B >= 1
+    and 1 <= T <= pos_len, one instance's (T,) batched to (1, T)."""
     if target is not None and (target.ndim != 2 or target.shape[0] != ids.shape[0]
-                               or not 1 <= target.shape[1] <= config.pos_len):
-        raise ShapeError(f"target ids must have shape (T,) for one instance or (B, T) for B, "
+                               or not ids.shape[0] or not 1 <= target.shape[1] <= config.pos_len):
+        raise ShapeError(f"target ids must have shape (T,) for one instance or (B, T) for B >= 1, "
                          f"with T in [1, {config.pos_len}], got {target.shape} as a batch of "
                          f"{ids.shape[0]}")
     for name, a in (("block", ids), ("target", target)):
@@ -525,7 +525,7 @@ def backward(params, config: ModelConfig, ids, target):
 
 def encode_blocks(params, config: ModelConfig, ids, counter=None):
     """All blocks of one instance: (N, L) → (N*L, d_model)."""
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = np.asarray(ids)
     _check_ids(config, ids)
     out, _ = _encoder_fwd(params, config, ids, counter)
     return out.reshape(ids.shape[0] * ids.shape[1], config.d_model)
@@ -537,7 +537,8 @@ def encode_monolithic(params, config: ModelConfig, concat_ids, counter=None):
     Positional rows are tiled modulo block_len so any length is accepted;
     used to measure the quadratic attention cost of not fusing blocks.
     """
-    ids = np.asarray(concat_ids, dtype=np.int64)[None]
+    ids = np.asarray(concat_ids)[None]
+    _check_ids(config, ids)
     s = ids.shape[1]
     pos = params["pos"]
     tiled = pos[np.arange(s) % pos.shape[0]]
@@ -843,8 +844,10 @@ def generate(params, config: ModelConfig, ids, mode: str = "greedy",
              beam_size: int = 4, max_len: int | None = None) -> list[int]:
     """Decode one instance. Returns generated ids (no <BOS>; <EOS> kept if hit).
 
-    Greedy picks the argmax each step (lowest id on ties); beam search ranks
-    by log-probability normalized by length^0.7, ties broken by token ids.
+    One beam search serves both modes: beam search of width ``beam_size``,
+    and greedy as beam search of width one (``beam_size`` only checked).
+    Beams rank by log-probability normalized by length^0.7, ties broken by
+    token ids, so greedy picks the argmax each step (lowest id on ties).
     Each step feeds only the newest token of each live beam: the blocks are
     encoded once and the decoder's keys and values are cached.
     """
@@ -855,19 +858,11 @@ def generate(params, config: ModelConfig, ids, mode: str = "greedy",
     ids = np.asarray(ids)
     _check_blocks(config, ids.shape)
     _check_ids(config, ids)
+    if mode not in ("greedy", "beam"):
+        raise ConfigError(f"unknown decode mode {mode!r}")
+    width = 1 if mode == "greedy" else beam_size
     max_len = config.target_len if max_len is None else min(max_len, config.pos_len)
     state = _DecodeState(params, config, ids)
-    if mode == "greedy":
-        seq = [BOS_ID]
-        while len(seq) - 1 < max_len:
-            logp = _next_logprobs(params, config, state, [seq[-1]])[0]
-            nxt = int(np.argmax(logp))
-            seq.append(nxt)
-            if nxt == EOS_ID:
-                break
-        return seq[1:]
-    if mode != "beam":
-        raise ConfigError(f"unknown decode mode {mode!r}")
 
     def norm_score(logprob: float, length: int) -> float:
         return logprob / max(length, 1) ** 0.7
@@ -879,19 +874,20 @@ def generate(params, config: ModelConfig, ids, mode: str = "greedy",
         candidates: list[tuple[float, list[int], float, bool, int]] = [
             (norm_score(bm[1], len(bm[0]) - 1), bm[0], bm[1], True, -1) for bm in beams if bm[2]
         ]
-        for row, (seq, lp, _) in enumerate(live):
-            order = np.argsort(-logp[row], kind="stable")[:beam_size]  # ties: lowest id first
-            for tok in order:
-                tok = int(tok)
+        top = (-logp).argsort(axis=1, kind="stable")[:, :width]  # ties: lowest id first
+        for row, ((seq, lp, _), toks) in enumerate(zip(live, top.tolist())):
+            for tok in toks:
                 nlp = lp + float(logp[row, tok])
                 nseq = seq + [tok]
                 candidates.append((norm_score(nlp, len(nseq) - 1), nseq, nlp, tok == EOS_ID, row))
         candidates.sort(key=lambda c: (-c[0], c[1]))
-        chosen = candidates[:beam_size]
+        chosen = candidates[:width]
         beams = [(seq, lp, fin) for _, seq, lp, fin, _ in chosen]
         if all(fin for _, _, fin in beams):
             break
-        state.reorder([row for _, _, _, fin, row in chosen if not fin])
+        rows = [row for _, _, _, fin, row in chosen if not fin]
+        if rows != list(range(len(live))):  # the identity would only copy the cache
+            state.reorder(rows)
     best = max(beams, key=lambda bm: (norm_score(bm[1], len(bm[0]) - 1), [-t for t in bm[0]]))
     return best[0][1:]
 

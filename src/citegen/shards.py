@@ -8,8 +8,8 @@ exit. One shared mapping, made before the worker is forked and so inherited
 by it, holds, in areas of one layout, the parameters (area 0) and each
 shard's gradients, the caller's (area 1) and the worker's (area 2). Each
 step sends the worker only its shard's arguments, and the caller adds the
-worker's area into its own after its shard, so results depend on the shard
-count and not on the machine.
+worker's area into its own after its shard, so results depend on the
+two-way cut and not on the machine.
 """
 
 from __future__ import annotations

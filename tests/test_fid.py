@@ -153,11 +153,12 @@ def _model_calls(ids, target):
         "train": lambda: train(params, TINY, [(ids, target)], hyper=TrainConfig(epochs=1)),
         "generate": lambda: generate(params, TINY, ids),
         "encode_blocks": lambda: encode_blocks(params, TINY, ids),
+        "encode_monolithic": lambda: encode_monolithic(params, TINY, ids.reshape(-1)),
     }
 
 
 @pytest.mark.parametrize("call", ["forward_loss", "backward", "train", "generate",
-                                  "encode_blocks"])
+                                  "encode_blocks", "encode_monolithic"])
 @pytest.mark.parametrize("block_id", [-1, -3, TINY.vocab_size])
 def test_block_ids_outside_the_vocabulary_raise_shape_error(call, block_id):
     # a negative id would index the embedding's last rows
@@ -189,12 +190,19 @@ def test_batched_targets_must_match_the_batch_and_ids_be_integers():
     for target in (y2[:1], np.stack([y, y, y]), y):
         with pytest.raises(ShapeError, match=r"\(B, T\)"):
             forward_loss(params, TINY, x2, target)
+    for call in (forward_loss, backward):  # a batch of no instances
+        with pytest.raises(ShapeError, match=r"\(B, T\) for B >= 1"):
+            call(params, TINY, x2[:0], y2[:0])
     with pytest.raises(ShapeError, match="block ids must be integers"):
         forward_loss(params, TINY, x2.astype(float), y2)
     with pytest.raises(ShapeError, match="target ids must be integers"):
         backward(params, TINY, x2, y2.astype(float))
     with pytest.raises(ShapeError, match="block ids must be integers"):
         generate(params, TINY, x.astype(float))
+    with pytest.raises(ShapeError, match="block ids must be integers"):
+        encode_blocks(params, TINY, x + 0.7)
+    with pytest.raises(ShapeError, match="block ids must be integers"):
+        encode_monolithic(params, TINY, x.reshape(-1) + 0.7)
 
 
 def test_random_init_loss_near_uniform():
@@ -1460,6 +1468,8 @@ def test_beam_one_equals_greedy_on_random_inputs():
         greedy = generate(params, TINY, ids, mode="greedy")
         beam1 = generate(params, TINY, ids, mode="beam", beam_size=1)
         assert greedy == beam1
+        # greedy ignores beam_size, which perfbench sets to 4 in both modes
+        assert generate(params, TINY, ids, mode="greedy", beam_size=4) == beam1
 
 
 def test_generation_respects_decoding_rules():
@@ -1515,11 +1525,18 @@ def test_generate_rejects_block_ids_forward_loss_rejects(ids, mode):
         generate(params, TINY, ids, mode=mode)
 
 
-def test_unknown_decode_mode():
+def test_unknown_decode_mode(monkeypatch):
+    # rejected before any block is encoded
+    def fail(*args, **kwargs):
+        raise AssertionError("encode_blocks called")
+
+    monkeypatch.setattr(fid, "encode_blocks", fail)
     params = init_params(TINY, seed=0)
     ids = np.full((1, TINY.block_len), 5, dtype=np.int64)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown decode mode 'sampling'"):
         generate(params, TINY, ids, mode="sampling")
+    with pytest.raises(AssertionError, match="encode_blocks called"):
+        generate(params, TINY, ids, mode="greedy")
 
 
 # ---------------------------------------------------------------------------
