@@ -414,12 +414,14 @@ def _encoder_fwd(params, config: ModelConfig, flat_ids, counter=None, drop_rng=N
 # ---------------------------------------------------------------------------
 # Model-level forward / backward
 
-def _check_blocks(config: ModelConfig, shape: tuple[int, ...]) -> None:
+def _check_blocks(config: ModelConfig, shape: tuple[int, ...], bounded: bool = True) -> None:
     """Raise ShapeError unless ``shape`` is that of one instance's block ids:
-    (n_blocks, block_len) with 1 <= n_blocks <= max_blocks."""
-    if len(shape) != 2 or shape[1] != config.block_len or not 1 <= shape[0] <= config.max_blocks:
+    (n_blocks, block_len) with 1 <= n_blocks, and n_blocks <= max_blocks if
+    ``bounded``."""
+    high = config.max_blocks if bounded else math.inf
+    if len(shape) != 2 or shape[1] != config.block_len or not 1 <= shape[0] <= high:
         raise ShapeError(f"block ids must have shape (n_blocks, {config.block_len}) with "
-                         f"n_blocks in [1, {config.max_blocks}], got {shape}")
+                         f"n_blocks in [1, {high}], got {shape}")
 
 
 def _check_ids(config: ModelConfig, ids: np.ndarray, target: np.ndarray | None = None) -> None:
@@ -433,14 +435,13 @@ def _check_ids(config: ModelConfig, ids: np.ndarray, target: np.ndarray | None =
                          f"with T in [1, {config.pos_len}], got {target.shape} as a batch of "
                          f"{ids.shape[0]}")
     for name, a in (("block", ids), ("target", target)):
-        if a is None or not a.size:
+        if a is None:
             continue
         if not np.issubdtype(a.dtype, np.integer):
             raise ShapeError(f"{name} ids must be integers, got dtype {a.dtype}")
-        low, high = int(a.min()), int(a.max())
-        if low < 0 or high >= config.vocab_size:
+        if a.size and not 0 <= a.min() <= a.max() < config.vocab_size:
             raise ShapeError(f"{name} ids must lie in [0, {config.vocab_size}), "
-                             f"got ids from {low} to {high}")
+                             f"got ids from {a.min()} to {a.max()}")
 
 
 def _as_batch(x_ids, y_ids):
@@ -524,8 +525,9 @@ def backward(params, config: ModelConfig, ids, target):
 
 
 def encode_blocks(params, config: ModelConfig, ids, counter=None):
-    """All blocks of one instance: (N, L) → (N*L, d_model)."""
+    """All blocks of one instance: (N, L) → (N*L, d_model), for any N >= 1."""
     ids = np.asarray(ids)
+    _check_blocks(config, ids.shape, bounded=False)
     _check_ids(config, ids)
     out, _ = _encoder_fwd(params, config, ids, counter)
     return out.reshape(ids.shape[0] * ids.shape[1], config.d_model)
@@ -537,8 +539,11 @@ def encode_monolithic(params, config: ModelConfig, concat_ids, counter=None):
     Positional rows are tiled modulo block_len so any length is accepted;
     used to measure the quadratic attention cost of not fusing blocks.
     """
-    ids = np.asarray(concat_ids)[None]
+    ids = np.asarray(concat_ids)
+    if ids.ndim != 1 or not ids.size:
+        raise ShapeError(f"concatenated ids must have shape (S,) with S >= 1, got {ids.shape}")
     _check_ids(config, ids)
+    ids = ids[None]
     s = ids.shape[1]
     pos = params["pos"]
     tiled = pos[np.arange(s) % pos.shape[0]]
@@ -659,25 +664,16 @@ def _shards(config: ModelConfig, batch: Sequence[tuple[np.ndarray, np.ndarray]])
     return [sorted(order[: best + 1].tolist()), sorted(order[best + 1 :].tolist())]
 
 
-def _shard_forward(params, config, items, drop_rng=None):
-    """Summed token loss of one shard, padded on its own, and its cache."""
+def _shard(params, grads, config, items, n_tokens=None, drop_rng=None) -> tuple[float, int]:
+    """Summed token loss and real-token count of one shard, padded on its
+    own. Given ``n_tokens``, the real target tokens of the batch the shard
+    belongs to, it also adds its gradients into ``grads``, so that the
+    shards' gradients add up to the batch's."""
     loss, _, cache = _forward(params, config, *_pad_batch(items), drop_rng=drop_rng)
-    return loss * cache[-1], cache  # cache[-1]: its real tokens, all kept by _pad_batch
-
-
-def _shard_loss(params, _grads, config, items) -> tuple[float, int]:
-    """Summed token loss and real-token count of one shard."""
-    loss_sum, cache = _shard_forward(params, config, items)
-    return loss_sum, cache[-1]
-
-
-def _shard_step(params, grads, config, n_tokens, items, drop_rng) -> float:
-    """Loss sum of one shard of a batch that holds ``n_tokens`` real target
-    tokens, whose gradients it adds into ``grads``; the shards' gradients
-    add up to the batch's."""
-    loss_sum, cache = _shard_forward(params, config, items, drop_rng)
-    _backward(params, config, cache, n_tokens, grads)
-    return loss_sum
+    n_real = cache[-1]  # every real token: _pad_batch cuts padding only
+    if n_tokens is not None:
+        _backward(params, config, cache, n_tokens, grads)
+    return loss * n_real, n_real
 
 
 def _shard_items(config: ModelConfig, batch: Sequence) -> list[list]:
@@ -687,12 +683,12 @@ def _shard_items(config: ModelConfig, batch: Sequence) -> list[list]:
 
 def _dataset_loss(config: ModelConfig, data, batch_size, map_shards) -> float:
     """Per-token loss over ``data``, batched and sharded as ``train`` does:
-    ``map_shards(_shard_loss, shards)`` gives each shard's loss sum and
+    ``map_shards(_shard, shards)`` gives each shard's loss sum and
     real-token count, and the sums are added in shard order."""
     total, count = 0.0, 0
     for start in range(0, len(data), batch_size):
         batch = data[start : start + batch_size]
-        for loss_sum, n_real in map_shards(_shard_loss, _shard_items(config, batch)):
+        for loss_sum, n_real in map_shards(_shard, _shard_items(config, batch)):
             total += loss_sum
             count += n_real
     return total / max(count, 1)
@@ -751,7 +747,7 @@ def train(
                 parts = _shard_items(config, [train_data[i] for i in idx])
                 rngs = [None] * len(parts) if drop_rng is None else drop_rng.spawn(len(parts))
                 runner.areas[1:].fill(0.0)
-                for loss_sum in runner.map(_shard_step, [n_tokens] * len(parts), parts, rngs):
+                for loss_sum, _ in runner.map(_shard, parts, [n_tokens] * len(parts), rngs):
                     total += loss_sum
                 if len(parts) > 1:
                     g += runner.areas[2]
@@ -857,39 +853,31 @@ def generate(params, config: ModelConfig, ids, mode: str = "greedy",
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
     ids = np.asarray(ids)
     _check_blocks(config, ids.shape)
-    _check_ids(config, ids)
     if mode not in ("greedy", "beam"):
         raise ConfigError(f"unknown decode mode {mode!r}")
     width = 1 if mode == "greedy" else beam_size
     max_len = config.target_len if max_len is None else min(max_len, config.pos_len)
-    state = _DecodeState(params, config, ids)
+    state = _DecodeState(params, config, ids)  # checks the ids, through encode_blocks
 
-    def norm_score(logprob: float, length: int) -> float:
-        return logprob / max(length, 1) ** 0.7
-
-    beams: list[tuple[list[int], float, bool]] = [([BOS_ID], 0.0, False)]
+    # (score, ids, log-probability, parent cache row); finished once ids end in <EOS>
+    beams = [(0.0, [BOS_ID], 0.0, 0)]
     for _ in range(max_len):
-        live = [bm for bm in beams if not bm[2]]  # cache row i belongs to live[i]
-        logp = _next_logprobs(params, config, state, [seq[-1] for seq, _, _ in live])
-        candidates: list[tuple[float, list[int], float, bool, int]] = [
-            (norm_score(bm[1], len(bm[0]) - 1), bm[0], bm[1], True, -1) for bm in beams if bm[2]
-        ]
+        live = [bm for bm in beams if bm[1][-1] != EOS_ID]  # cache row i belongs to live[i]
+        logp = _next_logprobs(params, config, state, [seq[-1] for _, seq, _, _ in live])
+        candidates = [bm for bm in beams if bm[1][-1] == EOS_ID]
         top = (-logp).argsort(axis=1, kind="stable")[:, :width]  # ties: lowest id first
-        for row, ((seq, lp, _), toks) in enumerate(zip(live, top.tolist())):
+        for row, ((_, seq, lp, _), toks) in enumerate(zip(live, top.tolist())):
             for tok in toks:
                 nlp = lp + float(logp[row, tok])
-                nseq = seq + [tok]
-                candidates.append((norm_score(nlp, len(nseq) - 1), nseq, nlp, tok == EOS_ID, row))
+                candidates.append((nlp / len(seq) ** 0.7, seq + [tok], nlp, row))
         candidates.sort(key=lambda c: (-c[0], c[1]))
-        chosen = candidates[:width]
-        beams = [(seq, lp, fin) for _, seq, lp, fin, _ in chosen]
-        if all(fin for _, _, fin in beams):
+        beams = candidates[:width]
+        rows = [row for _, seq, _, row in beams if seq[-1] != EOS_ID]
+        if not rows:
             break
-        rows = [row for _, _, _, fin, row in chosen if not fin]
         if rows != list(range(len(live))):  # the identity would only copy the cache
             state.reorder(rows)
-    best = max(beams, key=lambda bm: (norm_score(bm[1], len(bm[0]) - 1), [-t for t in bm[0]]))
-    return best[0][1:]
+    return beams[0][1][1:]  # sorted best first; no beam's ids are a prefix of another's
 
 
 # ---------------------------------------------------------------------------

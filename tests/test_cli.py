@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -16,9 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citegen.cli import SETTINGS, main
-from citegen.fid import load_checkpoint, save_checkpoint
-from citegen.intent import IntentModel, save_intent_model
+from citegen.fid import ModelConfig, TrainConfig, load_checkpoint, save_checkpoint
+from citegen.intent import IntentModel, save_intent_model, train_intent
 from citegen.metrics import load_report
+from citegen.synthetic import SynthSpec
+from citegen.tokenizer import build_vocab
 
 
 def _read(path: Path) -> bytes:
@@ -287,6 +290,28 @@ def test_config_file_and_flags_give_same_outputs(pipeline, tmp_path, command):
     # train-fid's min_freq and max_vocab show only in vocab.tsv
     shown = {key: value for key, value in values.items() if key not in ("min_freq", "max_vocab")}
     assert {key: options[key] for key in shown} == shown
+
+
+# what each command's settings feed, and the parameter a setting of another name feeds
+_FED = {
+    "synth": [(SynthSpec, {})],
+    "train-intent": [(train_intent, {})],
+    "train-fid": [(ModelConfig, {}), (TrainConfig, {}), (build_vocab, {"max_vocab": "max_size"})],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FED))
+def test_setting_defaults_equal_the_defaults_they_feed(command):
+    # each default is written both in SETTINGS and where the setting goes
+    fed = set()
+    for target, renamed in _FED[command]:
+        params = inspect.signature(target).parameters
+        for key, (_, default) in SETTINGS[command].items():
+            name = renamed.get(key, key)
+            if name in params:
+                assert params[name].default == default, (command, key, target.__name__)
+                fed.add(key)
+    assert fed == set(SETTINGS[command])
 
 
 @pytest.mark.parametrize("command, line, key", [

@@ -43,9 +43,10 @@ from citegen.fid import (
     train,
 )
 from citegen.fid import (  # training-path internals under test
-    _backward, _dataset_loss, _forward, _pad_batch, _shard_step, _shards,
+    _backward, _dataset_loss, _forward, _pad_batch, _shard, _shards,
 )
 from citegen.fid import _DecodeState, _next_logprobs  # decoding internals under test
+from citegen.fid import _check_ids  # the id check under test
 from citegen.fid import (  # primitive ops under test
     LN_EPS, NEG_INF, _attn_bwd, _attn_fwd, _ffn_bwd, _ffn_fwd, _kv_heads, _ln_bwd, _ln_fwd,
     _logsumexp, _merge_heads, _softmax, _split_heads,
@@ -143,18 +144,49 @@ def test_forward_rejects_bad_block_count():
         forward_loss(params, TINY, too_many, y)
 
 
-def _model_calls(ids, target):
+def _model_calls(ids, target, concat=None):
     """Each public call that reads one instance's block ids ``ids`` and,
-    where it trains or scores, its ``target``."""
+    where it trains or scores, its ``target``; encode_monolithic reads
+    ``concat``, by default ``ids`` flattened."""
     params = init_params(TINY, seed=11)
+    concat = ids.reshape(-1) if concat is None else concat
     return {
         "forward_loss": lambda: forward_loss(params, TINY, ids, target),
         "backward": lambda: backward(params, TINY, ids, target),
         "train": lambda: train(params, TINY, [(ids, target)], hyper=TrainConfig(epochs=1)),
         "generate": lambda: generate(params, TINY, ids),
         "encode_blocks": lambda: encode_blocks(params, TINY, ids),
-        "encode_monolithic": lambda: encode_monolithic(params, TINY, ids.reshape(-1)),
+        "encode_monolithic": lambda: encode_monolithic(params, TINY, concat),
     }
+
+
+@pytest.mark.parametrize("call", ["forward_loss", "backward", "generate", "encode_blocks"])
+@pytest.mark.parametrize("shape", [(2, TINY.block_len + 3), (TINY.block_len,), (0, TINY.block_len)],
+                         ids=["wrong-block_len", "one-dim", "no-blocks"])
+def test_block_ids_of_a_wrong_shape_raise_shape_error(call, shape):
+    _, y = _tiny_batch()
+    with pytest.raises(ShapeError, match=r"block ids must have shape \(n_blocks, 6\)"):
+        _model_calls(np.full(shape, 5), y)[call]()
+
+
+def test_encode_blocks_takes_more_than_max_blocks():
+    params = init_params(TINY, seed=11)
+    states = encode_blocks(params, TINY, np.full((TINY.max_blocks + 1, TINY.block_len), 5))
+    assert states.shape == ((TINY.max_blocks + 1) * TINY.block_len, TINY.d_model)
+
+
+@pytest.mark.parametrize("concat", [[], np.zeros(0, dtype=np.int64), np.full((2, 3), 5)],
+                         ids=["empty-list", "empty", "two-dim"])
+def test_concatenated_ids_of_a_wrong_shape_raise_shape_error(concat):
+    x, y = _tiny_batch()
+    with pytest.raises(ShapeError, match=r"shape \(S,\) with S >= 1"):
+        _model_calls(x, y, np.asarray(concat))["encode_monolithic"]()
+
+
+def test_empty_ids_must_be_integers_too():
+    _check_ids(TINY, np.zeros((1, 0, TINY.block_len), dtype=np.int64))
+    with pytest.raises(ShapeError, match="block ids must be integers"):
+        _check_ids(TINY, np.zeros((1, 0, TINY.block_len)))
 
 
 @pytest.mark.parametrize("call", ["forward_loss", "backward", "train", "generate",
@@ -427,7 +459,7 @@ def test_shard_gradients_sum_to_batch_gradient():
     assert sorted(i for shard in shards for i in shard) == list(range(len(items)))
     parts = [[items[i] for i in shard] for shard in shards]
     grads = [{k: np.zeros_like(v) for k, v in params.items()} for _ in parts]
-    steps = [_shard_step(params, g, TINY, n_tokens, part, None) for g, part in zip(grads, parts)]
+    steps = [_shard(params, g, TINY, part, n_tokens)[0] for g, part in zip(grads, parts)]
     assert sum(steps) / n_tokens == pytest.approx(loss, rel=1e-12, abs=0)
     for k, g in want.items():
         got = grads[0][k] + grads[1][k]
@@ -816,7 +848,7 @@ def test_train_records_and_keeps_best_validation():
     params, history = train(init_params(TINY, seed=11), TINY, data, valid,
                             TrainConfig(epochs=4, batch_size=4, lr=3e-3))
     assert len(history["val_loss"]) == 4
-    # _shard_loss reads no gradients; one slot for each of a batch's shards
+    # _shard without n_tokens reads no gradients; one slot for each of a batch's shards
     got = _dataset_loss(TINY, valid, 4,
                         functools.partial(_map_in_process, params, [None, None], TINY))
     assert got == pytest.approx(min(history["val_loss"]), abs=1e-12)
@@ -872,6 +904,18 @@ def _run_python(code: str, timeout: float = 120, **env) -> str:
     return out
 
 
+def test_the_text_modules_load_neither_fid_nor_shards():
+    # the package root imports nothing, so text work does not load the model
+    # or install the shard pool's at-fork hook
+    code = ("import sys\n"
+            "import citegen.tokenizer, citegen.corpus, citegen.synthetic, citegen.retrieval\n"
+            "print(sorted(name for name in sys.modules if name.startswith('citegen')))")
+    loaded = ast.literal_eval(_run_python(code))
+    assert "citegen.retrieval" in loaded
+    assert "citegen.fid" not in loaded
+    assert "citegen.shards" not in loaded
+
+
 def _hash_in_subprocess(blas_threads: str, dropout: float = 0.0) -> str:
     return _run_python(_TRAIN_AND_HASH.format(dropout=dropout),
                        OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads,
@@ -905,12 +949,12 @@ def fresh_pool():
 
 
 def _logged_step(log, *args):
-    """_shard_step that first appends its process id and OpenBLAS thread
+    """_shard that first appends its process id and OpenBLAS thread
     count (0 where OpenBLAS is not found) to the file ``log``."""
     lib = _openblas()
     with open(log, "a") as f:
         f.write(f"{os.getpid()} {lib.scipy_openblas_get_num_threads64_() if lib else 0}\n")
-    return _shard_step(*args)
+    return _shard(*args)
 
 
 def _step_log(log):
@@ -922,7 +966,7 @@ def test_train_holds_blas_at_one_thread_and_restores_it(fresh_pool, monkeypatch,
     if lib is None:
         pytest.skip("OpenBLAS thread control not found")
     # sent to the worker by reference, with the log path as its argument
-    monkeypatch.setattr(fid, "_shard_step", functools.partial(_logged_step, tmp_path / "log"))
+    monkeypatch.setattr(fid, "_shard", functools.partial(_logged_step, tmp_path / "log"))
     before = lib.scipy_openblas_get_num_threads64_()
     lib.scipy_openblas_set_num_threads64_(2)
     try:
@@ -936,7 +980,7 @@ def test_train_holds_blas_at_one_thread_and_restores_it(fresh_pool, monkeypatch,
 
 
 def test_one_shard_per_batch_runs_on_the_calling_thread(monkeypatch, tmp_path):
-    monkeypatch.setattr(fid, "_shard_step", functools.partial(_logged_step, tmp_path / "log"))
+    monkeypatch.setattr(fid, "_shard", functools.partial(_logged_step, tmp_path / "log"))
     train(init_params(TINY, seed=11), TINY, _toy_data(6), hyper=TrainConfig(epochs=1, batch_size=6))
     # one batch: one shard in this process, the other in the worker
     assert sorted(pid for pid, _ in _step_log(tmp_path / "log")) == sorted(
@@ -948,13 +992,14 @@ def test_batches_of_one_instance_run_in_the_caller_at_any_shard_count(fresh_pool
     # the first call forks the worker whatever its batch size, but a batch
     # of one instance is one shard, which runs in this process: before the
     # worker has served a two-shard batch and after it
-    monkeypatch.setattr(fid, "_shard_step", functools.partial(_logged_step, tmp_path / "log"))
+    monkeypatch.setattr(fid, "_shard", functools.partial(_logged_step, tmp_path / "log"))
 
     def train_batches_of_one():
         params, _ = train(init_params(TINY, seed=11), TINY, _toy_data(4), _toy_data(2, seed=9),
                           TrainConfig(epochs=2, batch_size=1))
         assert shards._POOL.running()
-        assert [pid for pid, _ in _step_log(tmp_path / "log")] == [os.getpid()] * 8
+        # each epoch: four training shards, then two validation shards
+        assert [pid for pid, _ in _step_log(tmp_path / "log")] == [os.getpid()] * 12
         (tmp_path / "log").unlink()
         return params
 
@@ -991,18 +1036,18 @@ print(shards._POOL.pid, time.time())
 
 
 def _raise_in(pid, in_caller, error, *args):
-    """_shard_step, but ``error`` is raised in process ``pid`` (the caller)
+    """_shard, but ``error`` is raised in process ``pid`` (the caller)
     if ``in_caller``, else in every other process (the workers)."""
     if (os.getpid() == pid) == in_caller:
         raise error
-    return _shard_step(*args)
+    return _shard(*args)
 
 
 def _die_outside(pid, *args):
-    """_shard_step in process ``pid``; any other process kills itself."""
+    """_shard in process ``pid``; any other process kills itself."""
     if os.getpid() != pid:
         os.kill(os.getpid(), signal.SIGKILL)
-    return _shard_step(*args)
+    return _shard(*args)
 
 
 @pytest.mark.parametrize("in_caller, error", [
@@ -1016,7 +1061,7 @@ def test_shard_errors_reach_the_caller_and_leave_workers_in_step(monkeypatch, in
     hyper = TrainConfig(epochs=1, batch_size=4)
     want, _ = train(init_params(TINY, seed=11), TINY, data, hyper=hyper)
     with monkeypatch.context() as m:
-        m.setattr(fid, "_shard_step", functools.partial(_raise_in, os.getpid(), in_caller, error))
+        m.setattr(fid, "_shard", functools.partial(_raise_in, os.getpid(), in_caller, error))
         with pytest.raises(type(error)) as raised:
             train(init_params(TINY, seed=11), TINY, data, hyper=hyper)
     assert str(raised.value) == str(error)
@@ -1034,7 +1079,7 @@ def _digest_here(dropout=0.0):
 
 def test_a_killed_worker_fails_its_call_and_the_next_call_forks_another(monkeypatch):
     with monkeypatch.context() as m:
-        m.setattr(fid, "_shard_step", functools.partial(_die_outside, os.getpid()))
+        m.setattr(fid, "_shard", functools.partial(_die_outside, os.getpid()))
         with pytest.raises(ChildProcessError, match="exit code -9"):
             train(init_params(TINY, seed=11), TINY, _toy_data(), hyper=TrainConfig(epochs=1))
     dead = shards._POOL.pid
