@@ -26,10 +26,15 @@ gradient sum, clipping and Adam run as whole-buffer operations on one flat
 state (see ``citegen.shards``), and elementwise ops give the same bits in
 any layout.
 
-Decoding is incremental: the blocks are encoded once, each decoder layer's
-cross-attention keys and values are computed once per instance and shared by
-every beam, and each step feeds only the newest token of each beam, whose
-self-attention keys and values are appended to a per-beam cache.
+Decoding is incremental and runs on flat (rows, d_model) arrays: once per
+``generate`` call, the blocks are encoded, every layer norm's gain and bias
+are folded into the projection after it, and each decoder layer's
+cross-attention query projection, scale and padding mask are folded into
+its keys and its output projection into its values, shared by every beam
+(``_DecodeState``). Each step feeds only the newest token of each beam,
+whose self-attention keys and values are written into a cache preallocated
+to pos_len. Folding regroups float64 products, so a step's log-probs match
+the teacher-forced forward pass to 1e-12, not bit for bit.
 
 Everything runs in float64 with hand-written analytic gradients so finite
 difference checks and bit-level invariants are meaningful.
@@ -48,6 +53,7 @@ import numpy as np
 from . import shards
 from .errors import ConfigError, NumericalError, ShapeError
 from .files import read_tensors, write_tensors
+from .numerics import _logsumexp, _softmax
 from .seeding import substream
 from .tokenizer import BOS_ID, EOS_ID, PAD_ID, RESERVED, Vocabulary, encode, tokenize
 
@@ -162,28 +168,19 @@ def _mean_last(x: np.ndarray) -> np.ndarray:
     return np.add.reduce(x, -1, keepdims=True) / x.shape[-1]
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    e = x - x.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    e /= np.add.reduce(e, -1, keepdims=True)
-    return e
-
-
-def _logsumexp(x: np.ndarray) -> np.ndarray:
-    """log(sum(exp(x))) over the last axis, kept as a length-1 axis."""
-    zmax = x.max(axis=-1, keepdims=True)
-    e = x - zmax
-    np.exp(e, out=e)
-    return zmax + np.log(np.add.reduce(e, -1, keepdims=True))
-
-
-def _ln_fwd(x, g, b):
+def _normalize(x):
+    """Layer norm without gain and bias: (x̂, 1/sqrt(var + LN_EPS))."""
     xhat = x - _mean_last(x)
     inv = _mean_last(xhat * xhat)
     inv += LN_EPS
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xhat *= inv
+    return xhat, inv
+
+
+def _ln_fwd(x, g, b):
+    xhat, inv = _normalize(x)
     out = xhat * g
     out += b
     return out, (xhat, inv, g)
@@ -214,8 +211,9 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, s, h * dh)
 
 
-def _kv_heads(kv_in, w, n_heads, blocks=None):
-    """Keys and values of kv_in (B, S, d), each split into heads: (B, H, S, dh).
+def _attn_fwd(q_in, kv_in, w, n_heads, mask, counter=None, blocks=None):
+    """Scaled dot-product multi-head attention. mask is additive, broadcastable
+    to (B, H, Sq, Sk); fully masked rows degrade to uniform weights.
 
     With ``blocks``, a (B, n) boolean mask, kv_in (R, L, d) holds only the
     R blocks where it is True, and keys and values are laid out as
@@ -229,26 +227,14 @@ def _kv_heads(kv_in, w, n_heads, blocks=None):
             proj = full.reshape(blocks.shape[0], -1, proj.shape[-1])
         return _split_heads(proj, n_heads)
 
-    return heads("wk"), heads("wv")
-
-
-def _attn_fwd(q_in, kv_in, w, n_heads, mask, counter=None, kv=None, blocks=None):
-    """Scaled dot-product multi-head attention. mask is additive, broadcastable
-    to (B, H, Sq, Sk); fully masked rows degrade to uniform weights.
-
-    ``kv``, when given, is the (keys, values) pair already split into heads,
-    which decoding keeps cached; kv_in is then not read. Its batch axis may be
-    1 to share one set of keys and values across every query row.
-    ``blocks`` says which blocks of the keys kv_in holds; see _kv_heads."""
     b, sq, d = q_in.shape
     dh = d // n_heads
     qh = _split_heads(q_in @ w["wq"], n_heads)
-    kh, vh = _kv_heads(kv_in, w, n_heads, blocks) if kv is None else kv
+    kh, vh = heads("wk"), heads("wv")
     sk = kh.shape[2]
     scores = qh @ kh.transpose(0, 1, 3, 2)
     scores *= dh ** -0.5
-    if mask is not None:
-        scores += mask
+    scores += mask
     if counter is not None:
         counter.add(b * n_heads * sq * sk)
     p = _softmax(scores)
@@ -325,11 +311,11 @@ def _attn_params(params, prefix):
     return {k: params[f"{prefix}.{k}"] for k in _ATTN_KEYS}
 
 
-def _stack_fwd(params, config: ModelConfig, side: str, ids, self_mask, cross=None, state=None,
+def _stack_fwd(params, config: ModelConfig, side: str, ids, self_mask, cross=None,
                drop_rng=None, counter=None):
     """The ``side`` ("enc" or "dec") stack over ids (B, T): embeddings, every
     sublayer of ``_SUBLAYERS``, then the final layer norm. self_mask is the
-    additive self-attention mask, or None.
+    additive self-attention mask.
 
     ``cross`` is (enc_out, enc_blocks, enc_mask): enc_out (R, L, d) holds the
     states of the R blocks where the (B, n) mask enc_blocks is True, and
@@ -337,29 +323,21 @@ def _stack_fwd(params, config: ModelConfig, side: str, ids, self_mask, cross=Non
     keys and values from those R blocks only; the other blocks' keys and
     values are zero.
 
-    With a ``_DecodeState``, ids is (beams, 1): each beam's newest token, at
-    the position after the cached ones. Its self-attention keys and values
-    are appended to the state, it attends over every cached position, and
-    cross-attention uses the state's keys and values (enc_out is not read).
-
     ``counter`` counts self-attention scores; callers pass it to the encoder
     only, where block fusion changes the total."""
-    start = 0 if state is None else state.length
-    x = params["emb"][ids] + params["pos"][start : start + ids.shape[1]]
+    x = params["emb"][ids] + params["pos"][: ids.shape[1]]
     layers = []
-    for i, ln, group, op in _sublayer_names(side, getattr(config, f"n_{side}_layers")):
+    for _, ln, group, op in _sublayer_names(side, getattr(config, f"n_{side}_layers")):
         h, lnc = _ln_fwd(x, params[f"{ln}.g"], params[f"{ln}.b"])
         if op == "ffn":
             out, opc = _ffn_fwd(h, *(params[f"{group}.{k}"] for k in _FFN_KEYS))
         elif op == "self":
-            w = _attn_params(params, group)
-            kv = None if state is None else state.append(i, _kv_heads(h, w, config.n_heads))
-            out, opc = _attn_fwd(h, h, w, config.n_heads, self_mask, counter, kv=kv)
+            out, opc = _attn_fwd(h, h, _attn_params(params, group), config.n_heads, self_mask,
+                                 counter)
         else:
             enc_out, enc_blocks, enc_mask = cross
             out, opc = _attn_fwd(h, enc_out, _attn_params(params, group), config.n_heads,
-                                 enc_mask, kv=None if state is None else state.cross[i],
-                                 blocks=enc_blocks)
+                                 enc_mask, blocks=enc_blocks)
         m = _dropout_mask(out.shape, config.dropout, drop_rng)
         if m is not None:
             out = out * m
@@ -367,8 +345,6 @@ def _stack_fwd(params, config: ModelConfig, side: str, ids, self_mask, cross=Non
         x = out
         layers.append((ln, group, op, lnc, opc, m))
     out, lnfc = _ln_fwd(x, params[f"{side}.lnf.g"], params[f"{side}.lnf.b"])
-    if state is not None:
-        state.length += ids.shape[1]
     return out, (side, ids, layers, lnfc)
 
 
@@ -424,6 +400,28 @@ def _check_blocks(config: ModelConfig, shape: tuple[int, ...], bounded: bool = T
                          f"n_blocks in [1, {high}], got {shape}")
 
 
+def _check_integers(name: str, ids: np.ndarray) -> None:
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise ShapeError(f"{name} ids must be integers, got dtype {ids.dtype}")
+
+
+def _check_instances(config: ModelConfig, data, name: str) -> None:
+    """Raise ShapeError, naming ``name`` and the instance's index, unless
+    every instance of ``data`` holds integer block ids whose shape
+    _check_blocks accepts and a 1-D integer target. The ids' range is
+    checked on each padded batch."""
+    for i, (x, y) in enumerate(data):
+        x, y = np.asarray(x), np.asarray(y)
+        try:
+            _check_blocks(config, x.shape)
+            _check_integers("block", x)
+            _check_integers("target", y)
+            if y.ndim != 1:
+                raise ShapeError(f"target ids must have shape (T,), got {y.shape}")
+        except ShapeError as e:
+            raise ShapeError(f"{name}[{i}]: {e}") from None
+
+
 def _check_ids(config: ModelConfig, ids: np.ndarray, target: np.ndarray | None = None) -> None:
     """Raise ShapeError unless the ids of ``ids`` and ``target`` are integers
     in [0, vocab_size), and unless ``target``, if given, holds the targets
@@ -437,8 +435,7 @@ def _check_ids(config: ModelConfig, ids: np.ndarray, target: np.ndarray | None =
     for name, a in (("block", ids), ("target", target)):
         if a is None:
             continue
-        if not np.issubdtype(a.dtype, np.integer):
-            raise ShapeError(f"{name} ids must be integers, got dtype {a.dtype}")
+        _check_integers(name, a)
         if a.size and not 0 <= a.min() <= a.max() < config.vocab_size:
             raise ShapeError(f"{name} ids must lie in [0, {config.vocab_size}), "
                              f"got ids from {a.min()} to {a.max()}")
@@ -717,12 +714,17 @@ def train(
     areas. With dropout, every step spawns one generator per shard from the
     ``dropout`` substream. Calls from several threads run one at a time.
 
-    Aborts with NumericalError if the epoch loss exceeds 10x the first
-    epoch's loss or stops being finite, and with ChildProcessError if a
-    worker ends during the call.
+    Raises ShapeError, naming the instance, before any step unless every
+    instance holds integer block ids (n_blocks, block_len) with
+    1 <= n_blocks <= max_blocks and a 1-D integer target. Aborts with
+    NumericalError if the epoch loss exceeds 10x the first epoch's loss or
+    stops being finite, and with ChildProcessError if a worker ends during
+    the call.
     """
     if not train_data:
         raise ConfigError("train_data is empty")
+    _check_instances(config, train_data, "train_data")
+    _check_instances(config, valid_data, "valid_data")
     b1, b2 = ADAM_BETAS
     rng = substream(hyper.seed, "shuffle")
     drop_rng = substream(hyper.seed, "dropout") if config.dropout > 0 else None
@@ -795,42 +797,100 @@ def train(
 # Decoding
 
 class _DecodeState:
-    """The decoder's cache while one instance's blocks (N, L) are decoded.
+    """The decoder over one instance's blocks (N, L): its weights, with every
+    constant of one ``generate`` call folded in once, and its cache.
 
-    The blocks are encoded once. ``cross`` holds each decoder layer's
-    cross-attention keys and values, projected once from the encoder states;
-    their batch axis is 1, so every beam shares them, as it shares
-    ``enc_mask``. ``self_kv`` holds each layer's self-attention keys and
-    values of every position fed so far, one row per live beam."""
+    Every sublayer, and the logits, starts from x̂, the layer norm of x
+    without gain and bias, times one matrix plus one bias row: the norm's
+    gain scales the matrix's rows, and its bias times the matrix joins the
+    bias row. ``weights`` holds, for each sublayer of ``_sublayer_names``,
+    that matrix and bias row and what follows them:
+    - self-attention: wq·dh^-0.5 | wk | wv, (d, 3d), then wo;
+    - cross-attention over the S = N·L block states, encoded once: wq,
+      dh^-0.5 and the padding mask are folded into the keys K, as the
+      matrix (d, H·S) of each head's wq_h·K_hᵀ·dh^-0.5 side by side, the
+      mask joining the bias row; wo is folded into the values V, as
+      (H·S, d), each head's V_h·wo_h stacked. So the sublayer is two
+      products and one softmax, and every beam shares them;
+    - feed-forward: w1 and b1, then w2 and b2.
+    ``logits`` is the final norm folded into embᵀ.
+
+    ``cache`` (rows, n_dec_layers, 2, H, pos_len, dh) holds each layer's
+    self-attention keys and values, one row per live beam, written in place
+    at each step; the first ``length`` positions are filled. Folding
+    regroups float64 products, so log-probs match the teacher-forced
+    forward pass to 1e-12, not bit for bit."""
 
     def __init__(self, params, config: ModelConfig, ids):
-        enc_states = encode_blocks(params, config, ids)[None]
-        self.enc_mask = np.where(ids.reshape(1, -1) == PAD_ID, NEG_INF, 0.0)[:, None, None, :]
-        self.cross = [_kv_heads(enc_states, _attn_params(params, f"dec{i}.cross"),
-                                config.n_heads)
-                      for i in range(config.n_dec_layers)]
-        self.self_kv = [None] * config.n_dec_layers
+        d, n_heads = config.d_model, config.n_heads
+        dh = d // n_heads
+        enc = encode_blocks(params, config, ids)
+        mask = np.where(ids.reshape(-1) == PAD_ID, NEG_INF, 0.0)
+
+        def fold(ln, w, bias=0.0):
+            return params[f"{ln}.g"][:, None] * w, params[f"{ln}.b"] @ w + bias
+
+        self.weights = []
+        for _, ln, group, op in _sublayer_names("dec", config.n_dec_layers):
+            w = {k: params[f"{group}.{k}"] for k in (_FFN_KEYS if op == "ffn" else _ATTN_KEYS)}
+            if op == "ffn":
+                self.weights.append((*fold(ln, w["w1"], w["b1"]), w["w2"], w["b2"]))
+            elif op == "self":
+                wqkv = np.concatenate([w["wq"] * dh ** -0.5, w["wk"], w["wv"]], axis=1)
+                self.weights.append((*fold(ln, wqkv), w["wo"]))
+            else:
+                wq, bq = fold(ln, w["wq"] * dh ** -0.5)
+                keys, values = ((enc @ w[k]).reshape(-1, n_heads, dh).transpose(1, 0, 2)
+                                for k in ("wk", "wv"))  # (H, S, dh)
+                a = keys @ wq.reshape(d, n_heads, dh).transpose(1, 2, 0)  # (H, S, d)
+                bias = keys @ bq.reshape(n_heads, dh, 1)  # (H, S, 1)
+                bias += mask[:, None]
+                self.weights.append((a.reshape(-1, d).T, bias.reshape(-1),
+                                     (values @ w["wo"].reshape(n_heads, dh, d)).reshape(-1, d)))
+        self.logits = fold("dec.lnf", params["emb"].T)
+        self.cache = np.zeros((1, config.n_dec_layers, 2, n_heads, config.pos_len, dh))
         self.length = 0
 
-    def append(self, layer: int, kv):
-        """Add the newest position's (keys, values) to a layer; returns all."""
-        if self.self_kv[layer] is not None:
-            kv = tuple(np.concatenate(pair, axis=2) for pair in zip(self.self_kv[layer], kv))
-        self.self_kv[layer] = kv
-        return kv
+    def attend(self, layer: int, qkv):
+        """Self-attention of each row's newest position, from its scaled
+        query, key and value side by side (rows, 3d): stores the key and the
+        value at position ``length``; returns the heads' outputs (rows, d)."""
+        rows = qkv.shape[0]
+        *_, n_heads, _, dh = self.cache.shape
+        qkv = qkv.reshape(rows, 3, n_heads, 1, dh)
+        t = self.length + 1
+        kv = self.cache[:, layer]
+        kv[:, :, :, t - 1 : t] = qkv[:, 1:]
+        p = _softmax(qkv[:, 0] @ kv[:, 0, :, :t].transpose(0, 1, 3, 2))
+        return (p @ kv[:, 1, :, :t]).reshape(rows, -1)
 
     def reorder(self, rows) -> None:
         """Keep the cache rows of the beams that survive, by parent row."""
-        self.self_kv = [(k[rows], v[rows]) for k, v in self.self_kv]
+        self.cache = self.cache[rows]
 
 
 def _next_logprobs(params, config, state: _DecodeState, tokens):
     """Feed each cache row its newest token; log-probs of the token after it,
     one row per cache row. <PAD> is forbidden."""
-    # the one new position may attend to every cached one: no self mask
-    dec_out, _ = _stack_fwd(params, config, "dec", np.array(tokens)[:, None], None,
-                            (None, None, state.enc_mask), state)
-    logits = dec_out[:, 0] @ params["emb"].T
+    x = params["emb"][tokens] + params["pos"][state.length]
+    rows = x.shape[0]
+    for (i, _, _, op), w in zip(_sublayer_names("dec", config.n_dec_layers), state.weights):
+        xhat, _ = _normalize(x)
+        if op == "ffn":
+            out, _ = _ffn_fwd(xhat, *w)
+        else:
+            h = xhat @ w[0]
+            h += w[1]
+            if op == "self":
+                h = state.attend(i, h)
+            else:
+                h = _softmax(h.reshape(rows, config.n_heads, -1)).reshape(rows, -1)
+            out = h @ w[2]
+        out += x
+        x = out
+    state.length += 1
+    logits = _normalize(x)[0] @ state.logits[0]
+    logits += state.logits[1]
     logp = logits - _logsumexp(logits)
     logp[:, PAD_ID] = -np.inf
     return logp
@@ -844,8 +904,11 @@ def generate(params, config: ModelConfig, ids, mode: str = "greedy",
     and greedy as beam search of width one (``beam_size`` only checked).
     Beams rank by log-probability normalized by length^0.7, ties broken by
     token ids, so greedy picks the argmax each step (lowest id on ties).
-    Each step feeds only the newest token of each live beam: the blocks are
-    encoded once and the decoder's keys and values are cached.
+    Each step feeds only the newest token of each live beam. Once per call,
+    the blocks are encoded and the layer norms, cross-attention projections
+    and padding mask are folded into the decoder's weights and cached keys
+    and values (``_DecodeState``); each step's log-probs match the
+    teacher-forced forward pass to 1e-12.
     """
     if beam_size < 1:
         raise ConfigError(f"beam_size must be >= 1, got {beam_size}")

@@ -49,8 +49,8 @@ import numpy as np
 
 from .corpus import INTENT_ORDER, IntentLabel, _sentences
 from .errors import ClassMissing, ConfigError, EmptyEvalSet
-from .fid import _softmax
 from .files import read_tensors, write_tensors
+from .numerics import _softmax
 from .seeding import substream
 from .tokenizer import B_TOKENS, tokenize
 

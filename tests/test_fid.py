@@ -48,9 +48,10 @@ from citegen.fid import (  # training-path internals under test
 from citegen.fid import _DecodeState, _next_logprobs  # decoding internals under test
 from citegen.fid import _check_ids  # the id check under test
 from citegen.fid import (  # primitive ops under test
-    LN_EPS, NEG_INF, _attn_bwd, _attn_fwd, _ffn_bwd, _ffn_fwd, _kv_heads, _ln_bwd, _ln_fwd,
-    _logsumexp, _merge_heads, _softmax, _split_heads,
+    LN_EPS, NEG_INF, _attn_bwd, _attn_fwd, _ffn_bwd, _ffn_fwd, _ln_bwd, _ln_fwd, _merge_heads,
+    _split_heads,
 )
+from citegen.numerics import _logsumexp, _softmax
 from citegen.seeding import substream
 from citegen.shards import _one_blas_thread, _openblas  # the BLAS guard under test
 from citegen.tokenizer import BOS_ID, EOS_ID, PAD_ID, RESERVED, build_vocab
@@ -680,14 +681,13 @@ def test_attention_equals_textbook_bit_for_bit(cross):
     assert _frozen(q_in, kv_in, mask, dout, *w.values()) == before
 
 
-def test_attention_with_cached_kv_reads_and_changes_no_input():
-    q_in, kv_in, w, mask, _ = _attn_case(seed=3)
-    kv = _kv_heads(kv_in[:1], w, 2)  # batch axis 1: shared by every query row
-    before = _frozen(q_in, mask, *kv, *w.values())
-    out, _ = _attn_fwd(q_in, None, w, 2, mask[:1], kv=kv)
-    ref, _ = _ref_attn(q_in, np.repeat(kv_in[:1], 3, axis=0), w, 2, mask[:1], q_in)
-    assert np.array_equal(out, ref)
-    assert _frozen(q_in, mask, *kv, *w.values()) == before
+def test_decoding_reads_and_changes_no_parameter():
+    # decoding folds layer norms and projections into weights of its own
+    params, ids = _decode_case(TINY_DEEP, 5)
+    before = _frozen(ids, *params.values())
+    for mode in ("greedy", "beam"):
+        generate(params, TINY_DEEP, ids, mode=mode, beam_size=3)
+    assert _frozen(ids, *params.values()) == before
 
 
 def test_ffn_equals_textbook_bit_for_bit():
@@ -826,6 +826,21 @@ def _toy_data(n=6, seed=0):
     return data
 
 
+@pytest.mark.parametrize("split", ["train_data", "valid_data"])
+@pytest.mark.parametrize("spoil, match", [
+    pytest.param(lambda x, y: (x + 0.5, y), "block ids must be integers", id="float-block-ids"),
+    pytest.param(lambda x, y: (x, y.astype(float)), "target ids must be integers",
+                 id="float-target"),
+    pytest.param(lambda x, y: (x[0], y), r"block ids must have shape \(n_blocks, 6\)",
+                 id="one-dim-block-ids"),
+])
+def test_train_names_the_instance_whose_ids_do_not_fit(split, spoil, match):
+    data = {"train_data": _toy_data(), "valid_data": _toy_data(4, seed=1)}
+    data[split][3] = spoil(*data[split][3])
+    with pytest.raises(ShapeError, match=rf"^{split}\[3\]: {match}"):
+        train(init_params(TINY, seed=11), TINY, **data, hyper=TrainConfig(epochs=1))
+
+
 def test_train_deterministic_and_finite():
     data = _toy_data()
     hyper = TrainConfig(epochs=3, batch_size=4, seed=1)
@@ -909,9 +924,10 @@ def test_the_text_modules_load_neither_fid_nor_shards():
     # or install the shard pool's at-fork hook
     code = ("import sys\n"
             "import citegen.tokenizer, citegen.corpus, citegen.synthetic, citegen.retrieval\n"
+            "import citegen.intent, citegen.metrics\n"
             "print(sorted(name for name in sys.modules if name.startswith('citegen')))")
     loaded = ast.literal_eval(_run_python(code))
-    assert "citegen.retrieval" in loaded
+    assert {"citegen.retrieval", "citegen.intent", "citegen.metrics"} <= set(loaded)
     assert "citegen.fid" not in loaded
     assert "citegen.shards" not in loaded
 
@@ -1589,18 +1605,27 @@ def test_unknown_decode_mode(monkeypatch):
 
 TINY_DEEP = ModelConfig(vocab_size=20, d_model=8, n_heads=2, n_enc_layers=1,
                         n_dec_layers=2, block_len=6, target_len=8)
+# as wide as the acceptance fixture's model, so that decoding's folded
+# cross-attention lays out several heads over several blocks
+FIXTURE_SHAPED = ModelConfig(vocab_size=40, d_model=64, n_heads=4, n_enc_layers=1,
+                             n_dec_layers=2, block_len=8, target_len=10)
+DECODE_CONFIGS = pytest.mark.parametrize(
+    "config, n_blocks", [(TINY, None), (TINY_DEEP, None), (FIXTURE_SHAPED, 3)],
+    ids=["1-layer", "2-layer", "fixture-shaped"])
 
 
-def _decode_case(config, seed):
+def _decode_case(config, seed, n_blocks=None):
     """A random model whose weights are large enough for varied outputs, and
-    1-3 blocks: the first partially padded, a later one sometimes all <PAD>."""
+    block ids whose first block is partially padded: 1-3 blocks, a later one
+    sometimes all <PAD>, or given ``n_blocks``, that many, the last all
+    <PAD>."""
     rng = np.random.default_rng(seed)
     params = {k: v + rng.normal(0.0, 0.5, v.shape)
               for k, v in init_params(config, seed).items()}
-    n = 1 + seed % 3
+    n = 1 + seed % 3 if n_blocks is None else n_blocks
     ids = rng.integers(len(RESERVED), config.vocab_size, size=(n, config.block_len))
     ids[0, rng.integers(1, config.block_len):] = PAD_ID
-    if n > 1 and seed % 2:
+    if n > 1 and (seed % 2 or n_blocks is not None):
         ids[-1] = PAD_ID
     return params, ids
 
@@ -1648,23 +1673,25 @@ def _full_prefix_decode(params, config, ids, mode, beam_size, max_len):
     return max(beams, key=lambda bm: (score(bm[1], len(bm[0])), [-t for t in bm[0]]))[0]
 
 
-@pytest.mark.parametrize("config", [TINY, TINY_DEEP], ids=["1-layer", "2-layer"])
-def test_incremental_steps_match_teacher_forced_logprobs(config):
+def _check_step(params, config, ids, got, prefix):
+    """Decoding's log-probs ``got`` after ``prefix`` equal teacher forcing's."""
+    want = _teacher_forced_logprobs(params, config, ids, prefix)
+    assert got[PAD_ID] == want[PAD_ID] == -np.inf
+    np.testing.assert_allclose(np.delete(got, PAD_ID), np.delete(want, PAD_ID),
+                               rtol=0, atol=1e-12)
+
+
+@DECODE_CONFIGS
+def test_incremental_steps_match_teacher_forced_logprobs(config, n_blocks):
     """After <BOS>, three cache rows follow three random targets; halfway the
     rows are permuted as a beam reorder would. Every step's log-probs equal
     the teacher-forced ones of the row's own prefix."""
-    def check(got, prefix):
-        want = _teacher_forced_logprobs(params, config, ids, prefix)
-        assert got[PAD_ID] == want[PAD_ID] == -np.inf
-        np.testing.assert_allclose(np.delete(got, PAD_ID), np.delete(want, PAD_ID),
-                                   rtol=0, atol=1e-12)
-
     for seed in range(6):
-        params, ids = _decode_case(config, seed)
+        params, ids = _decode_case(config, seed, n_blocks)
         rng = np.random.default_rng(100 + seed)
         targets = rng.integers(1, config.vocab_size, size=(3, config.pos_len - 1))
         state = _DecodeState(params, config, ids)
-        check(_next_logprobs(params, config, state, [BOS_ID])[0], [])
+        _check_step(params, config, ids, _next_logprobs(params, config, state, [BOS_ID])[0], [])
         state.reorder([0, 0, 0])
         for j in range(config.pos_len - 1):
             if j == config.pos_len // 2:
@@ -1673,14 +1700,32 @@ def test_incremental_steps_match_teacher_forced_logprobs(config):
                 targets = targets[perm]
             steps = _next_logprobs(params, config, state, targets[:, j])
             for row in range(3):
-                check(steps[row], targets[row, : j + 1])
+                _check_step(params, config, ids, steps[row], targets[row, : j + 1])
 
 
-@pytest.mark.parametrize("config", [TINY, TINY_DEEP], ids=["1-layer", "2-layer"])
-def test_generate_matches_full_prefix_decoder(config):
+def test_reorder_grows_and_shrinks_the_preallocated_cache():
+    config = FIXTURE_SHAPED
+    params, ids = _decode_case(config, 0, n_blocks=3)
+    targets = np.random.default_rng(7).integers(1, config.vocab_size, size=(3, config.pos_len - 1))
+    state = _DecodeState(params, config, ids)
+    _next_logprobs(params, config, state, [BOS_ID])
+    # three rows follow three targets for three steps, then rows 2 and 0 go on
+    for rows, targets in (([0, 0, 0], targets), ([2, 0], targets[[2, 0]])):
+        state.reorder(rows)
+        assert state.cache.shape[0] == len(rows)
+        assert state.cache.shape[-2] == config.pos_len
+        for _ in range(3):
+            j = state.length - 1
+            steps = _next_logprobs(params, config, state, targets[:, j])
+            for row, target in enumerate(targets):
+                _check_step(params, config, ids, steps[row], target[: j + 1])
+
+
+@DECODE_CONFIGS
+def test_generate_matches_full_prefix_decoder(config, n_blocks):
     differs = 0
     for seed in range(12):
-        params, ids = _decode_case(config, seed)
+        params, ids = _decode_case(config, seed, n_blocks)
         greedy = generate(params, config, ids, mode="greedy", max_len=config.pos_len)
         assert greedy == _full_prefix_decode(params, config, ids, "greedy", 1, config.pos_len)
         for k in (2, 3, 4):

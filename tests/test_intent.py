@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from citegen.corpus import INTENT_ORDER, IntentLabel, build_dataset, save_dataset, split_dataset
 from citegen.errors import ClassMissing, ConfigError, DataError, EmptyEvalSet
 from citegen.files import write_tensors
-from citegen.fid import _logsumexp, _softmax
 from citegen.intent import (
     Features,
     IntentModel,
@@ -31,6 +30,7 @@ from citegen.intent import (
     save_intent_model,
     train_intent,
 )
+from citegen.numerics import _logsumexp, _softmax
 from citegen.seeding import substream
 from citegen.synthetic import SynthSpec, generate_synthetic_corpus
 from citegen.tokenizer import B_TOKENS, tokenize
